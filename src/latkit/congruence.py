@@ -124,20 +124,6 @@ class ConLattice:
         mu = reduce(lambda p, q: p.join(q), sel, Partition.delta(self.base.n))
         return mu
 
-    def atoms(self):
-        order = self.order
-        out = []
-        for i in range(len(self.members)):
-            if i == self.delta_ix:
-                continue
-            strict_down = [
-                j for j in range(len(self.members))
-                if j != i and (order[j] >> i) & 1
-            ]
-            if strict_down == [self.delta_ix]:
-                out.append(i)
-        return out
-
     def coatoms(self):
         order = self.order
         nab_bit = 1 << self.nabla_ix

@@ -37,9 +37,6 @@ class SumProvenance:
     def sources_of(self, label: str):
         return self.sources[label]
 
-    def summand_count(self) -> int:
-        return 1 + max(i for pairs in self.sources.values() for i, _ in pairs)
-
     def label_map(self, summand: int) -> dict:
         """source label -> result label, for one summand."""
         out = {}

@@ -43,6 +43,16 @@ def mask_of(indices) -> int:
     return m
 
 
+def _at_most_one_cover(strict: int, back) -> bool:
+    """Whether x has at most one cover in `strict`.
+
+    `strict` holds the elements strictly above (below) x and `back[y]`
+    those below (above) y; a cover of x is a y in `strict` whose
+    `back[y]` meets `strict` in y alone.
+    """
+    return sum(back[y] & strict == 1 << y for y in bits(strict)) <= 1
+
+
 class Lattice:
     """Immutable finite bounded lattice.
 
@@ -171,27 +181,12 @@ class Lattice:
         return tuple(out)
 
     def is_meet_irreducible(self, x: int) -> bool:
-        """True iff x = u ^ v forces x in {u, v}; exhaustive pair scan."""
-        mt = self.meet_t
-        for u in range(self.n):
-            if u == x:
-                continue
-            row = mt[u]
-            for v in range(u + 1, self.n):
-                if v != x and row[v] == x:
-                    return False
-        return True
+        """True iff x has at most one upper cover; the top has none."""
+        return _at_most_one_cover(self.up[x] & ~(1 << x), self.down)
 
     def is_join_irreducible(self, x: int) -> bool:
-        jt = self.join_t
-        for u in range(self.n):
-            if u == x:
-                continue
-            row = jt[u]
-            for v in range(u + 1, self.n):
-                if v != x and row[v] == x:
-                    return False
-        return True
+        """True iff x has at most one lower cover; the bottom has none."""
+        return _at_most_one_cover(self.down[x] & ~(1 << x), self.up)
 
     # -- value semantics ----------------------------------------------------
 

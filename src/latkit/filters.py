@@ -3,9 +3,9 @@
 Every filter of a finite lattice is principal, so the full families are
 exactly the upsets [x) and downsets (x]. Members are tagged with their
 generator and primality when the family is built; the spectra are the
-prime sublists. Primality is computed along two routes (the join
-condition and the complement-is-an-ideal condition) which are asserted
-to agree.
+prime sublists. Primality is decided by the join (meet) condition; the
+tests check it against the other characterisation, that the complement
+is an ideal (filter).
 """
 
 from __future__ import annotations
@@ -121,21 +121,14 @@ def is_prime_filter(lat, subset) -> bool:
     if m == full:
         return False
     jt = lat.join_t
-    by_join = True
     for x in range(lat.n):
         if (m >> x) & 1:
             continue
         row = jt[x]
         for y in range(x, lat.n):
             if not (m >> y) & 1 and (m >> row[y]) & 1:
-                by_join = False
-                break
-        if not by_join:
-            break
-    complement = [x for x in range(lat.n) if not (m >> x) & 1]
-    by_complement = is_ideal(lat, complement)
-    assert by_join == by_complement, "prime filter characterizations disagree"
-    return by_join
+                return False
+    return True
 
 
 def is_prime_ideal(lat, subset) -> bool:
@@ -147,21 +140,14 @@ def is_prime_ideal(lat, subset) -> bool:
     if m == full:
         return False
     mt = lat.meet_t
-    by_meet = True
     for x in range(lat.n):
         if (m >> x) & 1:
             continue
         row = mt[x]
         for y in range(x, lat.n):
             if not (m >> y) & 1 and (m >> row[y]) & 1:
-                by_meet = False
-                break
-        if not by_meet:
-            break
-    complement = [x for x in range(lat.n) if not (m >> x) & 1]
-    by_complement = is_filter(lat, complement)
-    assert by_meet == by_complement, "prime ideal characterizations disagree"
-    return by_meet
+                return False
+    return True
 
 
 def all_filters(lat) -> SubsetFamily:

@@ -134,7 +134,11 @@ def isomorphic(a: Lattice, b: Lattice):
     """
     if a.n != b.n:
         return None
-    ia, ib = _invariants(a), _invariants(b)
+    return _isomorphism(a, b, _invariants(a), _invariants(b))
+
+
+def _isomorphism(a, b, ia, ib):
+    """`isomorphic` for equal-sized lattices with their invariants given."""
     if sorted(ia) != sorted(ib):
         return None
     n = a.n
@@ -166,6 +170,56 @@ def isomorphic(a: Lattice, b: Lattice):
         return False
 
     return list(f) if backtrack(0) else None
+
+
+def _certificate(lat, colours):
+    """Exact isomorphism key of `lat`, given its `_invariants` colours.
+
+    The key is the sorted colours plus the lexicographically least
+    relation matrix over every relabelling that puts the elements in
+    colour order. The matrix is read position by position: entry i codes
+    how the element placed at i compares with those placed before it.
+    Two lattices get equal keys exactly when they are isomorphic.
+
+    Backtracking fills positions in order. At each one it follows only
+    the candidates of least code, since any colour-respecting prefix
+    can be completed, and it drops a prefix that already exceeds the
+    best matrix found.
+    """
+    n = lat.n
+    palette = sorted(colours)
+    pool = {}
+    for x in range(n):
+        pool.setdefault(colours[x], []).append(x)
+    up, down = lat.up, lat.down
+    placed = [0] * n
+    code = [0] * n
+    best = None
+
+    def rec(i, used):
+        nonlocal best
+        if i == n:
+            best = code[:]
+            return
+        codes = {}
+        for x in pool[palette[i]]:
+            if (used >> x) & 1:
+                continue
+            c = 0
+            for k in range(i):
+                p = placed[k]
+                c |= (((up[p] >> x) & 1) | ((down[p] >> x) & 1) << 1) << (2 * k)
+            codes.setdefault(c, []).append(x)
+        least = min(codes)
+        code[i] = least
+        if best is not None and code[:i + 1] > best[:i + 1]:
+            return
+        for x in codes[least]:
+            placed[i] = x
+            rec(i + 1, used | (1 << x))
+
+    rec(0, 0)
+    return tuple(palette), tuple(best)
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -269,12 +323,49 @@ def corpus(seed: int, count: int, max_size: int):
     return out
 
 
+def _census_candidates(n: int):
+    """Every lattice on e0..e{n-1} with the index order as a linear extension.
+
+    Elements are added in linear-extension order with down-closed lower
+    sets; each candidate is validated and the rejected ones are dropped.
+    """
+    labels = tuple(f"e{i}" for i in range(n))
+    lows = [0] * n  # lows[j]: bitmask of elements strictly below j
+
+    def rec(j):
+        if j == n - 1:
+            lows[j] = (1 << (n - 1)) - 1  # top lies above everything
+            up = []
+            for i in range(n):
+                row = 1 << i
+                for k in range(i + 1, n):
+                    if (lows[k] >> i) & 1:
+                        row |= 1 << k
+                up.append(row)
+            try:
+                lat = Lattice(labels, up)
+            except LatticeError:
+                return
+            yield lat
+            return
+        for extra in range(1 << max(j - 1, 0)):
+            s = (extra << 1) | 1  # bottom is below every later element
+            if any(lows[i] & ~s for i in bits(s)):
+                continue  # not down-closed
+            lows[j] = s
+            yield from rec(j + 1)
+
+    return rec(1)
+
+
 def enumerate_lattices(max_n: int):
     """Census of all lattices with up to max_n elements, one per iso class.
 
-    Opt-in and exponential: elements are added in linear-extension order
-    with down-closed lower sets, candidates are filtered through lattice
-    validation and deduplicated up to isomorphism. Intended for max_n <= 7.
+    Opt-in and exponential: every candidate order on n elements is
+    validated as a lattice, and the first candidate of each isomorphism
+    class is kept. Class membership is one dict lookup on the candidate's
+    canonical certificate (McKay, "Isomorph-free exhaustive generation",
+    1998), so no pairwise isomorphism test is made.
     """
     if max_n < 1:
         raise BadParams("max_n must be at least 1")
@@ -282,50 +373,12 @@ def enumerate_lattices(max_n: int):
         raise BadParams("census capped at 8 elements")
     out = [Lattice(("e0",), (1,), name="census(1)#0")]
     for n in range(2, max_n + 1):
-        found = []
-        buckets = {}
-        labels = tuple(f"e{i}" for i in range(n))
-        lows = [0] * n  # lows[j]: bitmask of elements strictly below j
-
-        def emit():
-            up = []
-            for i in range(n):
-                row = 1 << i
-                for j in range(i + 1, n):
-                    if (lows[j] >> i) & 1:
-                        row |= 1 << j
-                up.append(row)
-            try:
-                lat = Lattice(labels, up)
-            except LatticeError:
-                return
-            key = tuple(sorted(_invariants(lat)))
-            bucket = buckets.setdefault(key, [])
-            for seen in bucket:
-                if isomorphic(lat, seen) is not None:
-                    return
-            lat = lat.renamed(f"census({n})#{len(found)}")
-            bucket.append(lat)
-            found.append(lat)
-
-        def rec(j):
-            if j == n - 1:
-                lows[j] = (1 << (n - 1)) - 1  # top lies above everything
-                emit()
-                return
-            for extra in range(1 << max(j - 1, 0)):
-                s = (extra << 1) | 1  # bottom is below every later element
-                if any(lows[i] & ~s for i in bits(s)):
-                    continue  # not down-closed
-                lows[j] = s
-                rec(j + 1)
-
-        if n == 2:
-            lows[1] = 1
-            emit()
-        else:
-            rec(1)
-        out.extend(found)
+        found = {}
+        for lat in _census_candidates(n):
+            key = _certificate(lat, _invariants(lat))
+            if key not in found:
+                found[key] = lat.renamed(f"census({n})#{len(found)}")
+        out.extend(found.values())
     return out
 
 

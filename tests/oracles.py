@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's enumeration strategies: partitions
 are generated by recursive block extension and filtered by the congruence
-predicate, filters/ideals by scanning every subset of the carrier.
-Exponential, so callers keep carriers small.
+predicate, filters/ideals by scanning every subset of the carrier,
+irreducibility by scanning every pair of elements, and the census's
+candidates are deduplicated by pairwise isomorphism tests. Exponential,
+so callers keep carriers small.
 """
 
-from latkit import Partition, is_congruence
+from latkit import Lattice, Partition, is_congruence
 from latkit.core import bits
+from latkit.verify import _census_candidates, _invariants, _isomorphism
 
 
 def iter_partitions(n):
@@ -88,4 +91,45 @@ def ideals_by_exhaustion(lat):
                 break
         if ok:
             out.add(frozenset(elems))
+    return out
+
+
+def _no_pair_gives(table, x):
+    n = len(table)
+    return not any(table[u][v] == x
+                   for u in range(n) for v in range(u + 1, n)
+                   if x not in (u, v))
+
+
+def meet_irreducible_by_pairs(lat, x):
+    """True iff x = u ^ v forces x in {u, v}; exhaustive pair scan."""
+    return _no_pair_gives(lat.meet_t, x)
+
+
+def join_irreducible_by_pairs(lat, x):
+    """True iff x = u v v forces x in {u, v}; exhaustive pair scan."""
+    return _no_pair_gives(lat.join_t, x)
+
+
+def census_by_pairwise_iso(max_n):
+    """The census deduplicated by invariant buckets and pairwise isomorphism.
+
+    Same candidates and naming as `enumerate_lattices`; a candidate is kept
+    when no earlier member of its invariant bucket is isomorphic to it.
+    Invariants are computed once per lattice.
+    """
+    out = [Lattice(("e0",), (1,), name="census(1)#0")]
+    for n in range(2, max_n + 1):
+        found = []
+        buckets = {}
+        for lat in _census_candidates(n):
+            inv = _invariants(lat)
+            bucket = buckets.setdefault(tuple(sorted(inv)), [])
+            if any(_isomorphism(lat, seen, inv, seen_inv) is not None
+                   for seen, seen_inv in bucket):
+                continue
+            lat = lat.renamed(f"census({n})#{len(found)}")
+            bucket.append((lat, inv))
+            found.append(lat)
+        out.extend(found)
     return out

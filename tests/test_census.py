@@ -1,0 +1,79 @@
+import random
+
+import pytest
+
+from latkit import Lattice, corpus, enumerate_lattices, isomorphic
+from latkit.core import bits, mask_of
+from latkit.verify import _certificate, _invariants
+
+from oracles import census_by_pairwise_iso
+
+# Lattices with 1..8 elements up to isomorphism, OEIS A006966.
+A006966 = (1, 1, 1, 2, 5, 15, 53, 222)
+
+
+@pytest.fixture(scope="module")
+def census8():
+    return enumerate_lattices(8)
+
+
+@pytest.fixture(scope="module")
+def oracle8():
+    return census_by_pairwise_iso(8)
+
+
+def _fingerprint(lats):
+    return [(lat.name, lat.labels, lat.up) for lat in lats]
+
+
+def _relabelled(lat, perm):
+    """Copy of `lat` with old element i moved to index perm[i]."""
+    labels = [None] * lat.n
+    up = [0] * lat.n
+    for i in range(lat.n):
+        labels[perm[i]] = lat.labels[i]
+        up[perm[i]] = mask_of(perm[j] for j in bits(lat.up[i]))
+    return Lattice(labels, up)
+
+
+def _key(lat):
+    return _certificate(lat, _invariants(lat))
+
+
+def test_census_counts_to_eight(census8):
+    counts = [0] * 8
+    for lat in census8:
+        counts[lat.n - 1] += 1
+    assert tuple(counts) == A006966
+
+
+@pytest.mark.parametrize("max_n", range(1, 9))
+def test_census_matches_pairwise_iso_oracle(max_n, census8, oracle8):
+    expected = [lat for lat in oracle8 if lat.n <= max_n]
+    got = census8 if max_n == 8 else enumerate_lattices(max_n)
+    assert _fingerprint(got) == _fingerprint(expected)
+
+
+def test_certificate_survives_relabelling():
+    rng = random.Random(11)
+    for lat in corpus(7, 25, 12):
+        key = _key(lat)
+        for _ in range(3):
+            perm = list(range(lat.n))
+            rng.shuffle(perm)
+            assert _key(_relabelled(lat, perm)) == key
+
+
+def test_certificate_agrees_with_isomorphic_on_the_corpus():
+    pool = corpus(7, 25, 12)
+    keys = [_key(lat) for lat in pool]
+    for i, a in enumerate(pool):
+        for j in range(i + 1, len(pool)):
+            same = isomorphic(a, pool[j]) is not None
+            assert (keys[i] == keys[j]) == same
+
+
+def test_certificate_separates_non_isomorphic_lattices(oracle8):
+    # The oracle's classes are pairwise non-isomorphic by isomorphism tests.
+    classes = [lat for lat in oracle8 if lat.n <= 7]
+    assert len({_key(lat) for lat in classes}) == len(classes)

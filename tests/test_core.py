@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from latkit import Lattice, named
+from latkit import Lattice, corpus, enumerate_lattices, named
 from latkit.errors import (
     BadParam,
     CycleDetected,
@@ -14,6 +14,8 @@ from latkit.errors import (
     UnknownLabel,
     UnknownName,
 )
+
+from oracles import join_irreducible_by_pairs, meet_irreducible_by_pairs
 
 
 def test_from_covers_three_chain():
@@ -102,6 +104,13 @@ def test_irreducibility():
         for u in range(m3.n) for v in range(m3.n)
         if u != m3.bottom != v and u != v
     )
+
+
+def test_irreducibility_from_covers_matches_pair_scan():
+    for lat in enumerate_lattices(7) + corpus(7, 25, 12):
+        for x in range(lat.n):
+            assert lat.is_meet_irreducible(x) == meet_irreducible_by_pairs(lat, x)
+            assert lat.is_join_irreducible(x) == join_irreducible_by_pairs(lat, x)
 
 
 def test_named_shapes():

@@ -7,6 +7,7 @@ from latkit import (
     complement_bijection_check,
     corpus,
     delta,
+    enumerate_lattices,
     eq_from_blocks,
     generated_filter,
     generated_ideal,
@@ -22,6 +23,7 @@ from latkit import (
     prime_ideals,
 )
 from latkit.construct import horizontal_sum
+from latkit.core import bits
 from latkit.errors import (
     EmptyFamily,
     EmptyGeneratorSet,
@@ -110,6 +112,16 @@ def test_whole_carrier_is_never_prime():
     for lat in (named("B2"), named("N5")):
         assert not is_prime_filter(lat, range(lat.n))
         assert not is_prime_ideal(lat, range(lat.n))
+
+
+def test_primality_agrees_with_the_complement_characterisation():
+    for lat in corpus(7, 25, 12) + enumerate_lattices(7):
+        every = set(range(lat.n))
+        for x in range(lat.n):
+            f = set(bits(lat.up[x]))
+            assert is_prime_filter(lat, f) == is_ideal(lat, every - f)
+            i = set(bits(lat.down[x]))
+            assert is_prime_ideal(lat, i) == is_filter(lat, every - i)
 
 
 def test_spectra_of_the_named_examples():
