@@ -9,11 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .congruence import (
-    DEFAULT_CON_CAP,
-    all_congruences,
-    is_subdirectly_irreducible,
-)
+from .congruence import DEFAULT_CON_CAP, all_congruences
 from .errors import LatticeError, SizeCapExceeded
 from .expr import evaluate, parse
 from .filters import all_filters, all_ideals, prime_filters, prime_ideals
@@ -70,7 +66,8 @@ def _cmd_analyze(args) -> int:
     print(f"|Con01|={len(con.con01_indices())}")
     simple = len(con.members) == 2 and lat.n >= 2
     print(f"simple={'true' if simple else 'false'}")
-    si, monolith = is_subdirectly_irreducible(lat, args.con_cap)
+    monolith = con.monolith()
+    si = monolith is not None
     print(f"subdirectly_irreducible={'true' if si else 'false'}")
     if si:
         print(f"monolith: {monolith.render(lat.labels)}")

@@ -1,81 +1,101 @@
-"""Congruences of a finite bounded lattice.
+"""Congruences of a finite bounded lattice, as sets of join-irreducibles.
 
-Principal congruences are computed by worklist closure over a union-find
-state. The full congruence set is the join-closure of the principal
-congruences of cover pairs, enumerated by folding one generator at a time
-(any congruence is the join of the cover principals it contains, so the
-fold reaches everything). ConLattice carries the members in a fixed
-canonical order so that listings and goldens are deterministic.
+For a join-irreducible k with lower cover k₋, write j D k when j != k
+and some x has j <= k v x but not j <= k₋ v x. Collapsing k₋ with k then
+collapses k₋ v x with k v x, and so j₋ with j. Following Day (1979) and
+Freese, "Computing congruences efficiently", Algebra Universalis 59
+(2008), a congruence is fixed by the set S of join-irreducibles j that it
+collapses with j₋; the sets that arise are exactly those closed under D
+(k in S and j D k give j in S), and refinement is inclusion.
+
+`_dependency` indexes the join-irreducibles 0..|J|-1 and returns two
+lists of J-indexed bitmasks: `jbelow[x]`, the join-irreducibles below
+x, and `closure[t]`, the D*-closure of {t}, which is the set that
+con(t₋, t) collapses. A closed set S is a union of closures, and its
+congruence identifies x and y exactly when `jbelow[x] & ~S` equals
+`jbelow[y] & ~S`, the key from which each partition is built once.
+Con(L) is enumerated by OR-folding the closures, and its order, joins
+and meets are subset tests, ORs and ANDs of these masks. ConLattice
+carries the members in a fixed canonical order so that listings and
+goldens are deterministic.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from operator import and_
 
+from .core import Lattice, bits
 from .equiv import Partition, is_congruence
 from .errors import NotACongruence, SizeCapExceeded
-from .core import Lattice
 
 DEFAULT_CON_CAP = 60
 DEFAULT_MEMBER_CAP = 200_000
 PRIME_MEMBER_CAP = 200
 
 
+def _dependency(lat):
+    """(jbelow, closure) of lat, as described in the module docstring."""
+    n, up, down, jt = lat.n, lat.up, lat.down, lat.join_t
+    down_id = {d: x for x, d in enumerate(down)}
+    joins = [j for j in range(n)
+             if j != lat.bottom and lat.is_join_irreducible(j)]
+    jbelow = [0] * n
+    for t, j in enumerate(joins):
+        for x in bits(up[j]):
+            jbelow[x] |= 1 << t
+    closure = []
+    for t, k in enumerate(joins):
+        row, row_minus = jt[k], jt[down_id[down[k] ^ (1 << k)]]
+        dep = 0  # x = bottom puts t itself in, making the closure reflexive
+        for x in range(n):
+            dep |= jbelow[row[x]] & ~jbelow[row_minus[x]]
+        closure.append(dep)
+    for t, ct in enumerate(closure):  # Warshall: close under D transitively
+        bit = 1 << t
+        for s, cs in enumerate(closure):
+            if cs & bit:
+                closure[s] = cs | ct
+    return jbelow, closure
+
+
+def _partition(jbelow, s: int) -> Partition:
+    """The congruence of the closed set `s`."""
+    return Partition([jb & ~s for jb in jbelow])
+
+
 def principal_congruence(lat, a: int, b: int) -> Partition:
     """Least congruence of lat identifying a and b."""
-    n = lat.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx < ry:
-            parent[ry] = rx
-        else:
-            parent[rx] = ry
-        return True
-
-    mt, jt = lat.meet_t, lat.join_t
-    work = []
-    if union(a, b):
-        work.append((a, b))
-    while work:
-        x, y = work.pop()
-        mx, my, jx, jy = mt[x], mt[y], jt[x], jt[y]
-        for z in range(n):
-            u, v = mx[z], my[z]
-            if find(u) != find(v):
-                union(u, v)
-                work.append((u, v))
-            u, v = jx[z], jy[z]
-            if find(u) != find(v):
-                union(u, v)
-                work.append((u, v))
-    return Partition(tuple(find(i) for i in range(n)))
+    return congruence_generated(lat, [(a, b)])
 
 
 def congruence_generated(lat, pairs) -> Partition:
-    """Least congruence containing all the given element pairs."""
-    out = Partition.delta(lat.n)
+    """Least congruence containing all the given element pairs.
+
+    con(a, b) = con(a ^ b, a v b) collapses exactly the closures of the
+    join-irreducibles below a v b and not below a ^ b.
+    """
+    jbelow, closure = _dependency(lat)
+    mt, jt = lat.meet_t, lat.join_t
+    s = 0
     for a, b in pairs:
-        if not out.same(a, b):
-            out = out.join(principal_congruence(lat, a, b))
-    return out
+        for t in bits(jbelow[jt[a][b]] & ~jbelow[mt[a][b]]):
+            s |= closure[t]
+    return _partition(jbelow, s)
 
 
 class ConLattice:
-    """All congruences of a lattice, ordered by refinement."""
+    """All congruences of a lattice, ordered by refinement.
 
-    def __init__(self, base: Lattice, members):
+    `masks[i]` is the closed set of join-irreducibles of members[i] (see
+    the module docstring), so members[i] <= members[j] iff masks[i] is a
+    subset of masks[j].
+    """
+
+    def __init__(self, base: Lattice, members, masks):
         self.base = base
         self.members = tuple(members)
+        self.masks = tuple(masks)
         self.delta_ix = self.members.index(Partition.delta(base.n))
         self.nabla_ix = self.members.index(Partition.nabla(base.n))
 
@@ -95,18 +115,18 @@ class ConLattice:
     @cached_property
     def order(self):
         """Bitmask rows of the refinement order: row i has bit j iff m_i <= m_j."""
-        ms = self.members
+        masks = self.masks
         rows = []
-        for p in ms:
+        for s in masks:
             row = 0
-            for j, q in enumerate(ms):
-                if p.leq(q):
+            for j, t in enumerate(masks):
+                if not s & ~t:
                     row |= 1 << j
             rows.append(row)
         return tuple(rows)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.members[i].leq(self.members[j])
+        return not self.masks[i] & ~self.masks[j]
 
     def con01_indices(self):
         bot, top = self.base.bottom, self.base.top
@@ -120,9 +140,16 @@ class ConLattice:
 
     def mu_con01(self) -> Partition:
         """Largest congruence keeping the 0- and 1-classes singletons."""
-        sel = self.con01_members()
-        mu = reduce(lambda p, q: p.join(q), sel, Partition.delta(self.base.n))
-        return mu
+        mask = 0
+        for i in self.con01_indices():
+            mask |= self.masks[i]
+        return self.members[self.masks.index(mask)]
+
+    def monolith(self):
+        """Least member above the identity, or None when there is none."""
+        proper = [s for s in self.masks if s]
+        mono = reduce(and_, proper) if proper else 0
+        return self.members[self.masks.index(mono)] if mono else None
 
     def coatoms(self):
         order = self.order
@@ -138,19 +165,22 @@ class ConLattice:
 
 def all_congruences(lat, cap: int = DEFAULT_CON_CAP,
                     member_cap: int = DEFAULT_MEMBER_CAP) -> ConLattice:
-    """Enumerate Con(lat) by join-closing the cover principal congruences."""
+    """Enumerate Con(lat) as the unions of the closures con(j₋, j)."""
     if lat.n > cap:
         raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
-    gens = {principal_congruence(lat, i, j) for i, j in lat.cover_pairs}
-    members = {Partition.delta(lat.n)}
-    for g in sorted(gens, key=lambda p: p.block_of):
-        members |= {m.join(g) for m in members}
-        if len(members) > member_cap:
+    jbelow, closure = _dependency(lat)
+    masks = {0}
+    for g in set(closure):
+        masks |= {m | g for m in masks}
+        if len(masks) > member_cap:
             raise SizeCapExceeded(
                 f"more than {member_cap} congruences; raise member_cap to continue"
             )
-    ordered = sorted(members, key=lambda p: (-p.num_blocks, p.block_of))
-    return ConLattice(lat, ordered)
+    masks = list(masks)
+    parts = [_partition(jbelow, s) for s in masks]
+    rank = sorted(range(len(parts)),
+                  key=lambda i: (-parts[i].num_blocks, parts[i].block_of))
+    return ConLattice(lat, [parts[i] for i in rank], [masks[i] for i in rank])
 
 
 def con01(lat, cap: int = DEFAULT_CON_CAP):
@@ -247,26 +277,19 @@ def quotient(lat, p: Partition):
 def is_simple(lat, cap: int = DEFAULT_CON_CAP) -> bool:
     """True iff the only congruences are the identity and the full relation.
 
-    Equivalent to every cover principal congruence collapsing the whole
-    lattice: any congruence above the identity contains a cover pair.
+    Equivalent to every closure con(j₋, j) holding every join-irreducible:
+    any congruence above the identity contains one of them.
     """
     if lat.n > cap:
         raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
     if lat.n < 2:
         return False
-    return all(
-        principal_congruence(lat, i, j).num_blocks == 1 for i, j in lat.cover_pairs
-    )
+    _, closure = _dependency(lat)
+    full = (1 << len(closure)) - 1
+    return all(c == full for c in closure)
 
 
 def is_subdirectly_irreducible(lat, cap: int = DEFAULT_CON_CAP):
     """(flag, monolith): monolith is the least congruence above the identity."""
-    con = all_congruences(lat, cap)
-    delta = Partition.delta(lat.n)
-    proper = [m for m in con.members if m != delta]
-    if not proper:
-        return False, None
-    mono = reduce(lambda p, q: p.meet(q), proper)
-    if mono == delta:
-        return False, None
-    return True, mono
+    monolith = all_congruences(lat, cap).monolith()
+    return monolith is not None, monolith

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from math import isqrt
 
 from .errors import (
+    BadInput,
     BadParam,
     CycleDetected,
     DuplicateLabel,
@@ -43,6 +45,11 @@ def mask_of(indices) -> int:
     return m
 
 
+def _check_size(n: int):
+    if n > SIZE_CAP:
+        raise SizeCapExceeded(f"{n} elements exceeds construction cap {SIZE_CAP}")
+
+
 def _at_most_one_cover(strict: int, back) -> bool:
     """Whether x has at most one cover in `strict`.
 
@@ -67,8 +74,7 @@ class Lattice:
         n = len(labels)
         if n == 0:
             raise NoBounds("empty carrier")
-        if n > SIZE_CAP:
-            raise SizeCapExceeded(f"{n} elements exceeds construction cap {SIZE_CAP}")
+        _check_size(n)
         if len(set(labels)) != n:
             dup = sorted({x for x in labels if labels.count(x) > 1})
             raise DuplicateLabel(f"duplicate labels: {dup}")
@@ -222,11 +228,30 @@ class Lattice:
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "") -> "Lattice":
-        return cls.from_covers(data["elements"], data["covers"], name=name)
+        """Lattice from {"elements": [label, ..], "covers": [[low, high], ..]}.
+
+        Labels are strings. Fails with BadInput when `data` does not have
+        that shape.
+        """
+        if not isinstance(data, dict):
+            raise BadInput("lattice document must be a JSON object")
+        elements, covers = data.get("elements"), data.get("covers")
+        if not isinstance(elements, list) or not all(
+                isinstance(x, str) for x in elements):
+            raise BadInput('"elements" must be a list of string labels')
+        if not isinstance(covers, list) or not all(
+                isinstance(c, list) and len(c) == 2
+                and all(isinstance(x, str) for x in c) for c in covers):
+            raise BadInput('"covers" must be a list of [low, high] label pairs')
+        return cls.from_covers(elements, covers, name=name)
 
     @classmethod
     def from_json(cls, text: str, name: str = "") -> "Lattice":
-        return cls.from_dict(json.loads(text), name=name)
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise BadInput(f"not JSON: {e}") from None
+        return cls.from_dict(data, name=name)
 
     # -- construction ---------------------------------------------------------
 
@@ -239,6 +264,7 @@ class Lattice:
         the closed order is not a bounded lattice.
         """
         labels = tuple(labels)
+        _check_size(len(labels))
         if len(set(labels)) != len(labels):
             dup = sorted({x for x in labels if labels.count(x) > 1})
             raise DuplicateLabel(f"duplicate labels: {dup}")
@@ -323,6 +349,7 @@ def named(name: str, *params: int) -> Lattice:
         k = params[0]
         if k < 1:
             raise BadParam("chain size must be >= 1")
+        _check_size(k)
         labels = _chain_labels(k)
         covers = list(zip(labels, labels[1:]))
         return Lattice.from_covers(labels, covers, name=f"chain({k})")
@@ -360,7 +387,9 @@ def named(name: str, *params: int) -> Lattice:
         k = params[0]
         if k < 1:
             raise BadParam("div parameter must be >= 1")
-        divisors = [d for d in range(1, k + 1) if k % d == 0]
+        small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+        divisors = small + [k // d for d in reversed(small) if d * d != k]
+        _check_size(len(divisors))
         labels = [str(d) for d in divisors]
         covers = [
             (str(d), str(e))

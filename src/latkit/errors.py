@@ -52,6 +52,10 @@ class BadParam(LatticeError):
     pass
 
 
+class BadInput(LatticeError):
+    """An interchange document that is not JSON or not of the lattice schema."""
+
+
 # -- partitions and congruences ------------------------------------------
 
 class OverlappingBlocks(LatticeError):

@@ -21,11 +21,14 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .core import Lattice, named
-from .errors import ArityError, ExprSyntaxError
+from .errors import ArityError, BadInput, ExprSyntaxError
 from . import construct
 
 _BARE_ATOMS = ("B2", "M3", "N5", "K")
 _INT_ATOMS = ("chain", "div")
+# Deepest nesting of constructions accepted; the parser, `render` and
+# `evaluate` recurse once or twice per level.
+MAX_DEPTH = 100
 
 
 # -- AST --------------------------------------------------------------------
@@ -154,6 +157,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -170,6 +174,15 @@ class _Parser:
         return tok
 
     def expr(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH}",
+                                  self.peek().pos)
+        node = self._node()
+        self.depth -= 1
+        return node
+
+    def _node(self):
         tok = self.take("name")
         word = tok.value
         if word in _BARE_ATOMS:
@@ -232,7 +245,10 @@ def parse(text: str):
 # -- evaluation -----------------------------------------------------------------
 
 def _default_loader(path: str) -> Lattice:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise BadInput(f"{path}: not UTF-8 text ({e.reason})") from None
     return Lattice.from_json(text, name=f"file({json.dumps(path)})")
 
 

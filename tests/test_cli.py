@@ -110,6 +110,25 @@ def test_parse_error_exit_code(capsys):
     assert "offset 14" in err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"elements": ["0", "1"]}',
+    b"0 < 1\n",
+    b"\xff\xfe not text",
+])
+def test_malformed_file_exit_code(capsys, tmp_path, content):
+    target = tmp_path / "bad.json"
+    target.write_bytes(content)
+    code, out, err = run_cli(capsys, "analyze", f'file("{target}")')
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_deep_nesting_exit_code(capsys):
+    code, out, err = run_cli(capsys, "filters", "D(" * 3000 + "B2" + ")" * 3000)
+    assert (code, out) == (2, "")
+    assert "nesting deeper" in err
+
+
 def test_verify_suite_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "dilate,counts",
                            "--count", "5", "--max-size", "7")

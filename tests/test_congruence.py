@@ -9,6 +9,7 @@ from latkit import (
     congruence_generated,
     corpus,
     delta,
+    enumerate_lattices,
     eq_from_blocks,
     eq_join,
     eq_leq,
@@ -26,7 +27,20 @@ from latkit import (
 )
 from latkit.construct import dilate
 from latkit.errors import NotACongruence, SizeCapExceeded
-from oracles import congruences_by_exhaustion
+from oracles import (
+    closed_sets_by_definition,
+    con_lattice_by_partitions,
+    congruences_by_exhaustion,
+    principal_by_worklist,
+)
+
+
+@pytest.fixture(scope="module")
+def engine_pool():
+    """The census up to 8, a random corpus and the census dilations up to 7."""
+    census = enumerate_lattices(8)
+    dilations = [dilate(lat)[0] for lat in census if 2 <= lat.n <= 7]
+    return census + corpus(7, 100, 12) + dilations
 
 
 def test_principal_congruence_pentagon():
@@ -268,3 +282,32 @@ def test_every_member_is_a_join_of_its_principal_congruences():
                     if theta.same(a, b):
                         rebuilt = eq_join(rebuilt, principal_congruence(lat, a, b))
             assert rebuilt == theta
+
+
+def test_engine_matches_the_partition_oracles(engine_pool):
+    for lat in engine_pool:
+        want = con_lattice_by_partitions(lat)
+        con = all_congruences(lat)
+        assert list(con.members) == want["members"], lat
+        assert con.order == want["order"], lat
+        assert con.coatoms() == want["coatoms"], lat
+        assert con.con01_indices() == want["con01"], lat
+        assert con.mu_con01() == want["mu"], lat
+        assert is_simple(lat) == want["simple"], lat
+        assert is_subdirectly_irreducible(lat) == want["si"], lat
+        assert all(con.leq(i, j) == bool(row >> j & 1)
+                   for i, row in enumerate(con.order)
+                   for j in range(len(con))), lat
+
+
+def test_principal_congruences_match_the_worklist_closure():
+    for lat in enumerate_lattices(6):
+        for a in range(lat.n):
+            for b in range(lat.n):
+                assert principal_congruence(lat, a, b) == \
+                    principal_by_worklist(lat, a, b), (lat, a, b)
+
+
+def test_closed_sets_of_the_dependency_relation_count_con(engine_pool):
+    for lat in engine_pool:
+        assert closed_sets_by_definition(lat) == len(all_congruences(lat)), lat

@@ -4,6 +4,7 @@ import pytest
 
 from latkit import Lattice, corpus, enumerate_lattices, named
 from latkit.errors import (
+    BadInput,
     BadParam,
     CycleDetected,
     DuplicateLabel,
@@ -15,7 +16,11 @@ from latkit.errors import (
     UnknownName,
 )
 
-from oracles import join_irreducible_by_pairs, meet_irreducible_by_pairs
+from oracles import (
+    divisor_lattice_by_trial_division,
+    join_irreducible_by_pairs,
+    meet_irreducible_by_pairs,
+)
 
 
 def test_from_covers_three_chain():
@@ -65,6 +70,24 @@ def test_construction_size_cap():
     covers = [(f"e{i}", f"e{i+1}") for i in range(500)]
     with pytest.raises(SizeCapExceeded):
         Lattice.from_covers(labels, covers)
+    # the cap is checked before the covers are read
+    with pytest.raises(SizeCapExceeded):
+        Lattice.from_covers(labels, [("e0", "nowhere")])
+
+
+def test_named_sizes_are_capped_before_building():
+    with pytest.raises(SizeCapExceeded):
+        named("chain", 10**7)
+    assert named("div", 30_000_000).n == 128
+    with pytest.raises(SizeCapExceeded, match="1152 elements"):
+        named("div", 367_567_200)
+
+
+def test_divisor_lattices_match_trial_division():
+    for n in range(1, 2001):
+        labels, up = divisor_lattice_by_trial_division(n)
+        lat = named("div", n)
+        assert (lat.labels, lat.up) == (labels, up), n
 
 
 def test_meet_join_on_named_examples():
@@ -190,6 +213,22 @@ def test_json_round_trip():
         assert again.labels == lat.labels
         assert again.up == lat.up
         assert again.to_dict() == lat.to_dict()
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "0 < a < 1",
+    "[" * 100_000,
+    "[]",
+    '{"elements": ["0", "1"]}',
+    '{"elements": "01", "covers": [["0", "1"]]}',
+    '{"elements": [0, 1], "covers": [[0, 1]]}',
+    '{"elements": ["0", "1"], "covers": [["0", "1", "1"]]}',
+    '{"elements": ["0", "1"], "covers": [[["0"], "1"]]}',
+])
+def test_json_outside_the_schema_is_bad_input(text):
+    with pytest.raises(BadInput):
+        Lattice.from_json(text)
 
 
 def test_json_covers_are_lexicographic():

@@ -2,7 +2,7 @@ import pytest
 
 from latkit import evaluate, isomorphic, named, parse, render
 from latkit.errors import ArityError, ExprSyntaxError, UnknownLabel
-from latkit.expr import Dilation, HSum, NamedAtom, OSum
+from latkit.expr import MAX_DEPTH, Dilation, HSum, NamedAtom, OSum
 
 
 def test_parse_simple():
@@ -80,3 +80,15 @@ def test_evaluate_file_round_trip(tmp_path):
     lat = evaluate(parse(f'file("{target}")'))
     assert lat.labels == named("N5").labels
     assert lat.up == named("N5").up
+
+
+def test_nesting_depth_is_limited():
+    deepest = "D(" * (MAX_DEPTH - 1) + "B2" + ")" * (MAX_DEPTH - 1)
+    assert parse(render(parse(deepest))) == parse(deepest)
+    wide = "hsum(" + ",".join(["D(B2)"] * (2 * MAX_DEPTH)) + ")"
+    assert len(parse(wide).args) == 2 * MAX_DEPTH
+    for depth in (MAX_DEPTH, 3000):
+        for text in ("D(" * depth + "B2" + ")" * depth,
+                     "osum(" * depth + "B2" + ",B2)" * depth):
+            with pytest.raises(ExprSyntaxError, match="nesting deeper"):
+                parse(text)

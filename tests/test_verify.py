@@ -250,6 +250,11 @@ def test_run_suite_fault_injection_produces_failure_with_witness():
     assert any("lattice" in r.details for r in failed)
 
 
+def test_fault_injection_fails_exactly_the_corrupted_instance():
+    failed = [r for r in run_suite(inject_fault=True) if r.status == "FAIL"]
+    assert [r.instance_descr for r in failed] == ["N5-corrupted"]
+
+
 def test_corrupted_instance_is_not_a_valid_lattice_value():
     bad = _corrupted_pentagon()
     x, top = bad.index("x"), bad.top
