@@ -15,7 +15,10 @@ con(t₋, t) collapses. A closed set S is a union of closures, and its
 congruence identifies x and y exactly when `jbelow[x] & ~S` equals
 `jbelow[y] & ~S`, the key from which each partition is built once.
 Con(L) is enumerated by OR-folding the closures, and its order, joins
-and meets are subset tests, ORs and ANDs of these masks. ConLattice
+and meets are subset tests, ORs and ANDs of these masks. The closed
+sets are the downsets of the preorder "t lies in closure[u]", so a
+cover adds one D*-class (the join-irreducibles that force each other),
+and a coatom drops one class that nothing outside it forces. ConLattice
 carries the members in a fixed canonical order so that listings and
 goldens are deterministic.
 """
@@ -89,15 +92,17 @@ class ConLattice:
 
     `masks[i]` is the closed set of join-irreducibles of members[i] (see
     the module docstring), so members[i] <= members[j] iff masks[i] is a
-    subset of masks[j].
+    subset of masks[j]. `closure[t]` is the D*-closure of the t-th
+    join-irreducible.
     """
 
-    def __init__(self, base: Lattice, members, masks):
+    def __init__(self, base: Lattice, members, masks, closure):
         self.base = base
         self.members = tuple(members)
         self.masks = tuple(masks)
-        self.delta_ix = self.members.index(Partition.delta(base.n))
-        self.nabla_ix = self.members.index(Partition.nabla(base.n))
+        self.closure = tuple(closure)
+        self.delta_ix = self.masks.index(0)
+        self.nabla_ix = self.masks.index((1 << len(self.closure)) - 1)
 
     def __len__(self):
         return len(self.members)
@@ -111,6 +116,21 @@ class ConLattice:
 
     def __contains__(self, p):
         return p in self._member_index
+
+    @cached_property
+    def _mask_index(self):
+        return {s: i for i, s in enumerate(self.masks)}
+
+    @cached_property
+    def _classes(self):
+        """(forcing, cls): forcing[t] holds the join-irreducibles whose
+        closure holds t, and cls[t] = forcing[t] & closure[t] is the
+        D*-class of t."""
+        forcing = [0] * len(self.closure)
+        for u, c in enumerate(self.closure):
+            for t in bits(c):
+                forcing[t] |= 1 << u
+        return forcing, [f & c for f, c in zip(forcing, self.closure)]
 
     @cached_property
     def order(self):
@@ -151,16 +171,30 @@ class ConLattice:
         mono = reduce(and_, proper) if proper else 0
         return self.members[self.masks.index(mono)] if mono else None
 
-    def coatoms(self):
-        order = self.order
-        nab_bit = 1 << self.nabla_ix
+    def covers(self):
+        """Pairs (i, j) where members[j] covers members[i].
+
+        S | closure[t] covers S exactly when what it adds, closure[t] & ~S,
+        lies inside the class of t; one t per class is tried.
+        """
+        _, cls = self._classes
+        ix = self._mask_index
+        firsts = [(t, c) for t, c in enumerate(self.closure)
+                  if cls[t] & -cls[t] == 1 << t]
         out = []
-        for i in range(len(self.members)):
-            if i == self.nabla_ix:
-                continue
-            if order[i] & ~(1 << i) == nab_bit:
-                out.append(i)
+        for i, s in enumerate(self.masks):
+            for t, c in firsts:
+                if not s >> t & 1 and not c & ~s & ~cls[t]:
+                    out.append((i, ix[s | c]))
         return out
+
+    def coatoms(self):
+        """Members covered by nabla, ascending: all of J(L) but one class
+        that no join-irreducible outside it forces."""
+        forcing, cls = self._classes
+        full = (1 << len(self.closure)) - 1
+        ix = self._mask_index
+        return sorted({ix[full & ~c] for f, c in zip(forcing, cls) if f == c})
 
 
 def all_congruences(lat, cap: int = DEFAULT_CON_CAP,
@@ -176,11 +210,14 @@ def all_congruences(lat, cap: int = DEFAULT_CON_CAP,
             raise SizeCapExceeded(
                 f"more than {member_cap} congruences; raise member_cap to continue"
             )
-    masks = list(masks)
-    parts = [_partition(jbelow, s) for s in masks]
-    rank = sorted(range(len(parts)),
-                  key=lambda i: (-parts[i].num_blocks, parts[i].block_of))
-    return ConLattice(lat, [parts[i] for i in rank], [masks[i] for i in rank])
+    keyed = []
+    for s in masks:
+        first = {}
+        bo = tuple([first.setdefault(jb & ~s, i) for i, jb in enumerate(jbelow)])
+        keyed.append((-len(first), bo, s))
+    keyed.sort()
+    return ConLattice(lat, [Partition._of_canonical(bo) for _, bo, _ in keyed],
+                      [s for _, _, s in keyed], closure)
 
 
 def con01(lat, cap: int = DEFAULT_CON_CAP):

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 SIZE_CAP = 500
+DIV_CAP = 10**12  # div(n) trial-divides up to sqrt(n): 10**6 steps at the cap
 
 
 def bits(mask: int):
@@ -387,6 +388,8 @@ def named(name: str, *params: int) -> Lattice:
         k = params[0]
         if k < 1:
             raise BadParam("div parameter must be >= 1")
+        if k > DIV_CAP:
+            raise SizeCapExceeded(f"div({k}) exceeds parameter cap {DIV_CAP}")
         small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
         divisors = small + [k // d for d in reversed(small) if d * d != k]
         _check_size(len(divisors))

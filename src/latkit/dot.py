@@ -25,22 +25,7 @@ def lattice_dot(lat) -> str:
 
 def con_dot(con) -> str:
     """Hasse diagram of a ConLattice, nodes labelled by block notation."""
-    base_labels = con.base.labels
-    names = [m.render(base_labels) for m in con.members]
-    order = con.order
-    m = len(con.members)
-    pairs = []
-    for i in range(m):
-        for j in range(m):
-            if i != j and (order[i] >> j) & 1:
-                between = False
-                for k in range(m):
-                    if k in (i, j):
-                        continue
-                    if (order[i] >> k) & 1 and (order[k] >> j) & 1:
-                        between = True
-                        break
-                if not between:
-                    pairs.append((names[i], names[j]))
+    names = [m.render(con.base.labels) for m in con.members]
+    pairs = [(names[i], names[j]) for i, j in con.covers()]
     title = f"Con({con.base.name})" if con.base.name else "Con"
     return hasse_dot(names, pairs, title=title)

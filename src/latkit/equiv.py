@@ -38,6 +38,13 @@ class Partition:
         self._hash = hash(bo)
 
     @classmethod
+    def _of_canonical(cls, bo: tuple) -> "Partition":
+        """Partition of a block map already in least-member form."""
+        p = cls.__new__(cls)
+        p.n, p.block_of, p._hash = len(bo), bo, hash(bo)
+        return p
+
+    @classmethod
     def delta(cls, n: int) -> "Partition":
         return cls(range(n))
 
@@ -71,11 +78,13 @@ class Partition:
         return len(set(self.block_of))
 
     def blocks(self):
-        """Blocks as lists of ascending indices, ordered by least member."""
+        """Blocks as lists of ascending indices, ordered by least member:
+        a block first appears at its least member, so index order is that
+        order."""
         groups = {}
         for i, b in enumerate(self.block_of):
             groups.setdefault(b, []).append(i)
-        return [groups[b] for b in sorted(groups)]
+        return list(groups.values())
 
     def block(self, i: int):
         b = self.block_of[i]
@@ -86,9 +95,11 @@ class Partition:
         return all(bj != b for j, bj in enumerate(self.block_of) if j != i)
 
     def render(self, labels) -> str:
-        return "".join(
-            "{" + ",".join(labels[i] for i in block) + "}" for block in self.blocks()
-        )
+        """Block notation, blocks by least member: grouped in one pass."""
+        groups = {}
+        for i, b in enumerate(self.block_of):
+            groups.setdefault(b, []).append(labels[i])
+        return "".join(["{" + ",".join(g) + "}" for g in groups.values()])
 
     # -- lattice structure of Eq ------------------------------------------
 

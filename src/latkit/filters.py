@@ -3,9 +3,10 @@
 Every filter of a finite lattice is principal, so the full families are
 exactly the upsets [x) and downsets (x]. Members are tagged with their
 generator and primality when the family is built; the spectra are the
-prime sublists. Primality is decided by the join (meet) condition; the
-tests check it against the other characterisation, that the complement
-is an ideal (filter).
+prime sublists. A proper filter is prime exactly when its complement is
+an ideal, that is some downset (y], so primality is one lookup of the
+complement among the `down` masks (dually, among the `up` masks for an
+ideal). The tests check it against the join (meet) condition.
 """
 
 from __future__ import annotations
@@ -47,48 +48,28 @@ class SubsetFamily(NamedTuple):
         return len(self.members)
 
 
-def is_filter(lat, subset) -> bool:
-    """Non-empty, upward closed, closed under meet."""
+def _is_principal(lat, subset, table, principal) -> bool:
+    """Whether subset is principal[g] for g the fold of subset under table."""
     s = set(subset)
     if not s:
         return False
     m = mask_of(s)
-    full = (1 << lat.n) - 1
-    if m & ~full:
+    if m & ~((1 << lat.n) - 1):
         return False
+    g = s.pop()
     for x in s:
-        if lat.up[x] & ~m:
-            return False
-    items = sorted(s)
-    mt = lat.meet_t
-    for i, x in enumerate(items):
-        row = mt[x]
-        for y in items[i:]:
-            if not (m >> row[y]) & 1:
-                return False
-    return True
+        g = table[g][x]
+    return principal[g] == m
+
+
+def is_filter(lat, subset) -> bool:
+    """Non-empty, upward closed, closed under meet: the upset of its meet."""
+    return _is_principal(lat, subset, lat.meet_t, lat.up)
 
 
 def is_ideal(lat, subset) -> bool:
-    """Non-empty, downward closed, closed under join."""
-    s = set(subset)
-    if not s:
-        return False
-    m = mask_of(s)
-    full = (1 << lat.n) - 1
-    if m & ~full:
-        return False
-    for x in s:
-        if lat.down[x] & ~m:
-            return False
-    items = sorted(s)
-    jt = lat.join_t
-    for i, x in enumerate(items):
-        row = jt[x]
-        for y in items[i:]:
-            if not (m >> row[y]) & 1:
-                return False
-    return True
+    """Non-empty, downward closed, closed under join: the downset of its join."""
+    return _is_principal(lat, subset, lat.join_t, lat.down)
 
 
 def generated_filter(lat, gens) -> frozenset:
@@ -113,58 +94,44 @@ def generated_ideal(lat, gens) -> frozenset:
 
 
 def is_prime_filter(lat, subset) -> bool:
-    """Proper filter with x v y in F forcing x in F or y in F."""
+    """Proper filter with x v y in F forcing x in F or y in F.
+
+    Equivalently, the complement is an ideal: some downset (y].
+    """
     if not is_filter(lat, subset):
         raise NotAFilter(f"{sorted(subset)} is not a filter")
-    m = mask_of(subset)
     full = (1 << lat.n) - 1
-    if m == full:
-        return False
-    jt = lat.join_t
-    for x in range(lat.n):
-        if (m >> x) & 1:
-            continue
-        row = jt[x]
-        for y in range(x, lat.n):
-            if not (m >> y) & 1 and (m >> row[y]) & 1:
-                return False
-    return True
+    return full ^ mask_of(subset) in set(lat.down)
 
 
 def is_prime_ideal(lat, subset) -> bool:
-    """Proper ideal with x ^ y in I forcing x in I or y in I."""
+    """Proper ideal with x ^ y in I forcing x in I or y in I.
+
+    Equivalently, the complement is a filter: some upset [y).
+    """
     if not is_ideal(lat, subset):
         raise NotAnIdeal(f"{sorted(subset)} is not an ideal")
-    m = mask_of(subset)
     full = (1 << lat.n) - 1
-    if m == full:
-        return False
-    mt = lat.meet_t
-    for x in range(lat.n):
-        if (m >> x) & 1:
-            continue
-        row = mt[x]
-        for y in range(x, lat.n):
-            if not (m >> y) & 1 and (m >> row[y]) & 1:
-                return False
-    return True
+    return full ^ mask_of(subset) in set(lat.up)
+
+
+def _family(lat, kind, masks, complements) -> SubsetFamily:
+    """The principal sets masks[x], prime when their complement is in
+    `complements`; the whole carrier's complement is empty, never there."""
+    full = (1 << lat.n) - 1
+    others = set(complements)
+    return SubsetFamily(lat, kind, tuple(
+        FamilyMember(frozenset(bits(m)), x, full ^ m in others)
+        for x, m in enumerate(masks)))
 
 
 def all_filters(lat) -> SubsetFamily:
     """Every filter, as the upsets [x); generators and primality recorded."""
-    members = []
-    for x in range(lat.n):
-        elems = frozenset(bits(lat.up[x]))
-        members.append(FamilyMember(elems, x, is_prime_filter(lat, elems)))
-    return SubsetFamily(lat, "filter", tuple(members))
+    return _family(lat, "filter", lat.up, lat.down)
 
 
 def all_ideals(lat) -> SubsetFamily:
-    members = []
-    for x in range(lat.n):
-        elems = frozenset(bits(lat.down[x]))
-        members.append(FamilyMember(elems, x, is_prime_ideal(lat, elems)))
-    return SubsetFamily(lat, "ideal", tuple(members))
+    return _family(lat, "ideal", lat.down, lat.up)
 
 
 def prime_filters(lat) -> SubsetFamily:

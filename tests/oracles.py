@@ -11,13 +11,15 @@ The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
 the join-closure of the cover principal congruences, and its order by
 partition refinement. The join-irreducible dependency relation D is
-taken straight from its definition.
+taken straight from its definition. The covers and coatoms of Con(L)
+are checked against scans of the refinement order, and filter and ideal
+primality against the join and meet conditions, pair by pair.
 """
 
 from functools import reduce
 
 from latkit import Lattice, Partition, is_congruence
-from latkit.core import bits
+from latkit.core import bits, mask_of
 from latkit.verify import _census_candidates, _invariants, _isomorphism
 
 
@@ -100,6 +102,26 @@ def ideals_by_exhaustion(lat):
         if ok:
             out.add(frozenset(elems))
     return out
+
+
+def _no_outside_pair_lands_inside(n, table, m):
+    outside = [x for x in range(n) if not m >> x & 1]
+    return not any(m >> table[x][y] & 1
+                   for i, x in enumerate(outside) for y in outside[i:])
+
+
+def prime_filter_by_join_condition(lat, elements):
+    """True iff the filter is proper and x v y in it forces x or y in it."""
+    m = mask_of(elements)
+    return m != (1 << lat.n) - 1 and \
+        _no_outside_pair_lands_inside(lat.n, lat.join_t, m)
+
+
+def prime_ideal_by_meet_condition(lat, elements):
+    """True iff the ideal is proper and x ^ y in it forces x or y in it."""
+    m = mask_of(elements)
+    return m != (1 << lat.n) - 1 and \
+        _no_outside_pair_lands_inside(lat.n, lat.meet_t, m)
 
 
 def divisor_lattice_by_trial_division(n):
@@ -268,3 +290,21 @@ def closed_sets_by_definition(lat):
                 + count(inside, spread(outside, t, forcing)))
 
     return count(0, 0)
+
+
+def covers_by_order(con):
+    """Pairs (i, j) with members[i] strictly below members[j] in con.order
+    and no member strictly between; a scan over every triple."""
+    order = con.order
+    m = len(order)
+    return [(i, j) for i in range(m) for j in range(m)
+            if i != j and order[i] >> j & 1
+            and not any(order[i] >> k & 1 and order[k] >> j & 1
+                        for k in range(m) if k not in (i, j))]
+
+
+def coatoms_by_order(con):
+    """Members whose order row holds only themselves and nabla."""
+    nab = con.nabla_ix
+    return [i for i, row in enumerate(con.order)
+            if i != nab and row & ~(1 << i) == 1 << nab]

@@ -104,6 +104,31 @@ def test_congruences_dot(capsys):
     assert '"{0}{x}{y,z}{1}"' in out
 
 
+def test_congruences_dot_of_a_boolean_con(capsys):
+    # Con(chain(12)) is the Boolean lattice 2^11: 2^11 nodes, 11 * 2^10 covers
+    code, out, _ = run_cli(capsys, "congruences", "chain(12)", "--dot")
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(" -> " in line for line in lines) == 11 * 2**10
+    assert sum(line.startswith('  "{') and " -> " not in line
+               for line in lines) == 2**11
+
+
+def test_analyze_a_long_chain(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "chain(300)")
+    assert code == 0
+    lines = out.splitlines()
+    assert "|Filt|=300" in lines and "|Id|=300" in lines
+    spec = lines.index("Spec_Filt:")
+    assert lines.index("Spec_Id:") - spec - 1 == 299
+
+
+def test_oversized_div_exit_code(capsys):
+    code, out, err = run_cli(capsys, "export", "div(10000000000000000)")
+    assert (code, out) == (3, "")
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "osum(chain(2)")
     assert code == 2

@@ -27,20 +27,15 @@ from latkit import (
 )
 from latkit.construct import dilate
 from latkit.errors import NotACongruence, SizeCapExceeded
+from latkit.dot import con_dot
 from oracles import (
     closed_sets_by_definition,
+    coatoms_by_order,
     con_lattice_by_partitions,
     congruences_by_exhaustion,
+    covers_by_order,
     principal_by_worklist,
 )
-
-
-@pytest.fixture(scope="module")
-def engine_pool():
-    """The census up to 8, a random corpus and the census dilations up to 7."""
-    census = enumerate_lattices(8)
-    dilations = [dilate(lat)[0] for lat in census if 2 <= lat.n <= 7]
-    return census + corpus(7, 100, 12) + dilations
 
 
 def test_principal_congruence_pentagon():
@@ -311,3 +306,19 @@ def test_principal_congruences_match_the_worklist_closure():
 def test_closed_sets_of_the_dependency_relation_count_con(engine_pool):
     for lat in engine_pool:
         assert closed_sets_by_definition(lat) == len(all_congruences(lat)), lat
+
+
+def test_covers_and_coatoms_match_the_order_scans(engine_pool):
+    for lat in engine_pool:
+        con = all_congruences(lat)
+        assert sorted(con.covers()) == covers_by_order(con), lat
+        assert con.coatoms() == coatoms_by_order(con), lat
+
+
+def test_con_dot_edges_match_the_order_scan():
+    for lat in enumerate_lattices(7):
+        con = all_congruences(lat)
+        names = [m.render(lat.labels) for m in con.members]
+        edges = {line for line in con_dot(con).splitlines() if " -> " in line}
+        assert edges == {f'  "{names[i]}" -> "{names[j]}";'
+                         for i, j in covers_by_order(con)}, lat

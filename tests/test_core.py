@@ -83,6 +83,13 @@ def test_named_sizes_are_capped_before_building():
         named("div", 367_567_200)
 
 
+def test_div_parameter_is_capped_before_trial_division():
+    assert named("div", 10**12).n == 169
+    for n in (10**16, 10**18 + 9):
+        with pytest.raises(SizeCapExceeded, match="parameter cap"):
+            named("div", n)
+
+
 def test_divisor_lattices_match_trial_division():
     for n in range(1, 2001):
         labels, up = divisor_lattice_by_trial_division(n)

@@ -156,3 +156,6 @@ def test_render_uses_carrier_order():
     b2 = named("B2")
     p = eq_from_blocks(b2, [{"b", "1"}, {"0", "a"}])
     assert p.render(b2.labels) == "{0,a}{b,1}"
+    q = Partition.from_blocks(5, [[4, 2], [3, 1]])
+    assert q.blocks() == [[0], [1, 3], [2, 4]]
+    assert q.render("vwxyz") == "{v}{w,y}{x,z}"

@@ -31,7 +31,12 @@ from latkit.errors import (
     NotAnIdeal,
     NotPrime,
 )
-from oracles import filters_by_exhaustion, ideals_by_exhaustion
+from oracles import (
+    filters_by_exhaustion,
+    ideals_by_exhaustion,
+    prime_filter_by_join_condition,
+    prime_ideal_by_meet_condition,
+)
 
 
 def labelled(lat, sets):
@@ -119,9 +124,33 @@ def test_primality_agrees_with_the_complement_characterisation():
         every = set(range(lat.n))
         for x in range(lat.n):
             f = set(bits(lat.up[x]))
-            assert is_prime_filter(lat, f) == is_ideal(lat, every - f)
+            want = prime_filter_by_join_condition(lat, f)
+            assert is_prime_filter(lat, f) == want
+            assert want == (f != every and is_ideal(lat, every - f))
             i = set(bits(lat.down[x]))
-            assert is_prime_ideal(lat, i) == is_filter(lat, every - i)
+            want = prime_ideal_by_meet_condition(lat, i)
+            assert is_prime_ideal(lat, i) == want
+            assert want == (i != every and is_filter(lat, every - i))
+
+
+def test_family_primality_matches_the_pair_scans(engine_pool):
+    for lat in engine_pool:
+        for m in all_filters(lat).members:
+            assert m.prime == prime_filter_by_join_condition(lat, m.elements)
+            assert is_prime_filter(lat, m.elements) == m.prime
+        for m in all_ideals(lat).members:
+            assert m.prime == prime_ideal_by_meet_condition(lat, m.elements)
+            assert is_prime_ideal(lat, m.elements) == m.prime
+
+
+def test_is_filter_and_is_ideal_match_exhaustion():
+    for lat in enumerate_lattices(8):
+        filters = filters_by_exhaustion(lat)
+        ideals = ideals_by_exhaustion(lat)
+        for m in range(1 << lat.n):
+            s = frozenset(bits(m))
+            assert is_filter(lat, s) == (s in filters), (lat, s)
+            assert is_ideal(lat, s) == (s in ideals), (lat, s)
 
 
 def test_spectra_of_the_named_examples():
