@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the report array as JSON")
     p.add_argument("--census", type=int, default=0, metavar="N",
                    help="also sweep every lattice with up to N elements "
-                        "(exhaustive, N <= 8)")
+                        "(exhaustive, N <= 10)")
     p.add_argument("--inject-fault", action="store_true",
                    help="self-test: corrupt one instance and expect a failure")
     return parser

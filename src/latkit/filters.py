@@ -98,6 +98,7 @@ def is_prime_filter(lat, subset) -> bool:
 
     Equivalently, the complement is an ideal: some downset (y].
     """
+    subset = set(subset)
     if not is_filter(lat, subset):
         raise NotAFilter(f"{sorted(subset)} is not a filter")
     full = (1 << lat.n) - 1
@@ -109,6 +110,7 @@ def is_prime_ideal(lat, subset) -> bool:
 
     Equivalently, the complement is a filter: some upset [y).
     """
+    subset = set(subset)
     if not is_ideal(lat, subset):
         raise NotAnIdeal(f"{sorted(subset)} is not an ideal")
     full = (1 << lat.n) - 1
@@ -146,6 +148,7 @@ def prime_ideals(lat) -> SubsetFamily:
 
 def prime_filter_congruence(lat, subset) -> Partition:
     """The two-block partition (P, complement) of a prime filter P."""
+    subset = set(subset)
     if not is_prime_filter(lat, subset):
         raise NotPrime(f"{sorted(subset)} is not a prime filter")
     m = mask_of(subset)

@@ -14,7 +14,7 @@ import itertools
 import json
 import random
 
-from .core import Lattice, bits, named
+from .core import Lattice, bits, mask_of, named
 from .congruence import (
     DEFAULT_CON_CAP,
     DEFAULT_MEMBER_CAP,
@@ -30,6 +30,7 @@ from . import expr as expr_mod
 
 DEFAULT_DILATE_INPUT_CAP = 8
 DEFAULT_SUMMAND_CAP = 10
+CENSUS_CAP = 10
 
 
 class CheckReport:
@@ -323,62 +324,116 @@ def corpus(seed: int, count: int, max_size: int):
     return out
 
 
-def _census_candidates(n: int):
-    """Every lattice on e0..e{n-1} with the index order as a linear extension.
+def _coatom_extensions(lat):
+    """Up masks of `lat` with a new coatom c placed under its top.
 
-    Elements are added in linear-extension order with down-closed lower
-    sets; each candidate is validated and the rejected ones are dropped.
+    `lat` is labelled along a linear extension with its top last. For
+    each down-closed set D holding the bottom but not the top, c goes
+    above exactly D; c takes the old top's index and the top moves one
+    up, so the labelling stays a linear extension. The sets D are grown
+    in index order, which decides everything below an element first.
     """
-    labels = tuple(f"e{i}" for i in range(n))
-    lows = [0] * n  # lows[j]: bitmask of elements strictly below j
+    m = lat.n
+    downsets = [1]
+    for i in range(1, m - 1):
+        below = lat.down[i] & ~(1 << i)
+        downsets += [d | 1 << i for d in downsets if not below & ~d]
+    c, keep = 1 << (m - 1), (1 << (m - 1)) - 1
+    top = c << 1
+    for d in downsets:
+        yield tuple((u & keep) | (c if (d >> i) & 1 else 0) | top
+                    for i, u in enumerate(lat.up[:-1])) + (c | top, top)
 
-    def rec(j):
-        if j == n - 1:
-            lows[j] = (1 << (n - 1)) - 1  # top lies above everything
-            up = []
-            for i in range(n):
-                row = 1 << i
-                for k in range(i + 1, n):
-                    if (lows[k] >> i) & 1:
-                        row |= 1 << k
-                up.append(row)
-            try:
-                lat = Lattice(labels, up)
-            except LatticeError:
-                return
-            yield lat
+
+def _least_lows(lat):
+    """The least (lows[0], ..., lows[n-1]) over linear extensions of `lat`.
+
+    lows[j] is the mask of the positions strictly below the element
+    placed at position j. The tuple fixes the lattice up to isomorphism.
+    Backtracking fills positions in order with elements whose lower
+    elements are all placed. As in `_certificate`, it follows only the
+    candidates of least code, drops a prefix that already exceeds the
+    best, and of two candidates with the same strict upset and downset
+    (swapped by an automorphism) tries one.
+    """
+    n = lat.n
+    below = [lat.down[x] & ~(1 << x) for x in range(n)]
+    twin = [(below[x], lat.up[x] & ~(1 << x)) for x in range(n)]
+    pos = [0] * n
+    lows = [0] * n
+    best = None
+
+    def rec(j, placed):
+        nonlocal best
+        if j == n:
+            best = lows[:]
             return
-        for extra in range(1 << max(j - 1, 0)):
-            s = (extra << 1) | 1  # bottom is below every later element
-            if any(lows[i] & ~s for i in bits(s)):
-                continue  # not down-closed
-            lows[j] = s
-            yield from rec(j + 1)
+        codes = {}
+        for x in bits(~placed & ((1 << n) - 1)):
+            if below[x] & ~placed:
+                continue
+            c = 0
+            for y in bits(below[x]):
+                c |= 1 << pos[y]
+            codes.setdefault(c, []).append(x)
+        least = min(codes)
+        lows[j] = least
+        if best is not None and lows[:j + 1] > best[:j + 1]:
+            return
+        seen = set()
+        for x in codes[least]:
+            if twin[x] not in seen:
+                seen.add(twin[x])
+                pos[x] = j
+                rec(j + 1, placed | (1 << x))
 
-    return rec(1)
+    rec(1, 1 << lat.bottom)  # the bottom sits at position 0
+    return tuple(best)
+
+
+def _up_of_lows(lows):
+    """The up masks of the order whose element j lies above lows[j]."""
+    n = len(lows)
+    return tuple(1 << i | mask_of(k for k in range(i + 1, n)
+                                  if lows[k] >> i & 1)
+                 for i in range(n))
 
 
 def enumerate_lattices(max_n: int):
     """Census of all lattices with up to max_n elements, one per iso class.
 
-    Opt-in and exponential: every candidate order on n elements is
-    validated as a lattice, and the first candidate of each isomorphism
-    class is kept. Class membership is one dict lookup on the candidate's
-    canonical certificate (McKay, "Isomorph-free exhaustive generation",
-    1998), so no pairwise isomorphism test is made.
+    Opt-in and exponential. Removing a coatom c != 0 from a lattice
+    leaves a lattice, so every class of size n is a class of size n - 1
+    with a coatom added (`_coatom_extensions`); each such child is
+    validated as a lattice and keyed by its canonical certificate
+    (McKay, "Isomorph-free exhaustive generation", 1998; Heitzig and
+    Reinhold, "Counting finite lattices", 2002). A class is represented
+    on e0..e{n-1} by its linear extension of least lows tuple
+    (`_least_lows`), and the classes of each size are listed by that
+    tuple.
     """
     if max_n < 1:
         raise BadParams("max_n must be at least 1")
-    if max_n > 8:
-        raise BadParams("census capped at 8 elements")
-    out = [Lattice(("e0",), (1,), name="census(1)#0")]
-    for n in range(2, max_n + 1):
+    if max_n > CENSUS_CAP:
+        raise BadParams(f"census capped at {CENSUS_CAP} elements")
+    out = [Lattice(("e0",), (1,), name="census(1)#0"),
+           Lattice(("e0", "e1"), (3, 2), name="census(2)#0")][:max_n]
+    level = out[1:]
+    for n in range(3, max_n + 1):
+        labels = tuple(f"e{i}" for i in range(n))
         found = {}
-        for lat in _census_candidates(n):
-            key = _certificate(lat, _invariants(lat))
-            if key not in found:
-                found[key] = lat.renamed(f"census({n})#{len(found)}")
-        out.extend(found.values())
+        for parent in level:
+            for up in _coatom_extensions(parent):
+                try:
+                    child = Lattice(labels, up)
+                except LatticeError:
+                    continue
+                key = _certificate(child, _invariants(child))
+                if key not in found:
+                    found[key] = _least_lows(child)
+        level = [Lattice(labels, _up_of_lows(lows), name=f"census({n})#{k}")
+                 for k, lows in enumerate(sorted(found.values()))]
+        out += level
     return out
 
 
@@ -788,7 +843,7 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
     """Run the selected checks over the named + random corpus.
 
     Deterministic by seed. `census=n` additionally sweeps every lattice
-    with up to n elements (opt-in: exhaustive, n <= 8). Returns the full
+    with up to n elements (opt-in: exhaustive, n <= 10). Returns the full
     report list; failures are whatever reports carry status FAIL.
     """
     if isinstance(suites, str):
@@ -807,8 +862,8 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
         raise BadConfig("count must be non-negative")
     if max_size < 2:
         raise BadConfig("max_size must be at least 2")
-    if census < 0 or census > 8:
-        raise BadConfig("census must lie between 0 and 8")
+    if census < 0 or census > CENSUS_CAP:
+        raise BadConfig(f"census must lie between 0 and {CENSUS_CAP}")
     pool = corpus(seed, count, max_size)
     if census:
         pool.extend(lat for lat in enumerate_lattices(census)

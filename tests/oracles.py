@@ -3,9 +3,9 @@
 These deliberately avoid the library's enumeration strategies: partitions
 are generated by recursive block extension and filtered by the congruence
 predicate, filters/ideals by scanning every subset of the carrier,
-irreducibility by scanning every pair of elements, and the census's
-candidates are deduplicated by pairwise isomorphism tests. Exponential,
-so callers keep carriers small.
+irreducibility by scanning every pair of elements, and the census is
+every labelled lattice on n points, deduplicated by pairwise isomorphism
+tests. Exponential, so callers keep carriers small.
 
 The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
@@ -20,7 +20,8 @@ from functools import reduce
 
 from latkit import Lattice, Partition, is_congruence
 from latkit.core import bits, mask_of
-from latkit.verify import _census_candidates, _invariants, _isomorphism
+from latkit.errors import LatticeError
+from latkit.verify import _invariants, _isomorphism
 
 
 def iter_partitions(n):
@@ -149,12 +150,49 @@ def join_irreducible_by_pairs(lat, x):
     return _no_pair_gives(lat.join_t, x)
 
 
+def _census_candidates(n: int):
+    """Every lattice on e0..e{n-1} with the index order as a linear extension.
+
+    Elements are added in linear-extension order with down-closed lower
+    sets; each candidate is validated and the rejected ones are dropped.
+    Candidates come in lexicographic order of (lows[1], ..., lows[n-2]).
+    """
+    labels = tuple(f"e{i}" for i in range(n))
+    lows = [0] * n  # lows[j]: bitmask of elements strictly below j
+
+    def rec(j):
+        if j == n - 1:
+            lows[j] = (1 << (n - 1)) - 1  # top lies above everything
+            up = []
+            for i in range(n):
+                row = 1 << i
+                for k in range(i + 1, n):
+                    if (lows[k] >> i) & 1:
+                        row |= 1 << k
+                up.append(row)
+            try:
+                lat = Lattice(labels, up)
+            except LatticeError:
+                return
+            yield lat
+            return
+        for extra in range(1 << max(j - 1, 0)):
+            s = (extra << 1) | 1  # bottom is below every later element
+            if any(lows[i] & ~s for i in bits(s)):
+                continue  # not down-closed
+            lows[j] = s
+            yield from rec(j + 1)
+
+    return rec(1)
+
+
 def census_by_pairwise_iso(max_n):
     """The census deduplicated by invariant buckets and pairwise isomorphism.
 
-    Same candidates and naming as `enumerate_lattices`; a candidate is kept
-    when no earlier member of its invariant bucket is isomorphic to it.
-    Invariants are computed once per lattice.
+    Every labelled candidate of each size, in lows order, named as in
+    `enumerate_lattices`; a candidate is kept when no earlier member of
+    its invariant bucket is isomorphic to it. Invariants are computed once
+    per lattice.
     """
     out = [Lattice(("e0",), (1,), name="census(1)#0")]
     for n in range(2, max_n + 1):

@@ -4,17 +4,22 @@ import pytest
 
 from latkit import Lattice, corpus, enumerate_lattices, isomorphic
 from latkit.core import bits, mask_of
-from latkit.verify import _certificate, _invariants
+from latkit.verify import _certificate, _invariants, _least_lows, _up_of_lows
 
 from oracles import census_by_pairwise_iso
 
-# Lattices with 1..8 elements up to isomorphism, OEIS A006966.
-A006966 = (1, 1, 1, 2, 5, 15, 53, 222)
+# Lattices with 1..10 elements up to isomorphism, OEIS A006966.
+A006966 = (1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994)
 
 
 @pytest.fixture(scope="module")
 def census8():
     return enumerate_lattices(8)
+
+
+@pytest.fixture(scope="module")
+def census10():
+    return enumerate_lattices(10)
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +41,50 @@ def _relabelled(lat, perm):
     return Lattice(labels, up)
 
 
+def _random_linear_extension(rng, lat):
+    """perm[i]: the position of element i in a random linear extension."""
+    perm = [0] * lat.n
+    placed = 0
+    for j in range(lat.n):
+        ready = [x for x in range(lat.n) if not (placed >> x) & 1
+                 and not lat.down[x] & ~placed & ~(1 << x)]
+        x = rng.choice(ready)
+        perm[x] = j
+        placed |= 1 << x
+    return perm
+
+
 def _key(lat):
     return _certificate(lat, _invariants(lat))
 
 
-def test_census_counts_to_eight(census8):
-    counts = [0] * 8
-    for lat in census8:
+def _counts(lats, max_n):
+    counts = [0] * max_n
+    for lat in lats:
         counts[lat.n - 1] += 1
-    assert tuple(counts) == A006966
+    return tuple(counts)
+
+
+def test_census_counts_to_eight(census8):
+    assert _counts(census8, 8) == A006966[:8]
+
+
+def test_census_counts_to_ten(census10):
+    assert _counts(census10, 10) == A006966
+
+
+def test_census_classes_of_nine_have_distinct_certificates(census10):
+    nine = [lat for lat in census10 if lat.n == 9]
+    assert len({_key(lat) for lat in nine}) == len(nine) == 1078
+
+
+def test_least_lows_gives_the_census_representative():
+    rng = random.Random(5)
+    for lat in enumerate_lattices(7):
+        assert _up_of_lows(_least_lows(lat)) == lat.up
+        for _ in range(4):
+            moved = _relabelled(lat, _random_linear_extension(rng, lat))
+            assert _up_of_lows(_least_lows(moved)) == lat.up
 
 
 @pytest.mark.parametrize("max_n", range(1, 9))

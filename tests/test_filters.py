@@ -119,6 +119,19 @@ def test_whole_carrier_is_never_prime():
         assert not is_prime_ideal(lat, range(lat.n))
 
 
+def test_prime_tests_read_a_one_shot_iterable_once():
+    b2 = named("B2")
+    top, a, bottom = b2.index("1"), b2.index("a"), b2.index("0")
+    assert not is_prime_filter(b2, iter([top]))
+    assert is_prime_filter(b2, iter([a, top]))
+    assert not is_prime_ideal(b2, iter([bottom]))
+    assert is_prime_ideal(b2, iter([bottom, a]))
+    part = prime_filter_congruence(b2, iter([a, top]))
+    assert part == eq_from_blocks(b2, [{"a", "1"}, {"0", "b"}])
+    with pytest.raises(NotPrime):
+        prime_filter_congruence(b2, iter([top]))
+
+
 def test_primality_agrees_with_the_complement_characterisation():
     for lat in corpus(7, 25, 12) + enumerate_lattices(7):
         every = set(range(lat.n))

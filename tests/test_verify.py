@@ -126,7 +126,7 @@ def test_census_caps():
     with pytest.raises(BadParams):
         enumerate_lattices(0)
     with pytest.raises(BadParams):
-        enumerate_lattices(9)
+        enumerate_lattices(11)
 
 
 @pytest.mark.parametrize("maker", [
@@ -281,7 +281,7 @@ def test_run_suite_census_sweep():
     assert any(name.startswith("census(5)") for name in instances)
     assert all(r.passed or r.skipped for r in reports)
     with pytest.raises(BadConfig):
-        run_suite(suites=("dilate",), census=9)
+        run_suite(suites=("dilate",), census=11)
 
 
 def test_run_suite_census_with_every_suite_stays_green():
