@@ -13,9 +13,6 @@ from .equiv import (
     are_blocks_convex,
     delta,
     eq_from_blocks,
-    eq_join,
-    eq_leq,
-    eq_meet,
     is_congruence,
     nabla,
     restrict,

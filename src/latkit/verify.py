@@ -173,56 +173,6 @@ def _isomorphism(a, b, ia, ib):
     return list(f) if backtrack(0) else None
 
 
-def _certificate(lat, colours):
-    """Exact isomorphism key of `lat`, given its `_invariants` colours.
-
-    The key is the sorted colours plus the lexicographically least
-    relation matrix over every relabelling that puts the elements in
-    colour order. The matrix is read position by position: entry i codes
-    how the element placed at i compares with those placed before it.
-    Two lattices get equal keys exactly when they are isomorphic.
-
-    Backtracking fills positions in order. At each one it follows only
-    the candidates of least code, since any colour-respecting prefix
-    can be completed, and it drops a prefix that already exceeds the
-    best matrix found.
-    """
-    n = lat.n
-    palette = sorted(colours)
-    pool = {}
-    for x in range(n):
-        pool.setdefault(colours[x], []).append(x)
-    up, down = lat.up, lat.down
-    placed = [0] * n
-    code = [0] * n
-    best = None
-
-    def rec(i, used):
-        nonlocal best
-        if i == n:
-            best = code[:]
-            return
-        codes = {}
-        for x in pool[palette[i]]:
-            if (used >> x) & 1:
-                continue
-            c = 0
-            for k in range(i):
-                p = placed[k]
-                c |= (((up[p] >> x) & 1) | ((down[p] >> x) & 1) << 1) << (2 * k)
-            codes.setdefault(c, []).append(x)
-        least = min(codes)
-        code[i] = least
-        if best is not None and code[:i + 1] > best[:i + 1]:
-            return
-        for x in codes[least]:
-            placed[i] = x
-            rec(i + 1, used | (1 << x))
-
-    rec(0, 0)
-    return tuple(palette), tuple(best)
-
-
 # -- corpus ---------------------------------------------------------------------
 
 _ATOM_POOL = (
@@ -325,40 +275,56 @@ def corpus(seed: int, count: int, max_size: int):
 
 
 def _coatom_extensions(lat):
-    """Up masks of `lat` with a new coatom c placed under its top.
+    """(up, down) masks of each lattice that is `lat` plus a new coatom.
 
     `lat` is labelled along a linear extension with its top last. For
-    each down-closed set D holding the bottom but not the top, c goes
-    above exactly D; c takes the old top's index and the top moves one
-    up, so the labelling stays a linear extension. The sets D are grown
-    in index order, which decides everything below an element first.
+    each down-closed set D holding the bottom but not the top, the new
+    coatom c goes above exactly D; c takes the old top's index and the
+    top moves one up, so the labelling stays a linear extension. The
+    result is a lattice iff the join in `lat` of any two members of D
+    lies in D or is the top. If so, c is the join of each such pair
+    whose old join is the top, every other pair keeps its join, and a
+    finite bounded poset with all joins is a lattice, so no meet needs
+    a test of its own (D meets each principal ideal outside D in a
+    principal ideal). The sets D are grown in index order, each with
+    the mask of its pairwise joins; a set is dropped once one of those
+    joins is decided outside it, since a later element never lies below
+    an earlier one.
     """
     m = lat.n
-    downsets = [1]
+    downsets = [(1, 1)]  # (D, the mask of the joins of pairs in D)
     for i in range(1, m - 1):
-        below = lat.down[i] & ~(1 << i)
-        downsets += [d | 1 << i for d in downsets if not below & ~d]
+        below, bit, row = lat.down[i] & ~(1 << i), 1 << i, lat.join_t[i]
+        grown = []
+        for d, joins in downsets:
+            if not below & ~d:
+                for y in bits(d):
+                    joins |= 1 << row[y]
+                grown.append((d | bit, joins | bit))
+        downsets = [e for e in downsets if not e[1] & bit] + grown
     c, keep = 1 << (m - 1), (1 << (m - 1)) - 1
     top = c << 1
-    for d in downsets:
-        yield tuple((u & keep) | (c if (d >> i) & 1 else 0) | top
-                    for i, u in enumerate(lat.up[:-1])) + (c | top, top)
+    for d, _ in downsets:
+        up = tuple((u & keep) | (c if (d >> i) & 1 else 0) | top
+                   for i, u in enumerate(lat.up[:-1])) + (c | top, top)
+        yield up, lat.down[:-1] + (d | c, (top << 1) - 1)
 
 
-def _least_lows(lat):
-    """The least (lows[0], ..., lows[n-1]) over linear extensions of `lat`.
+def _least_lows(up, down):
+    """The least (lows[0], ..., lows[n-1]) over linear extensions of an order.
 
-    lows[j] is the mask of the positions strictly below the element
-    placed at position j. The tuple fixes the lattice up to isomorphism.
+    The order is a lattice given by its up and down masks. lows[j] is
+    the mask of the positions strictly below the element placed at
+    position j. The tuple fixes the lattice up to isomorphism.
     Backtracking fills positions in order with elements whose lower
-    elements are all placed. As in `_certificate`, it follows only the
-    candidates of least code, drops a prefix that already exceeds the
-    best, and of two candidates with the same strict upset and downset
-    (swapped by an automorphism) tries one.
+    elements are all placed. It follows only the candidates of least
+    code, drops a prefix that already exceeds the best, and of two
+    candidates with the same strict upset and downset (swapped by an
+    automorphism) tries one.
     """
-    n = lat.n
-    below = [lat.down[x] & ~(1 << x) for x in range(n)]
-    twin = [(below[x], lat.up[x] & ~(1 << x)) for x in range(n)]
+    n = len(up)
+    below = [down[x] & ~(1 << x) for x in range(n)]
+    twin = [(below[x], up[x] & ~(1 << x)) for x in range(n)]
     pos = [0] * n
     lows = [0] * n
     best = None
@@ -387,7 +353,7 @@ def _least_lows(lat):
                 pos[x] = j
                 rec(j + 1, placed | (1 << x))
 
-    rec(1, 1 << lat.bottom)  # the bottom sits at position 0
+    rec(0, 0)
     return tuple(best)
 
 
@@ -404,13 +370,15 @@ def enumerate_lattices(max_n: int):
 
     Opt-in and exponential. Removing a coatom c != 0 from a lattice
     leaves a lattice, so every class of size n is a class of size n - 1
-    with a coatom added (`_coatom_extensions`); each such child is
-    validated as a lattice and keyed by its canonical certificate
-    (McKay, "Isomorph-free exhaustive generation", 1998; Heitzig and
-    Reinhold, "Counting finite lattices", 2002). A class is represented
-    on e0..e{n-1} by its linear extension of least lows tuple
-    (`_least_lows`), and the classes of each size are listed by that
-    tuple.
+    with a coatom added (McKay, "Isomorph-free exhaustive generation",
+    1998; Heitzig and Reinhold, "Counting finite lattices", 2002).
+    `_coatom_extensions` tests each such child on its parent's join
+    table, as order masks, and each child that is a lattice is keyed by
+    its least lows tuple over linear extensions (`_least_lows`), which
+    is equal for two children exactly when they are isomorphic. Only
+    then is each class built, with full validation, as a `Lattice` on
+    e0..e{n-1} from that tuple; the classes of each size are listed by
+    it.
     """
     if max_n < 1:
         raise BadParams("max_n must be at least 1")
@@ -421,18 +389,10 @@ def enumerate_lattices(max_n: int):
     level = out[1:]
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
-        found = {}
-        for parent in level:
-            for up in _coatom_extensions(parent):
-                try:
-                    child = Lattice(labels, up)
-                except LatticeError:
-                    continue
-                key = _certificate(child, _invariants(child))
-                if key not in found:
-                    found[key] = _least_lows(child)
+        found = {_least_lows(up, down) for parent in level
+                 for up, down in _coatom_extensions(parent)}
         level = [Lattice(labels, _up_of_lows(lows), name=f"census({n})#{k}")
-                 for k, lows in enumerate(sorted(found.values()))]
+                 for k, lows in enumerate(sorted(found))]
         out += level
     return out
 
@@ -866,8 +826,7 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
         raise BadConfig(f"census must lie between 0 and {CENSUS_CAP}")
     pool = corpus(seed, count, max_size)
     if census:
-        pool.extend(lat for lat in enumerate_lattices(census)
-                    if lat.n <= max_size)
+        pool.extend(enumerate_lattices(min(census, max_size)))
     rng = random.Random(seed ^ 0x5EED)
     reports = []
 

@@ -5,7 +5,9 @@ are generated by recursive block extension and filtered by the congruence
 predicate, filters/ideals by scanning every subset of the carrier,
 irreducibility by scanning every pair of elements, and the census is
 every labelled lattice on n points, deduplicated by pairwise isomorphism
-tests. Exponential, so callers keep carriers small.
+tests. The census's coatom extensions are checked against `Lattice()`
+acceptance, and its classes against `_certificate`, an isomorphism key
+of its own. Exponential, so callers keep carriers small.
 
 The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
@@ -184,6 +186,85 @@ def _census_candidates(n: int):
             yield from rec(j + 1)
 
     return rec(1)
+
+
+def coatom_children_by_validation(lat):
+    """Up masks of every lattice that is `lat` plus a new coatom.
+
+    `lat` is labelled along a linear extension with its top last. Every
+    subset of the non-top elements that holds the bottom is scanned; a
+    down-closed one D gives the order with a new coatom above exactly D
+    (at the old top's index, the top one up), and it is kept when
+    `Lattice()` accepts it. Returns (children, number of down-closed D).
+    """
+    m = lat.n
+    labels = tuple(f"e{i}" for i in range(m + 1))
+    top = 1 << m
+    kept, tried = [], 0
+    for d in range(1, 1 << (m - 1), 2):
+        if any(lat.down[x] & ~d for x in bits(d)):
+            continue
+        tried += 1
+        up = [(lat.up[i] & ~(1 << (m - 1))) | top for i in range(m - 1)]
+        for i in bits(d):
+            up[i] |= 1 << (m - 1)
+        up += [(1 << (m - 1)) | top, top]
+        try:
+            Lattice(labels, up)
+        except LatticeError:
+            continue
+        kept.append(tuple(up))
+    return kept, tried
+
+
+def _certificate(lat, colours):
+    """Exact isomorphism key of `lat`, given its `_invariants` colours.
+
+    The key is the sorted colours plus the lexicographically least
+    relation matrix over every relabelling that puts the elements in
+    colour order. The matrix is read position by position: entry i codes
+    how the element placed at i compares with those placed before it.
+    Two lattices get equal keys exactly when they are isomorphic.
+
+    Backtracking fills positions in order. At each one it follows only
+    the candidates of least code, since any colour-respecting prefix
+    can be completed, and it drops a prefix that already exceeds the
+    best matrix found.
+    """
+    n = lat.n
+    palette = sorted(colours)
+    pool = {}
+    for x in range(n):
+        pool.setdefault(colours[x], []).append(x)
+    up, down = lat.up, lat.down
+    placed = [0] * n
+    code = [0] * n
+    best = None
+
+    def rec(i, used):
+        nonlocal best
+        if i == n:
+            best = code[:]
+            return
+        codes = {}
+        for x in pool[palette[i]]:
+            if (used >> x) & 1:
+                continue
+            c = 0
+            for k in range(i):
+                p = placed[k]
+                c |= (((up[p] >> x) & 1) | ((down[p] >> x) & 1) << 1) << (2 * k)
+            codes.setdefault(c, []).append(x)
+        least = min(codes)
+        code[i] = least
+        if best is not None and code[:i + 1] > best[:i + 1]:
+            return
+        for x in codes[least]:
+            placed[i] = x
+            rec(i + 1, used | (1 << x))
+
+    rec(0, 0)
+    return tuple(palette), tuple(best)
 
 
 def census_by_pairwise_iso(max_n):

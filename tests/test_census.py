@@ -4,9 +4,11 @@ import pytest
 
 from latkit import Lattice, corpus, enumerate_lattices, isomorphic
 from latkit.core import bits, mask_of
-from latkit.verify import _certificate, _invariants, _least_lows, _up_of_lows
+from latkit.verify import (_coatom_extensions, _invariants, _least_lows,
+                           _up_of_lows)
 
-from oracles import census_by_pairwise_iso
+from oracles import (_certificate, census_by_pairwise_iso,
+                     coatom_children_by_validation)
 
 # Lattices with 1..10 elements up to isomorphism, OEIS A006966.
 A006966 = (1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994)
@@ -81,10 +83,22 @@ def test_census_classes_of_nine_have_distinct_certificates(census10):
 def test_least_lows_gives_the_census_representative():
     rng = random.Random(5)
     for lat in enumerate_lattices(7):
-        assert _up_of_lows(_least_lows(lat)) == lat.up
+        assert _up_of_lows(_least_lows(lat.up, lat.down)) == lat.up
         for _ in range(4):
             moved = _relabelled(lat, _random_linear_extension(rng, lat))
-            assert _up_of_lows(_least_lows(moved)) == lat.up
+            assert _up_of_lows(_least_lows(moved.up, moved.down)) == lat.up
+
+
+def test_coatom_extensions_are_the_children_lattice_accepts(census8):
+    tried = 0
+    for lat in census8[1:]:
+        got = list(_coatom_extensions(lat))
+        want, count = coatom_children_by_validation(lat)
+        tried += count
+        assert sorted(up for up, _ in got) == sorted(want)
+        for up, down in got:
+            assert down == Lattice([f"e{i}" for i in range(len(up))], up).down
+    assert tried == 4809
 
 
 @pytest.mark.parametrize("max_n", range(1, 9))

@@ -11,8 +11,6 @@ from latkit import (
     delta,
     enumerate_lattices,
     eq_from_blocks,
-    eq_join,
-    eq_leq,
     is_simple,
     is_subdirectly_irreducible,
     isomorphic,
@@ -63,7 +61,7 @@ def test_principal_congruence_is_minimal():
                 assert cg in cons
                 for theta in cons:
                     if theta.same(a, b):
-                        assert eq_leq(cg, theta)
+                        assert cg.leq(theta)
 
 
 def test_congruence_generated():
@@ -84,7 +82,7 @@ def test_congruence_generated_matches_join_of_principals():
         ]
         joined = delta(lat)
         for a, b in pairs:
-            joined = eq_join(joined, principal_congruence(lat, a, b))
+            joined = joined.join(principal_congruence(lat, a, b))
         assert congruence_generated(lat, pairs) == joined
 
 
@@ -106,7 +104,7 @@ def test_all_congruences_of_the_named_examples():
         "{0}{m}{n}{p}{q}{1}", "{0,n,p,q}{m,1}", "{0,m,n,p,q,1}",
     ]
     # a three-element chain in the refinement order
-    assert eq_leq(members[0], members[1]) and eq_leq(members[1], members[2])
+    assert members[0].leq(members[1]) and members[1].leq(members[2])
 
 
 def test_all_congruences_matches_exhaustion_on_small_lattices():
@@ -148,7 +146,7 @@ def test_con01_is_the_interval_below_mu():
         mu = con.mu_con01()
         sel = set(con.con01_members())
         assert mu in sel
-        assert sel == {m for m in con.members if eq_leq(m, mu)}
+        assert sel == {m for m in con.members if m.leq(mu)}
 
 
 def test_con01_members_have_three_blocks_when_nontrivial():
@@ -180,7 +178,7 @@ def test_identity_not_prime_on_the_three_chain():
     upper = eq_from_blocks(c3, [{"m", "1"}])
     d = delta(c3)
     assert d == lower.meet(upper)
-    assert not eq_leq(lower, d) and not eq_leq(upper, d)
+    assert not lower.leq(d) and not upper.leq(d)
     assert d not in prime_congruences(c3)
 
 
@@ -275,7 +273,7 @@ def test_every_member_is_a_join_of_its_principal_congruences():
             for a in range(lat.n):
                 for b in range(a + 1, lat.n):
                     if theta.same(a, b):
-                        rebuilt = eq_join(rebuilt, principal_congruence(lat, a, b))
+                        rebuilt = rebuilt.join(principal_congruence(lat, a, b))
             assert rebuilt == theta
 
 

@@ -7,9 +7,6 @@ from latkit import (
     are_blocks_convex,
     delta,
     eq_from_blocks,
-    eq_join,
-    eq_leq,
-    eq_meet,
     is_congruence,
     nabla,
     named,
@@ -51,18 +48,18 @@ def test_bounds_of_eq():
     assert delta(c3).num_blocks == 3
     assert nabla(c3).num_blocks == 1
     for p in iter_partitions(3):
-        assert eq_leq(delta(c3), p)
-        assert eq_leq(p, nabla(c3))
-        assert eq_join(p, delta(c3)) == p
-        assert eq_meet(p, nabla(c3)) == p
+        assert delta(c3).leq(p)
+        assert p.leq(nabla(c3))
+        assert p.join(delta(c3)) == p
+        assert p.meet(nabla(c3)) == p
 
 
 def test_meet_join_on_square_congruences():
     b2 = named("B2")
     alpha = eq_from_blocks(b2, [{"0", "a"}, {"b", "1"}])
     beta = eq_from_blocks(b2, [{"0", "b"}, {"a", "1"}])
-    assert eq_meet(alpha, beta) == delta(b2)
-    assert eq_join(alpha, beta) == nabla(b2)
+    assert alpha.meet(beta) == delta(b2)
+    assert alpha.join(beta) == nabla(b2)
 
 
 def test_meet_of_pentagon_congruences():
@@ -70,13 +67,13 @@ def test_meet_of_pentagon_congruences():
     xi = eq_from_blocks(n5, [{"0", "x"}, {"y", "z", "1"}])
     chi = eq_from_blocks(n5, [{"0", "y", "z"}, {"x", "1"}])
     zeta = eq_from_blocks(n5, [{"y", "z"}])
-    assert eq_meet(xi, chi) == zeta
-    assert eq_leq(zeta, xi) and eq_leq(zeta, chi)
+    assert xi.meet(chi) == zeta
+    assert zeta.leq(xi) and zeta.leq(chi)
 
 
 def test_carrier_mismatch():
     with pytest.raises(CarrierMismatch):
-        eq_join(Partition.delta(3), Partition.delta(4))
+        Partition.delta(3).join(Partition.delta(4))
     with pytest.raises(CarrierMismatch):
         is_congruence(named("B2"), Partition.delta(3))
 
@@ -121,26 +118,26 @@ def test_congruences_closed_under_meet_and_join():
     for lat in (named("N5"), named("K"), named("div", 6)):
         cons = [p for p in iter_partitions(lat.n) if is_congruence(lat, p)]
         for p, q in itertools.combinations(cons, 2):
-            assert is_congruence(lat, eq_join(p, q))
-            assert is_congruence(lat, eq_meet(p, q))
+            assert is_congruence(lat, p.join(q))
+            assert is_congruence(lat, p.meet(q))
 
 
 def test_eq_lattice_laws_exhaustively():
     parts = list(iter_partitions(4))
     for p in parts:
-        assert eq_join(p, p) == p
-        assert eq_meet(p, p) == p
+        assert p.join(p) == p
+        assert p.meet(p) == p
     for p, q in itertools.combinations(parts, 2):
-        assert eq_join(p, q) == eq_join(q, p)
-        assert eq_meet(p, q) == eq_meet(q, p)
-        assert eq_join(p, eq_meet(p, q)) == p
-        assert eq_meet(p, eq_join(p, q)) == p
+        assert p.join(q) == q.join(p)
+        assert p.meet(q) == q.meet(p)
+        assert p.join(p.meet(q)) == p
+        assert p.meet(p.join(q)) == p
         # order agrees with the operations
-        assert eq_leq(p, q) == (eq_join(p, q) == q)
-        assert eq_leq(p, q) == (eq_meet(p, q) == p)
+        assert p.leq(q) == (p.join(q) == q)
+        assert p.leq(q) == (p.meet(q) == p)
     for p, q, r in itertools.islice(itertools.combinations(parts, 3), 200):
-        assert eq_join(eq_join(p, q), r) == eq_join(p, eq_join(q, r))
-        assert eq_meet(eq_meet(p, q), r) == eq_meet(p, eq_meet(q, r))
+        assert p.join(q).join(r) == p.join(q.join(r))
+        assert p.meet(q).meet(r) == p.meet(q.meet(r))
 
 
 def test_canonical_form_is_listing_invariant():

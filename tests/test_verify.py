@@ -284,6 +284,23 @@ def test_run_suite_census_sweep():
         run_suite(suites=("dilate",), census=11)
 
 
+def test_run_suite_builds_the_census_only_up_to_max_size(monkeypatch):
+    import latkit.verify as verify
+    sizes = []
+
+    def spy(max_n):
+        sizes.append(max_n)
+        return enumerate_lattices(max_n)
+
+    monkeypatch.setattr(verify, "enumerate_lattices", spy)
+    capped = run_suite(suites=("prime",), count=0, max_size=6, census=10)
+    exact = run_suite(suites=("prime",), count=0, max_size=6, census=6)
+    assert sizes == [6, 6]
+    assert [r.to_dict() for r in capped] == [r.to_dict() for r in exact]
+    run_suite(suites=("prime",), count=0, max_size=6, census=4)
+    assert sizes[-1] == 4
+
+
 def test_run_suite_census_with_every_suite_stays_green():
     # the census pool contains the one-element lattice; every suite must
     # either skip it or leave it out of sum constructions
