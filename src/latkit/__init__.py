@@ -35,7 +35,6 @@ from .filters import (
     SubsetFamily,
     all_filters,
     all_ideals,
-    complement_bijection_check,
     generated_filter,
     generated_ideal,
     is_filter,

@@ -37,14 +37,13 @@ def _family_lines(lat, family):
 
 
 def _spectra_lines(lat):
-    out = ["Spec_Filt:"]
-    for m in sorted(prime_filters(lat).members,
-                    key=lambda m: lat.labels[m.generator]):
-        out.append("  " + _set_text(lat, m.elements))
-    out.append("Spec_Id:")
-    for m in sorted(prime_ideals(lat).members,
-                    key=lambda m: lat.labels[m.generator]):
-        out.append("  " + _set_text(lat, m.elements))
+    out = []
+    for title, family in (("Spec_Filt:", prime_filters),
+                          ("Spec_Id:", prime_ideals)):
+        out.append(title)
+        for m in sorted(family(lat).members,
+                        key=lambda m: lat.labels[m.generator]):
+            out.append("  " + _set_text(lat, m.elements))
     return out
 
 
@@ -86,10 +85,9 @@ def _cmd_congruences(args) -> int:
     return 0
 
 
-def _cmd_family(args, kind) -> int:
+def _cmd_family(args, family) -> int:
     lat = _eval_arg(args.expr)
-    family = all_filters(lat) if kind == "filter" else all_ideals(lat)
-    for line in _family_lines(lat, family):
+    for line in _family_lines(lat, family(lat)):
         print(line)
     return 0
 
@@ -173,31 +171,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common],
                        help="sizes, spectra, congruence summary")
+    p.set_defaults(func=_cmd_analyze)
     p.add_argument("expr")
     p = sub.add_parser("congruences", parents=[common],
                        help="list every congruence")
+    p.set_defaults(func=_cmd_congruences)
     p.add_argument("expr")
     p.add_argument("--dot", action="store_true",
                    help="emit the congruence order as DOT instead")
     p = sub.add_parser("filters", parents=[common],
                        help="list all filters, primes flagged P")
+    p.set_defaults(func=lambda args: _cmd_family(args, all_filters))
     p.add_argument("expr")
     p = sub.add_parser("ideals", parents=[common],
                        help="list all ideals, primes flagged P")
+    p.set_defaults(func=lambda args: _cmd_family(args, all_ideals))
     p.add_argument("expr")
     p = sub.add_parser("spectra", parents=[common],
                        help="prime filters and prime ideals")
+    p.set_defaults(func=_cmd_spectra)
     p.add_argument("expr")
     p = sub.add_parser("iso", parents=[common],
                        help="search for an isomorphism")
+    p.set_defaults(func=_cmd_iso)
     p.add_argument("left")
     p.add_argument("right")
     p = sub.add_parser("export", parents=[common],
                        help="write the lattice as JSON or DOT")
+    p.set_defaults(func=_cmd_export)
     p.add_argument("expr")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p = sub.add_parser("verify", parents=[common],
                        help="run the theorem-checking suites")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("--suite", action="append", default=[],
                    help=f"comma-separated from: all, {', '.join(SUITES)}")
     p.add_argument("--count", type=int, default=25)
@@ -213,36 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "congruences":
-            return _cmd_congruences(args)
-        if args.command == "filters":
-            return _cmd_family(args, "filter")
-        if args.command == "ideals":
-            return _cmd_family(args, "ideal")
-        if args.command == "spectra":
-            return _cmd_spectra(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except SizeCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except LatticeError as e:
+    except (LatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import json
 from typing import NamedTuple
 
 from .core import Lattice, bits
-from .equiv import Partition
+from .equiv import Partition, _join_pairs
 from .errors import (
     CarrierMismatch,
     EmptyFamily,
@@ -151,32 +151,12 @@ def hsum_congruences(pairs, sum_lattice=None, provenance=None) -> Partition:
             )
     if sum_lattice is None or provenance is None:
         sum_lattice, provenance = horizontal_sum(lats)
-    n = sum_lattice.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if rx < ry:
-            parent[ry] = rx
-        else:
-            parent[rx] = ry
-
+    links = []
     for i, (lat, p) in enumerate(pairs):
         lmap = provenance.label_map(i)
-        to_sum = [sum_lattice.index(lmap[lat.labels[x]]) for x in range(lat.n)]
-        for block in p.blocks():
-            head = to_sum[block[0]]
-            for x in block[1:]:
-                union(head, to_sum[x])
-    return Partition(tuple(find(i) for i in range(n)))
+        to_sum = [sum_lattice.index(lmap[x]) for x in lat.labels]
+        links += [(to_sum[x], to_sum[b]) for x, b in enumerate(p.block_of)]
+    return _join_pairs(sum_lattice.n, links)
 
 
 def fat_intervals(lat: Lattice):

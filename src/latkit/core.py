@@ -216,6 +216,17 @@ class Lattice:
         out.name = name
         return out
 
+    def dual(self) -> "Lattice":
+        """The same carrier under the reversed order, unvalidated since the
+        dual of a lattice is a lattice. Only the tables are set: cached
+        values such as `cover_pairs` do not hold in the dual."""
+        out = object.__new__(Lattice)
+        out.labels, out.name = self.labels, self.name
+        out.up, out.down = self.down, self.up
+        out.meet_t, out.join_t = self.join_t, self.meet_t
+        out.bottom, out.top = self.top, self.bottom
+        return out
+
     # -- interchange --------------------------------------------------------
 
     def to_dict(self) -> dict:

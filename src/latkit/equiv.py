@@ -26,6 +26,29 @@ def _canon(assign):
     return tuple(out)
 
 
+def _join_pairs(n: int, pairs) -> "Partition":
+    """Least partition of {0, .., n-1} joining each pair (i, j).
+
+    Union-find with min roots: every root is its block's least member, so
+    the block map comes out canonical.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri < rj:
+            parent[rj] = ri
+        elif rj < ri:
+            parent[ri] = rj
+    return Partition._of_canonical(tuple(find(i) for i in range(n)))
+
+
 class Partition:
     """Equivalence relation on {0, .., n-1} in least-member canonical form."""
 
@@ -119,24 +142,8 @@ class Partition:
     def join(self, other: "Partition") -> "Partition":
         """Least common coarsening (transitive closure of the union)."""
         self._check(other)
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in (self.block_of, other.block_of):
-            for i, b in enumerate(p):
-                ri, rb = find(i), find(b)
-                if ri != rb:
-                    # min root keeps the assignment canonical for free
-                    if ri < rb:
-                        parent[rb] = ri
-                    else:
-                        parent[ri] = rb
-        return Partition(tuple(find(i) for i in range(self.n)))
+        return _join_pairs(self.n, (*enumerate(self.block_of),
+                                    *enumerate(other.block_of)))
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""

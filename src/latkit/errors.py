@@ -135,6 +135,3 @@ class ArityError(LatticeError):
 class BadConfig(LatticeError):
     pass
 
-
-class BadParams(BadParam):
-    pass

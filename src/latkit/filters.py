@@ -5,8 +5,9 @@ exactly the upsets [x) and downsets (x]. Members are tagged with their
 generator and primality when the family is built; the spectra are the
 prime sublists. A proper filter is prime exactly when its complement is
 an ideal, that is some downset (y], so primality is one lookup of the
-complement among the `down` masks (dually, among the `up` masks for an
-ideal). The tests check it against the join (meet) condition.
+complement among the `down` masks. The tests check it against the join
+condition. The ideals of a lattice are the filters of its dual, so each
+ideal-side function is its filter twin applied to `lat.dual()`.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class SubsetFamily(NamedTuple):
         return len(self.members)
 
 
-def _is_principal(lat, subset, table, principal) -> bool:
-    """Whether subset is principal[g] for g the fold of subset under table."""
+def is_filter(lat, subset) -> bool:
+    """Non-empty, upward closed, closed under meet: the upset of its meet."""
     s = set(subset)
     if not s:
         return False
@@ -58,25 +59,20 @@ def _is_principal(lat, subset, table, principal) -> bool:
         return False
     g = s.pop()
     for x in s:
-        g = table[g][x]
-    return principal[g] == m
-
-
-def is_filter(lat, subset) -> bool:
-    """Non-empty, upward closed, closed under meet: the upset of its meet."""
-    return _is_principal(lat, subset, lat.meet_t, lat.up)
+        g = lat.meet_t[g][x]
+    return lat.up[g] == m
 
 
 def is_ideal(lat, subset) -> bool:
-    """Non-empty, downward closed, closed under join: the downset of its join."""
-    return _is_principal(lat, subset, lat.join_t, lat.down)
+    """Non-empty, downward closed, closed under join: a filter of the dual."""
+    return is_filter(lat.dual(), subset)
 
 
 def generated_filter(lat, gens) -> frozenset:
     """Least filter containing gens: the upset of the meet of gens."""
     gens = list(gens)
     if not gens:
-        raise EmptyGeneratorSet("a filter needs at least one generator")
+        raise EmptyGeneratorSet("need at least one generator")
     g = gens[0]
     for x in gens[1:]:
         g = lat.meet(g, x)
@@ -84,13 +80,8 @@ def generated_filter(lat, gens) -> frozenset:
 
 
 def generated_ideal(lat, gens) -> frozenset:
-    gens = list(gens)
-    if not gens:
-        raise EmptyGeneratorSet("an ideal needs at least one generator")
-    g = gens[0]
-    for x in gens[1:]:
-        g = lat.join(g, x)
-    return frozenset(bits(lat.down[g]))
+    """Least ideal containing gens: the generated filter of the dual."""
+    return generated_filter(lat.dual(), gens)
 
 
 def is_prime_filter(lat, subset) -> bool:
@@ -106,44 +97,44 @@ def is_prime_filter(lat, subset) -> bool:
 
 
 def is_prime_ideal(lat, subset) -> bool:
-    """Proper ideal with x ^ y in I forcing x in I or y in I.
-
-    Equivalently, the complement is a filter: some upset [y).
-    """
+    """Proper ideal with x ^ y in I forcing x in I or y in I: a prime
+    filter of the dual."""
     subset = set(subset)
-    if not is_ideal(lat, subset):
-        raise NotAnIdeal(f"{sorted(subset)} is not an ideal")
-    full = (1 << lat.n) - 1
-    return full ^ mask_of(subset) in set(lat.up)
+    try:
+        return is_prime_filter(lat.dual(), subset)
+    except NotAFilter:
+        raise NotAnIdeal(f"{sorted(subset)} is not an ideal") from None
 
 
-def _family(lat, kind, masks, complements) -> SubsetFamily:
-    """The principal sets masks[x], prime when their complement is in
-    `complements`; the whole carrier's complement is empty, never there."""
+def _upsets(lat):
+    """The upsets [x), prime when their complement is a downset; the
+    whole carrier's complement is empty, never one."""
     full = (1 << lat.n) - 1
-    others = set(complements)
-    return SubsetFamily(lat, kind, tuple(
-        FamilyMember(frozenset(bits(m)), x, full ^ m in others)
-        for x, m in enumerate(masks)))
+    downsets = set(lat.down)
+    return tuple(FamilyMember(frozenset(bits(m)), x, full ^ m in downsets)
+                 for x, m in enumerate(lat.up))
 
 
 def all_filters(lat) -> SubsetFamily:
     """Every filter, as the upsets [x); generators and primality recorded."""
-    return _family(lat, "filter", lat.up, lat.down)
+    return SubsetFamily(lat, "filter", _upsets(lat))
 
 
 def all_ideals(lat) -> SubsetFamily:
-    return _family(lat, "ideal", lat.down, lat.up)
+    """Every ideal, as the downsets (x]: the filters of the dual."""
+    return SubsetFamily(lat, "ideal", _upsets(lat.dual()))
+
+
+def _primes(family) -> SubsetFamily:
+    return SubsetFamily(family.base, family.kind, tuple(family.prime_members()))
 
 
 def prime_filters(lat) -> SubsetFamily:
-    fam = all_filters(lat)
-    return SubsetFamily(lat, "filter", tuple(fam.prime_members()))
+    return _primes(all_filters(lat))
 
 
 def prime_ideals(lat) -> SubsetFamily:
-    fam = all_ideals(lat)
-    return SubsetFamily(lat, "ideal", tuple(fam.prime_members()))
+    return _primes(all_ideals(lat))
 
 
 def prime_filter_congruence(lat, subset) -> Partition:
@@ -168,9 +159,3 @@ def prime_family_congruence(lat, family) -> Partition:
         out = out.meet(p)
     return out
 
-
-def complement_bijection_check(lat) -> bool:
-    """Complementation maps the prime filters onto the prime ideals."""
-    full = set(range(lat.n))
-    complements = {frozenset(full - p) for p in prime_filters(lat).prime_sets()}
-    return complements == set(prime_ideals(lat).prime_sets())

@@ -23,7 +23,7 @@ from .congruence import (
 )
 from .construct import dilate, fat_intervals, horizontal_sum, hsum_congruences
 from .equiv import Partition, is_congruence
-from .errors import BadConfig, BadParams, LatticeError, SizeCapExceeded
+from .errors import BadConfig, LatticeError, SizeCapExceeded
 from .filters import all_filters, all_ideals, is_filter, is_ideal, \
     is_prime_filter, is_prime_ideal, prime_filters, prime_ideals
 from . import expr as expr_mod
@@ -88,6 +88,7 @@ def _verdict(name, lat, instance, problems, **extra) -> CheckReport:
 # -- isomorphism ---------------------------------------------------------------
 
 def _heights(lat, covers_down):
+    """Longest chain down from each element, given its lower covers."""
     order = sorted(range(lat.n), key=lambda i: bin(lat.down[i]).count("1"))
     h = [0] * lat.n
     for i in order:
@@ -104,11 +105,8 @@ def _invariants(lat):
     for i, j in lat.cover_pairs:
         ups[i].append(j)
         downs[j].append(i)
-    depth_base = sorted(range(n), key=lambda i: bin(lat.up[i]).count("1"))
-    depth = [0] * n
-    for i in depth_base:
-        depth[i] = 1 + max((depth[j] for j in ups[i]), default=-1)
     height = _heights(lat, downs)
+    depth = _heights(lat.dual(), ups)
     inv = [(len(ups[i]), len(downs[i]), height[i], depth[i]) for i in range(n)]
     classes = len(set(inv))
     while True:
@@ -251,9 +249,9 @@ def _chain_product_top(rng) -> Lattice:
 def corpus(seed: int, count: int, max_size: int):
     """Deterministic-by-seed mix of named and random lattices, size-capped."""
     if max_size < 2:
-        raise BadParams("max_size must be at least 2")
+        raise BadConfig("max_size must be at least 2")
     if count < 0:
-        raise BadParams("count must be non-negative")
+        raise BadConfig("count must be non-negative")
     out = [lat for lat in _named_baseline() if lat.n <= max_size]
     rng = random.Random(seed)
     for _ in range(count):
@@ -381,9 +379,9 @@ def enumerate_lattices(max_n: int):
     it.
     """
     if max_n < 1:
-        raise BadParams("max_n must be at least 1")
+        raise BadConfig("max_n must be at least 1")
     if max_n > CENSUS_CAP:
-        raise BadParams(f"census capped at {CENSUS_CAP} elements")
+        raise BadConfig(f"census capped at {CENSUS_CAP} elements")
     out = [Lattice(("e0",), (1,), name="census(1)#0"),
            Lattice(("e0", "e1"), (3, 2), name="census(2)#0")][:max_n]
     level = out[1:]
@@ -490,25 +488,19 @@ def check_irreducibility(lat: Lattice, con_cap: int = DEFAULT_CON_CAP,
     n = lat.n
     problems = []
 
-    rest0 = sorted(set(range(n)) - {lat.bottom})
-    flags0 = [lat.is_meet_irreducible(lat.bottom), is_filter(lat, rest0)]
-    flags0.append(bool(flags0[1] and is_prime_filter(lat, rest0)))
-    flags0.append(is_prime_ideal(lat, [lat.bottom]))
-    part0 = Partition.from_blocks(n, [[lat.bottom], rest0])
-    flags0.append(is_congruence(lat, part0))
-    flags0.append(part0 in coatoms)
-    if len(set(flags0)) != 1:
-        problems.append({"bound": "bottom", "flags": flags0})
-
-    rest1 = sorted(set(range(n)) - {lat.top})
-    flags1 = [lat.is_join_irreducible(lat.top), is_ideal(lat, rest1)]
-    flags1.append(bool(flags1[1] and is_prime_ideal(lat, rest1)))
-    flags1.append(is_prime_filter(lat, [lat.top]))
-    part1 = Partition.from_blocks(n, [rest1, [lat.top]])
-    flags1.append(is_congruence(lat, part1))
-    flags1.append(part1 in coatoms)
-    if len(set(flags1)) != 1:
-        problems.append({"bound": "top", "flags": flags1})
+    # Congruences and the coatoms of Con are self-dual, so the top is
+    # checked as the bottom of the dual.
+    for bound, side in (("bottom", lat), ("top", lat.dual())):
+        b = side.bottom
+        rest = sorted(set(range(n)) - {b})
+        flags = [side.is_meet_irreducible(b), is_filter(side, rest)]
+        flags.append(bool(flags[1] and is_prime_filter(side, rest)))
+        flags.append(is_prime_ideal(side, [b]))
+        part = Partition.from_blocks(n, [[b], rest])
+        flags.append(is_congruence(side, part))
+        flags.append(part in coatoms)
+        if len(set(flags)) != 1:
+            problems.append({"bound": bound, "flags": flags})
 
     if n > 2:
         both = lat.is_meet_irreducible(lat.bottom) and \

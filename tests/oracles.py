@@ -14,8 +14,10 @@ principal congruences by worklist closure over a union-find, Con(L) as
 the join-closure of the cover principal congruences, and its order by
 partition refinement. The join-irreducible dependency relation D is
 taken straight from its definition. The covers and coatoms of Con(L)
-are checked against scans of the refinement order, and filter and ideal
-primality against the join and meet conditions, pair by pair.
+are checked against scans of the refinement order, and filter primality
+against the join condition, pair by pair. The ideal-side oracles (ideals,
+prime ideals, join irreducibility) are the filter-side ones applied to
+`lat.dual()`, which is itself checked against `Lattice()` validation.
 """
 
 from functools import reduce
@@ -79,52 +81,23 @@ def filters_by_exhaustion(lat):
 
 
 def ideals_by_exhaustion(lat):
-    n = lat.n
-    down = lat.down
-    jt = lat.join_t
-    bot_bit = 1 << lat.bottom
-    out = set()
-    for half in range(1 << (n - 1) if n else 0):
-        m = ((half >> lat.bottom) << (lat.bottom + 1)) | (half & (bot_bit - 1)) | bot_bit
-        ok = True
-        for x in bits(m):
-            if down[x] & ~m:
-                ok = False
-                break
-        if not ok:
-            continue
-        elems = list(bits(m))
-        for i, x in enumerate(elems):
-            row = jt[x]
-            for y in elems[i:]:
-                if not (m >> row[y]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(frozenset(elems))
-    return out
-
-
-def _no_outside_pair_lands_inside(n, table, m):
-    outside = [x for x in range(n) if not m >> x & 1]
-    return not any(m >> table[x][y] & 1
-                   for i, x in enumerate(outside) for y in outside[i:])
+    """All ideals: the filters of the dual."""
+    return filters_by_exhaustion(lat.dual())
 
 
 def prime_filter_by_join_condition(lat, elements):
     """True iff the filter is proper and x v y in it forces x or y in it."""
     m = mask_of(elements)
-    return m != (1 << lat.n) - 1 and \
-        _no_outside_pair_lands_inside(lat.n, lat.join_t, m)
+    outside = [x for x in range(lat.n) if not m >> x & 1]
+    jt = lat.join_t
+    return m != (1 << lat.n) - 1 and not any(
+        m >> jt[x][y] & 1 for i, x in enumerate(outside) for y in outside[i:])
 
 
 def prime_ideal_by_meet_condition(lat, elements):
-    """True iff the ideal is proper and x ^ y in it forces x or y in it."""
-    m = mask_of(elements)
-    return m != (1 << lat.n) - 1 and \
-        _no_outside_pair_lands_inside(lat.n, lat.meet_t, m)
+    """True iff the ideal is proper and x ^ y in it forces x or y in it:
+    the join condition on the dual."""
+    return prime_filter_by_join_condition(lat.dual(), elements)
 
 
 def divisor_lattice_by_trial_division(n):
@@ -135,21 +108,17 @@ def divisor_lattice_by_trial_division(n):
     return tuple(map(str, divisors)), up
 
 
-def _no_pair_gives(table, x):
-    n = len(table)
-    return not any(table[u][v] == x
+def meet_irreducible_by_pairs(lat, x):
+    """True iff x = u ^ v forces x in {u, v}; exhaustive pair scan."""
+    n, mt = lat.n, lat.meet_t
+    return not any(mt[u][v] == x
                    for u in range(n) for v in range(u + 1, n)
                    if x not in (u, v))
 
 
-def meet_irreducible_by_pairs(lat, x):
-    """True iff x = u ^ v forces x in {u, v}; exhaustive pair scan."""
-    return _no_pair_gives(lat.meet_t, x)
-
-
 def join_irreducible_by_pairs(lat, x):
-    """True iff x = u v v forces x in {u, v}; exhaustive pair scan."""
-    return _no_pair_gives(lat.join_t, x)
+    """True iff x = u v v forces x in {u, v}: meet irreducibility in the dual."""
+    return meet_irreducible_by_pairs(lat.dual(), x)
 
 
 def _census_candidates(n: int):

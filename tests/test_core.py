@@ -143,6 +143,28 @@ def test_irreducibility_from_covers_matches_pair_scan():
             assert lat.is_join_irreducible(x) == join_irreducible_by_pairs(lat, x)
 
 
+TABLES = ("up", "down", "meet_t", "join_t", "bottom", "top")
+
+
+def test_dual_is_the_validated_reversed_order(engine_pool):
+    for lat in engine_pool:
+        dual = lat.dual()
+        want = Lattice(lat.labels, lat.down)
+        for table in TABLES:
+            assert getattr(dual, table) == getattr(want, table), (lat, table)
+        assert (dual.labels, dual.name) == (lat.labels, lat.name)
+        back = dual.dual()
+        for table in TABLES:
+            assert getattr(back, table) == getattr(lat, table), (lat, table)
+
+
+def test_dual_cover_pairs_are_reversed_after_a_cached_read(engine_pool):
+    for lat in engine_pool:
+        pairs = lat.cover_pairs
+        assert sorted(lat.dual().cover_pairs) == sorted(
+            (j, i) for i, j in pairs), lat
+
+
 def test_named_shapes():
     c4 = named("chain", 4)
     assert c4.labels == ("0", "a", "b", "1")

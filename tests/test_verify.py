@@ -12,7 +12,7 @@ from latkit import (
     named,
     run_suite,
 )
-from latkit.errors import BadConfig, BadParams
+from latkit.errors import BadConfig
 from latkit.verify import (
     check_b2_hsum_simple,
     check_cghsum,
@@ -84,9 +84,9 @@ def test_corpus_count_zero_gives_named_only():
 
 
 def test_corpus_rejects_bad_params():
-    with pytest.raises(BadParams):
+    with pytest.raises(BadConfig):
         corpus(1, 5, 1)
-    with pytest.raises(BadParams):
+    with pytest.raises(BadConfig):
         corpus(1, -1, 9)
 
 
@@ -123,9 +123,9 @@ def test_census_covers_known_six_element_shapes():
 
 
 def test_census_caps():
-    with pytest.raises(BadParams):
+    with pytest.raises(BadConfig):
         enumerate_lattices(0)
-    with pytest.raises(BadParams):
+    with pytest.raises(BadConfig):
         enumerate_lattices(11)
 
 
