@@ -18,7 +18,9 @@ Con(L) is enumerated by OR-folding the closures, and its order, joins
 and meets are subset tests, ORs and ANDs of these masks. The closed
 sets are the downsets of the preorder "t lies in closure[u]", so a
 cover adds one D*-class (the join-irreducibles that force each other),
-and a coatom drops one class that nothing outside it forces. ConLattice
+and a coatom drops one class that nothing outside it forces. Con(L) is
+distributive, so its prime members are its meet-irreducibles: one per
+class, J(L) without the join-irreducibles that force the class. ConLattice
 carries the members in a fixed canonical order so that listings and
 goldens are deterministic.
 """
@@ -34,7 +36,6 @@ from .errors import NotACongruence, SizeCapExceeded
 
 DEFAULT_CON_CAP = 60
 DEFAULT_MEMBER_CAP = 200_000
-PRIME_MEMBER_CAP = 200
 
 
 def _dependency(lat):
@@ -113,9 +114,6 @@ class ConLattice:
 
     def index_of(self, p: Partition) -> int:
         return self._member_index[p]
-
-    def __contains__(self, p):
-        return p in self._member_index
 
     @cached_property
     def _mask_index(self):
@@ -235,43 +233,17 @@ def maximal_congruences(lat, cap: int = DEFAULT_CON_CAP):
     return [con.members[i] for i in con.coatoms()]
 
 
-def prime_congruences(lat, cap: int = DEFAULT_CON_CAP,
-                      member_cap: int = PRIME_MEMBER_CAP):
+def prime_congruences(lat, cap: int = DEFAULT_CON_CAP):
     """Members t != nabla such that p ^ q <= t forces p <= t or q <= t.
 
-    Quantifies over the enumerated members, so the cost is cubic in |Con|;
-    `member_cap` guards against runaway instances.
+    Con(L) is distributive, so these are its meet-irreducibles: one per
+    D*-class, all of J(L) but the join-irreducibles that force the class.
     """
     con = all_congruences(lat, cap)
-    ms = con.members
-    m = len(ms)
-    if m > member_cap:
-        raise SizeCapExceeded(f"|Con| = {m} exceeds prime scan cap {member_cap}")
-    idx = con.index_of
-    order = con.order
-    meet_ix = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            k = idx(ms[i].meet(ms[j]))
-            meet_ix[i][j] = meet_ix[j][i] = k
-    out = []
-    for t in range(m):
-        if t == con.nabla_ix:
-            continue
-        below_t = [(order[i] >> t) & 1 for i in range(m)]
-        above = [i for i in range(m) if not below_t[i]]
-        prime = True
-        for ai, a in enumerate(above):
-            row = meet_ix[a]
-            for b in above[ai:]:
-                if below_t[row[b]]:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(ms[t])
-    return out
+    forcing, _ = con._classes
+    full = (1 << len(con.closure)) - 1
+    return [con.members[i]
+            for i in sorted({con._mask_index[full & ~f] for f in forcing})]
 
 
 def two_class_congruences(lat, cap: int = DEFAULT_CON_CAP):

@@ -162,12 +162,6 @@ class Lattice:
         except KeyError:
             raise UnknownLabel(f"no element labelled {label!r}") from None
 
-    def up_indices(self, i: int):
-        return tuple(bits(self.up[i]))
-
-    def down_indices(self, i: int):
-        return tuple(bits(self.down[i]))
-
     def interval(self, a: int, b: int):
         """Elements x with a <= x <= b; `a` must lie below `b`."""
         if not self.leq(a, b):

@@ -12,6 +12,7 @@ ideal-side function is its filter twin applied to `lat.dual()`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import bits, mask_of
@@ -31,13 +32,13 @@ class FamilyMember(NamedTuple):
     prime: bool
 
 
-class SubsetFamily(NamedTuple):
+@dataclass(frozen=True)
+class SubsetFamily:
+    """The filters or ideals of `base`; its length is the member count."""
+
     base: object
     kind: str  # "filter" | "ideal"
     members: tuple
-
-    def element_sets(self):
-        return [m.elements for m in self.members]
 
     def prime_members(self):
         return [m for m in self.members if m.prime]

@@ -831,52 +831,46 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
                 details["lattice"] = lat_for_witness.to_dict()
             reports.append(CheckReport(name, instance, False, details))
 
-    if "prime" in chosen:
-        for lat in pool:
-            run(check_prime_equivalences, "prime-filter-equivalences",
-                _instance(lat), lat, lat, con_cap, member_cap)
-    if "irred" in chosen:
-        for lat in pool:
-            run(check_irreducibility, "bound-irreducibility",
-                _instance(lat), lat, lat, con_cap, member_cap)
-    sizable = [lat for lat in pool if lat.n >= 2]
-    if "counts" in chosen and sizable:
-        for _ in range(max(count, 10)):
-            A, B = rng.choice(sizable), rng.choice(sizable)
-            run(check_hsum_counts, "hsum-counts",
-                f"{_instance(A)} (+) {_instance(B)}", None, A, B)
+    def each(keep):
+        return ((_instance(lat), lat, (lat,)) for lat in pool if keep(lat))
+
+    def pairs(source):
+        for _ in range(max(count, 10) if source else 0):
+            A, B = rng.choice(source), rng.choice(source)
+            yield f"{_instance(A)} (+) {_instance(B)}", None, (A, B)
+
+    def families(source):
+        for _ in range(max(count // 2, 5) if source else 0):
+            fam = [rng.choice(source) for _ in range(rng.choice((3, 3, 4)))]
+            yield " (+) ".join(_instance(lat) for lat in fam), None, (fam,)
+
+    # One row per suite, in SUITES order: (suite, report name, check,
+    # instances, extra args). Built per call, so that the checks are looked
+    # up now, and the instances are generators, so that the rng draws
+    # happen as each chosen suite runs.
+    caps = (con_cap, member_cap)
     wide = [lat for lat in pool if lat.n > 2]
-    if "spechsum" in chosen and wide:
-        for _ in range(max(count, 10)):
-            A, B = rng.choice(wide), rng.choice(wide)
-            run(check_spechsum, "hsum-spectra",
-                f"{_instance(A)} (+) {_instance(B)}", None, A, B,
-                con_cap, member_cap)
-    if "cghsum" in chosen and wide:
-        small = [lat for lat in wide if lat.n <= DEFAULT_SUMMAND_CAP]
-        for _ in range(max(count, 10)):
-            A, B = rng.choice(small), rng.choice(small)
-            run(check_cghsum, "hsum-congruence-trichotomy",
-                f"{_instance(A)} (+) {_instance(B)}", None, A, B,
-                con_cap, member_cap)
-    if "multi" in chosen and wide:
-        smaller = [lat for lat in wide if lat.n <= 6]
-        for _ in range(max(count // 2, 5)):
-            width = rng.choice((3, 3, 4))
-            fam = [rng.choice(smaller) for _ in range(width)]
-            run(check_multi_hsum, "multi-hsum-collapse",
-                " (+) ".join(_instance(lat) for lat in fam), None, fam,
-                con_cap, member_cap)
-    if "dilate" in chosen:
-        for lat in pool:
-            if 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP:
-                run(check_dilate, "dilation-simplicity", _instance(lat),
-                    lat, lat, con_cap)
-    if "b2hsum" in chosen:
-        for lat in pool:
-            if lat.n > 2:
-                run(check_b2_hsum_simple, "b2-hsum-simplicity",
-                    _instance(lat), lat, lat, con_cap, member_cap)
+    table = (
+        ("prime", "prime-filter-equivalences", check_prime_equivalences,
+         each(lambda lat: True), caps),
+        ("irred", "bound-irreducibility", check_irreducibility,
+         each(lambda lat: True), caps),
+        ("counts", "hsum-counts", check_hsum_counts,
+         pairs([lat for lat in pool if lat.n >= 2]), ()),
+        ("spechsum", "hsum-spectra", check_spechsum, pairs(wide), caps),
+        ("cghsum", "hsum-congruence-trichotomy", check_cghsum,
+         pairs([lat for lat in wide if lat.n <= DEFAULT_SUMMAND_CAP]), caps),
+        ("multi", "multi-hsum-collapse", check_multi_hsum,
+         families([lat for lat in wide if lat.n <= 6]), caps),
+        ("dilate", "dilation-simplicity", check_dilate,
+         each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP), (con_cap,)),
+        ("b2hsum", "b2-hsum-simplicity", check_b2_hsum_simple,
+         each(lambda lat: lat.n > 2), caps),
+    )
+    for suite, name, check, instances, extra in table:
+        if suite in chosen:
+            for instance, witness, args in instances:
+                run(check, name, instance, witness, *args, *extra)
     if inject_fault:
         bad = _corrupted_pentagon()
         run(check_prime_equivalences, "prime-filter-equivalences",

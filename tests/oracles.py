@@ -14,7 +14,8 @@ principal congruences by worklist closure over a union-find, Con(L) as
 the join-closure of the cover principal congruences, and its order by
 partition refinement. The join-irreducible dependency relation D is
 taken straight from its definition. The covers and coatoms of Con(L)
-are checked against scans of the refinement order, and filter primality
+are checked against scans of the refinement order, the prime congruences
+against a cubic scan over the table of member meets, and filter primality
 against the join condition, pair by pair. The ideal-side oracles (ideals,
 prime ideals, join irreducibility) are the filter-side ones applied to
 `lat.dual()`, which is itself checked against `Lattice()` validation.
@@ -396,3 +397,35 @@ def coatoms_by_order(con):
     nab = con.nabla_ix
     return [i for i, row in enumerate(con.order)
             if i != nab and row & ~(1 << i) == 1 << nab]
+
+
+def prime_congruences_by_scan(con):
+    """Members t != nabla of Con(L) with no pair above t whose meet lies
+    below it: a cubic scan over a |Con|² table of partition meets."""
+    ms = con.members
+    m = len(ms)
+    idx = con.index_of
+    order = con.order
+    meet_ix = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            k = idx(ms[i].meet(ms[j]))
+            meet_ix[i][j] = meet_ix[j][i] = k
+    out = []
+    for t in range(m):
+        if t == con.nabla_ix:
+            continue
+        below_t = [(order[i] >> t) & 1 for i in range(m)]
+        above = [i for i in range(m) if not below_t[i]]
+        prime = True
+        for ai, a in enumerate(above):
+            row = meet_ix[a]
+            for b in above[ai:]:
+                if below_t[row[b]]:
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
+            out.append(ms[t])
+    return out

@@ -32,6 +32,7 @@ from oracles import (
     con_lattice_by_partitions,
     congruences_by_exhaustion,
     covers_by_order,
+    prime_congruences_by_scan,
     principal_by_worklist,
 )
 
@@ -180,6 +181,22 @@ def test_identity_not_prime_on_the_three_chain():
     assert d == lower.meet(upper)
     assert not lower.leq(d) and not upper.leq(d)
     assert d not in prime_congruences(c3)
+
+
+def test_prime_congruences_match_the_meet_table_scan(engine_pool):
+    for lat in engine_pool:
+        assert prime_congruences(lat) == \
+            prime_congruences_by_scan(all_congruences(lat)), lat
+
+
+def test_prime_congruences_past_two_hundred_members():
+    # Con(chain(n)) is the Boolean lattice on its n - 1 covers, whose
+    # primes are its n - 1 coatoms; |Con| is 256 and 2,048 here.
+    for n in (9, 12):
+        chain = named("chain", n)
+        primes = prime_congruences(chain)
+        assert len(primes) == n - 1
+        assert primes == maximal_congruences(chain)
 
 
 def test_quotient():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from latkit import (
@@ -79,6 +81,13 @@ def test_all_filters_are_the_principal_upsets():
             assert member.elements == generated_filter(lat, [member.generator])
             assert is_filter(lat, member.elements)
         assert len(all_ideals(lat)) == lat.n
+
+
+def test_a_family_with_a_field_replaced_keeps_its_members():
+    fam = dataclasses.replace(all_filters(named("B2")), kind="x")
+    assert fam.kind == "x"
+    assert len(fam.members) == 4
+    assert len(fam) == 4
 
 
 def test_filter_count_of_a_double_pentagon():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -235,6 +236,49 @@ def test_run_suite_deterministic():
     b = run_suite(suites=("counts",), seed=3, count=10, max_size=8)
     assert [(r.check_name, r.instance_descr, r.status) for r in a] == \
         [(r.check_name, r.instance_descr, r.status) for r in b]
+
+
+def test_run_suite_report_order_is_pinned():
+    # The reports of every suite, in SUITES order, with the rng draws of
+    # the pair and triple suites; the digest was taken before the suites
+    # became one table.
+    reports = run_suite(seed=7, count=25, max_size=9, census=6)
+    assert len(reports) == 345
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == \
+        "d816a4c5eba24bdac592b8249dfd567b5aefde6e41a62c30c3cd50d2da51a90d"
+
+
+def test_run_suite_on_two_element_lattices_runs_four_checks():
+    # hsum-counts draws from the lattices with at least two elements; the
+    # other sum suites need more than two, so they run nothing here.
+    reports = run_suite(count=0, max_size=2)
+    assert [r.check_name for r in reports] == (
+        ["prime-filter-equivalences", "bound-irreducibility"]
+        + ["hsum-counts"] * 10 + ["dilation-simplicity"])
+
+
+def test_a_lone_sum_suite_draws_its_own_instances():
+    # Suites that are not chosen draw nothing from the shared rng.
+    reports = run_suite(suites=("multi",), seed=7, count=0, max_size=5)
+    assert [r.instance_descr for r in reports] == [
+        "M3 (+) chain(4) (+) chain(3)", "div(6) (+) div(6) (+) chain(5) (+) N5",
+        "chain(5) (+) B2 (+) chain(5)", "chain(3) (+) div(4) (+) div(6)",
+        "div(8) (+) chain(3) (+) N5"]
+
+
+def test_run_suite_calls_each_check_once_per_report(monkeypatch):
+    import latkit.verify as verify
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check_dilate(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_dilate", counting)
+    reports = run_suite(seed=7, count=5, max_size=8)
+    dilations = [r for r in reports if r.check_name == "dilation-simplicity"]
+    assert dilations
+    assert len(calls) == len(dilations)
 
 
 def test_run_suite_rejects_unknown_suite():
