@@ -3,10 +3,12 @@
 Result labels are namespaced so goldens stay deterministic: "i.x" for
 summand i's interior element x, bare "0"/"1" for the glue points of a
 horizontal sum, and "l[a,b]" / "r[a,b]" for the pair inserted into the
-interval [a,b] by the dilation. A SumProvenance maps every result label
-back to the summand elements it came from; glue points trace to all
-summands. interval substitution and the dilation run full lattice
-validation on their output rather than trusting the construction.
+interval [a,b] by the dilation. A SumProvenance holds each summand's
+embedding, the result index of every summand element, and from these
+maps every result label back to the summand elements it came from; glue
+points trace to all summands. Each construction checks the size cap,
+assembles its up masks from its summands' and runs full lattice
+validation on them rather than trusting the construction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .core import Lattice, bits
+from .core import Lattice, _check_size, bits, mask_of
 from .equiv import Partition, _join_pairs
 from .errors import (
     CarrierMismatch,
@@ -29,10 +31,23 @@ from .errors import (
 
 
 class SumProvenance:
-    """Maps each result label to the (summand index, source label) pairs."""
+    """Where each result element came from.
 
-    def __init__(self, sources: dict):
-        self.sources = {k: tuple(v) for k, v in sources.items()}
+    Built from the result labels and, per summand, its labels and its
+    embedding `e`, where `e[x]` is the result index of summand element x.
+    `embeddings` keeps these index tuples; `sources` maps each result
+    label, in result-index order, to its (summand index, source label)
+    pairs.
+    """
+
+    def __init__(self, labels, summands):
+        summands = [(tuple(names), tuple(e)) for names, e in summands]
+        self.embeddings = tuple(e for _, e in summands)
+        found = [[] for _ in labels]
+        for i, (names, e) in enumerate(summands):
+            for x, r in enumerate(e):
+                found[r].append((i, names[x]))
+        self.sources = dict(zip(labels, map(tuple, found)))
 
     def sources_of(self, label: str):
         return self.sources[label]
@@ -64,29 +79,66 @@ def _display(lat: Lattice) -> str:
     return lat.name or f"<{lat.n}>"
 
 
+def _image(mask: int, e) -> int:
+    """The mask of the result indices of the summand elements in `mask`."""
+    return mask_of(e[x] for x in bits(mask))
+
+
+def _union_up(n: int, parts) -> list:
+    """Up masks of the union of the orders of (summand, embedding) parts."""
+    up = [0] * n
+    for lat, e in parts:
+        for x, row in enumerate(lat.up):
+            up[e[x]] |= _image(row, e)
+    return up
+
+
 def ordinal_sum(lower: Lattice, upper: Lattice):
     """Stack `upper` on top of `lower`, identifying top(lower) = bottom(upper).
 
     The glue point keeps the lower summand's label (namespaced "0.<label>").
     """
-    glue = f"0.{lower.labels[lower.top]}"
-    lmap = {x: f"0.{x}" for x in lower.labels}
-    umap = {y: f"1.{y}" for y in upper.labels}
-    umap[upper.labels[upper.bottom]] = glue
-    labels = [lmap[x] for x in lower.labels]
-    labels += [umap[y] for i, y in enumerate(upper.labels) if i != upper.bottom]
-    covers = [(lmap[lower.labels[i]], lmap[lower.labels[j]])
-              for i, j in lower.cover_pairs]
-    covers += [(umap[upper.labels[i]], umap[upper.labels[j]])
-               for i, j in upper.cover_pairs]
+    _check_size(lower.n + upper.n - 1)
+    labels = [f"0.{x}" for x in lower.labels]
+    e0 = range(lower.n)
+    e1 = []
+    for y, lab in enumerate(upper.labels):
+        if y == upper.bottom:
+            e1.append(lower.top)
+        else:
+            e1.append(len(labels))
+            labels.append(f"1.{lab}")
+    up = _union_up(len(labels), ((lower, e0), (upper, e1)))
+    # everything of `lower` lies below the glue point, so below all of `upper`
+    for x in e0:
+        up[x] |= up[lower.top]
     name = f"osum({_display(lower)},{_display(upper)})"
-    result = Lattice.from_covers(labels, sorted(set(covers)), name=name)
-    sources = {lmap[x]: [(0, x)] for x in lower.labels}
-    sources[glue] = [(0, lower.labels[lower.top]), (1, upper.labels[upper.bottom])]
-    for i, y in enumerate(upper.labels):
-        if i != upper.bottom:
-            sources[umap[y]] = [(1, y)]
-    return result, SumProvenance(sources)
+    return Lattice(labels, up, name=name), SumProvenance(
+        labels, ((lower.labels, e0), (upper.labels, e1)))
+
+
+def _hsum_layout(family):
+    """The horizontal sum's labels and each summand's embedding into them."""
+    if not family:
+        raise EmptyFamily("horizontal sum needs at least one summand")
+    if any(lat.trivial for lat in family):
+        raise TrivialSummand("summands must have at least two elements")
+    top = 1 + sum(lat.n - 2 for lat in family)
+    _check_size(top + 1)
+    labels, embeddings = ["0"], []
+    for i, lat in enumerate(family):
+        e = []
+        for x, lab in enumerate(lat.labels):
+            if x == lat.bottom:
+                e.append(0)
+            elif x == lat.top:
+                e.append(top)
+            else:
+                e.append(len(labels))
+                labels.append(f"{i}.{lab}")
+        embeddings.append(e)
+    labels.append("1")
+    return labels, embeddings
 
 
 def horizontal_sum(family):
@@ -96,50 +148,20 @@ def horizontal_sum(family):
     contribute nothing beyond the glue points, so they are absorbed.
     """
     family = list(family)
-    if not family:
-        raise EmptyFamily("horizontal sum needs at least one summand")
-    for lat in family:
-        if lat.trivial:
-            raise TrivialSummand("summands must have at least two elements")
-    maps = []
-    labels = ["0"]
-    covers = set()
-    sources = {"0": [], "1": []}
-    for i, lat in enumerate(family):
-        m = {}
-        for x in range(lat.n):
-            lab = lat.labels[x]
-            if x == lat.bottom:
-                m[lab] = "0"
-            elif x == lat.top:
-                m[lab] = "1"
-            else:
-                m[lab] = f"{i}.{lab}"
-        maps.append(m)
-        sources["0"].append((i, lat.labels[lat.bottom]))
-        sources["1"].append((i, lat.labels[lat.top]))
-        for x in range(lat.n):
-            if x not in (lat.bottom, lat.top):
-                lab = m[lat.labels[x]]
-                labels.append(lab)
-                sources[lab] = [(i, lat.labels[x])]
-        for a, b in lat.cover_pairs:
-            covers.add((m[lat.labels[a]], m[lat.labels[b]]))
-    labels.append("1")
+    labels, embeddings = _hsum_layout(family)
+    up = _union_up(len(labels), zip(family, embeddings))
     name = f"hsum({','.join(_display(lat) for lat in family)})"
-    result = Lattice.from_covers(labels, sorted(covers), name=name)
-    return result, SumProvenance(sources)
+    return Lattice(labels, up, name=name), SumProvenance(
+        labels, [(lat.labels, e) for lat, e in zip(family, embeddings)])
 
 
-def hsum_congruences(pairs, sum_lattice=None, provenance=None) -> Partition:
+def hsum_congruences(pairs) -> Partition:
     """Assemble summand congruences into one on the horizontal sum.
 
     Interior blocks survive unchanged; the blocks of the summand bottoms
-    merge into the glue bottom's block, and dually at the top. Pass the
-    precomputed (sum_lattice, provenance) to skip rebuilding the sum.
+    merge into the glue bottom's block, and dually at the top.
     """
     pairs = list(pairs)
-    lats = [lat for lat, _ in pairs]
     for lat, p in pairs:
         if p.n != lat.n:
             raise CarrierMismatch(
@@ -149,14 +171,10 @@ def hsum_congruences(pairs, sum_lattice=None, provenance=None) -> Partition:
             raise NablaSummandCongruence(
                 "summand congruences must not collapse the whole summand"
             )
-    if sum_lattice is None or provenance is None:
-        sum_lattice, provenance = horizontal_sum(lats)
-    links = []
-    for i, (lat, p) in enumerate(pairs):
-        lmap = provenance.label_map(i)
-        to_sum = [sum_lattice.index(lmap[x]) for x in lat.labels]
-        links += [(to_sum[x], to_sum[b]) for x, b in enumerate(p.block_of)]
-    return _join_pairs(sum_lattice.n, links)
+    labels, embeddings = _hsum_layout([lat for lat, _ in pairs])
+    links = [(e[x], e[b]) for e, (_, p) in zip(embeddings, pairs)
+             for x, b in enumerate(p.block_of)]
+    return _join_pairs(len(labels), links)
 
 
 def fat_intervals(lat: Lattice):
@@ -190,42 +208,31 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
         raise IntervalTooSmall("the interval must contain at least three elements")
     if insert.n <= 2:
         raise SummandTooSmall("the inserted lattice must have more than two elements")
+    _check_size(lat.n + insert.n - 2)
     n0 = lat.n
-    interior = [x for x in range(insert.n) if x not in (insert.bottom, insert.top)]
     labels = list(lat.labels)
     taken = set(labels)
-    new_labels = []
-    for x in interior:
-        lab = _fresh(f"1.{insert.labels[x]}", taken)
-        taken.add(lab)
-        new_labels.append(lab)
-    labels += new_labels
-    pos = {x: n0 + k for k, x in enumerate(interior)}
-    up = [lat.up[i] for i in range(n0)]
+    e1 = []
+    for x, lab in enumerate(insert.labels):
+        if x == insert.bottom:
+            e1.append(a)
+        elif x == insert.top:
+            e1.append(b)
+        else:
+            e1.append(len(labels))
+            labels.append(_fresh(f"1.{lab}", taken))
+            taken.add(labels[-1])
+    up = list(lat.up)
     # original element i sits below every inserted element iff i <= a
-    for i in range(n0):
-        if lat.leq(i, a):
-            for x in interior:
-                up[i] |= 1 << pos[x]
-    above_b_mask = 0
-    for y in bits(lat.up[b]):
-        above_b_mask |= 1 << y
-    for x in interior:
-        row = 1 << pos[x]
-        row |= above_b_mask
-        for y in interior:
-            if insert.leq(x, y):
-                row |= 1 << pos[y]
-        up.append(row)
+    block = mask_of(range(n0, len(labels)))
+    for i in bits(lat.down[a]):
+        up[i] |= block
+    up += [_image(insert.up[x], e1) | lat.up[b]
+           for x in range(insert.n) if e1[x] >= n0]
     name = (f"ihsum({_display(lat)},{lat.labels[a]},{lat.labels[b]},"
             f"{_display(insert)})")
-    result = Lattice(labels, up, name=name)
-    sources = {lat.labels[i]: [(0, lat.labels[i])] for i in range(n0)}
-    sources[lat.labels[a]].append((1, insert.labels[insert.bottom]))
-    sources[lat.labels[b]].append((1, insert.labels[insert.top]))
-    for k, x in enumerate(interior):
-        sources[new_labels[k]] = [(1, insert.labels[x])]
-    return result, SumProvenance(sources)
+    return Lattice(labels, up, name=name), SumProvenance(
+        labels, ((lat.labels, range(n0)), (insert.labels, e1)))
 
 
 def dilate(lat: Lattice):
@@ -242,44 +249,26 @@ def dilate(lat: Lattice):
     n0 = lat.n
     if not fats:
         return lat.renamed(f"D({_display(lat)})"), SumProvenance(
-            {x: [(0, x)] for x in lat.labels}
-        )
+            lat.labels, ((lat.labels, range(n0)),))
+    _check_size(n0 + 2 * len(fats))
     labels = list(lat.labels)
     taken = set(labels)
-    new_pos = []  # (l index, r index) per fat interval
     for a, b in fats:
-        la = _fresh(f"l[{lat.labels[a]},{lat.labels[b]}]", taken)
-        taken.add(la)
-        ra = _fresh(f"r[{lat.labels[a]},{lat.labels[b]}]", taken)
-        taken.add(ra)
-        new_pos.append((len(labels), len(labels) + 1))
-        labels.append(la)
-        labels.append(ra)
-    up = [lat.up[i] for i in range(n0)]
+        for side in "lr":
+            labels.append(
+                _fresh(f"{side}[{lat.labels[a]},{lat.labels[b]}]", taken))
+            taken.add(labels[-1])
+    # the k-th fat interval gains the pair at n0 + 2k and n0 + 2k + 1
+    up = list(lat.up)
     for k, (a, b) in enumerate(fats):
-        lpos, rpos = new_pos[k]
-        pair_bits = (1 << lpos) | (1 << rpos)
         for i in bits(lat.down[a]):
-            up[i] |= pair_bits
+            up[i] |= 3 << (n0 + 2 * k)
+    # up[b] now also holds the pairs of the fat intervals above b
     for k, (a, b) in enumerate(fats):
-        row = 0
-        for y in bits(lat.up[b]):
-            row |= 1 << y
-        for k2, (u, v) in enumerate(fats):
-            if lat.leq(b, u):
-                lp, rp = new_pos[k2]
-                row |= (1 << lp) | (1 << rp)
-        lpos, rpos = new_pos[k]
-        up.append(row | (1 << lpos))
-        up.append(row | (1 << rpos))
-    result = Lattice(labels, up, name=f"D({_display(lat)})")
+        up += [up[b] | 1 << (n0 + 2 * k), up[b] | 1 << (n0 + 2 * k + 1)]
     # summand k+1 is the square inserted into the k-th fat interval, with
     # its elements named as in named("B2")
-    sources = {lat.labels[i]: [(0, lat.labels[i])] for i in range(n0)}
-    for k, (a, b) in enumerate(fats):
-        lpos, rpos = new_pos[k]
-        sources[lat.labels[a]].append((k + 1, "0"))
-        sources[lat.labels[b]].append((k + 1, "1"))
-        sources[labels[lpos]] = [(k + 1, "a")]
-        sources[labels[rpos]] = [(k + 1, "b")]
-    return result, SumProvenance(sources)
+    squares = [(("0", "a", "b", "1"), (a, n0 + 2 * k, n0 + 2 * k + 1, b))
+               for k, (a, b) in enumerate(fats)]
+    return Lattice(labels, up, name=f"D({_display(lat)})"), SumProvenance(
+        labels, [(lat.labels, range(n0))] + squares)

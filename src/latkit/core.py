@@ -80,12 +80,12 @@ class Lattice:
             dup = sorted({x for x in labels if labels.count(x) > 1})
             raise DuplicateLabel(f"duplicate labels: {dup}")
         if len(up) != n:
-            raise ValueError("labels and up masks differ in length")
+            raise BadInput("labels and up masks differ in length")
         full = (1 << n) - 1
         for i in range(n):
             row = up[i]
             if row & ~full:
-                raise ValueError("up mask references out-of-range elements")
+                raise BadInput("up mask references out-of-range elements")
             if not (row >> i) & 1:
                 raise NotALattice(labels[i], labels[i], "order not reflexive")
         for i in range(n):

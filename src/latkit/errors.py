@@ -53,7 +53,8 @@ class BadParam(LatticeError):
 
 
 class BadInput(LatticeError):
-    """An interchange document that is not JSON or not of the lattice schema."""
+    """Input not of the lattice schema: an interchange document that is not
+    JSON or not of that shape, or up masks that do not fit the labels."""
 
 
 # -- partitions and congruences ------------------------------------------

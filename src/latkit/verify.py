@@ -397,19 +397,16 @@ def enumerate_lattices(max_n: int):
 
 # -- shared helpers for the horizontal-sum checks --------------------------------
 
-def _pair_images(H, prov, A, B):
-    """Index sets of A minus bottom/top and B minus bottom/top inside H."""
-    map_a = prov.label_map(0)
-    map_b = prov.label_map(1)
-    def image(lat, m, exclude):
-        return frozenset(
-            H.index(m[lat.labels[i]]) for i in range(lat.n) if i != exclude
-        )
+def _pair_images(prov, A, B):
+    """Index sets of A minus bottom/top and B minus bottom/top in their sum."""
+    e_a, e_b = prov.embeddings
+    def image(lat, e, exclude):
+        return frozenset(e[i] for i in range(lat.n) if i != exclude)
     return {
-        "A0": image(A, map_a, A.bottom),  # A minus its bottom
-        "A1": image(A, map_a, A.top),
-        "B0": image(B, map_b, B.bottom),
-        "B1": image(B, map_b, B.top),
+        "A0": image(A, e_a, A.bottom),  # A minus its bottom
+        "A1": image(A, e_a, A.top),
+        "B0": image(B, e_b, B.bottom),
+        "B1": image(B, e_b, B.top),
     }
 
 
@@ -419,13 +416,13 @@ def _two_block(H, left, right) -> Partition:
 
 # -- checks ----------------------------------------------------------------------
 
-def check_prime_equivalences(lat: Lattice, con_cap: int = DEFAULT_CON_CAP,
-                       member_cap: int = DEFAULT_MEMBER_CAP) -> CheckReport:
+def check_prime_equivalences(lat: Lattice,
+                             con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Five-way prime-filter equivalence and the two-class characterization."""
     name = "prime-filter-equivalences"
     inst = _instance(lat)
     try:
-        con = all_congruences(lat, con_cap, member_cap)
+        con = all_congruences(lat, con_cap)
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
     coatoms = {con.members[i] for i in con.coatoms()}
@@ -473,15 +470,15 @@ def check_prime_equivalences(lat: Lattice, con_cap: int = DEFAULT_CON_CAP,
                     filters=len(fam.members), congruences=len(con.members))
 
 
-def check_irreducibility(lat: Lattice, con_cap: int = DEFAULT_CON_CAP,
-                         member_cap: int = DEFAULT_MEMBER_CAP) -> CheckReport:
+def check_irreducibility(lat: Lattice,
+                         con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Bound irreducibility against filters, spectra and congruences."""
     name = "bound-irreducibility"
     inst = _instance(lat)
     if lat.trivial:
         return _skip(name, inst, "needs a non-trivial lattice")
     try:
-        con = all_congruences(lat, con_cap, member_cap)
+        con = all_congruences(lat, con_cap)
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
     coatoms = {con.members[i] for i in con.coatoms()}
@@ -536,15 +533,14 @@ def check_hsum_counts(A: Lattice, B: Lattice) -> CheckReport:
 
 
 def check_spechsum(A: Lattice, B: Lattice,
-                   con_cap: int = DEFAULT_CON_CAP,
-                   member_cap: int = DEFAULT_MEMBER_CAP) -> CheckReport:
+                   con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Prime spectra of a two-summand sum against the predicted candidates."""
     name = "hsum-spectra"
     inst = f"{_instance(A)} (+) {_instance(B)}"
     if A.n <= 2 or B.n <= 2:
         return _skip(name, inst, "summands must have more than two elements")
     H, prov = horizontal_sum([A, B])
-    img = _pair_images(H, prov, A, B)
+    img = _pair_images(prov, A, B)
     pf = set(prime_filters(H).prime_sets())
     pid = set(prime_ideals(H).prime_sets())
     problems = []
@@ -557,7 +553,7 @@ def check_spechsum(A: Lattice, B: Lattice,
             sorted(H.labels[i] for i in s)
             for s in pid - {img["A1"], img["B1"]})})
     try:
-        con = all_congruences(H, con_cap, member_cap)
+        con = all_congruences(H, con_cap)
         coatoms = {con.members[i] for i in con.coatoms()}
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
@@ -581,8 +577,7 @@ def check_spechsum(A: Lattice, B: Lattice,
 
 
 def check_cghsum(A: Lattice, B: Lattice,
-                 con_cap: int = DEFAULT_CON_CAP,
-                 member_cap: int = DEFAULT_MEMBER_CAP) -> CheckReport:
+                 con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Two-summand congruence trichotomy, product decomposition, order iso."""
     name = "hsum-congruence-trichotomy"
     inst = f"{_instance(A)} (+) {_instance(B)}"
@@ -590,20 +585,20 @@ def check_cghsum(A: Lattice, B: Lattice,
         return _skip(name, inst, "summands must have more than two elements")
     H, prov = horizontal_sum([A, B])
     try:
-        conH = all_congruences(H, con_cap, member_cap)
-        conA = all_congruences(A, con_cap, member_cap)
-        conB = all_congruences(B, con_cap, member_cap)
+        conH = all_congruences(H, con_cap)
+        conA = all_congruences(A, con_cap)
+        conB = all_congruences(B, con_cap)
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
     con01A = conA.con01_members()
     con01B = conB.con01_members()
-    if len(con01A) * len(con01B) > member_cap:
+    if len(con01A) * len(con01B) > DEFAULT_MEMBER_CAP:
         return _skip(name, inst, "predicted congruence product too large")
     predicted01 = {
-        hsum_congruences([(A, alpha), (B, beta)], H, prov)
+        hsum_congruences([(A, alpha), (B, beta)])
         for alpha in con01A for beta in con01B
     }
-    img = _pair_images(H, prov, A, B)
+    img = _pair_images(prov, A, B)
     taus = []
     if A.is_meet_irreducible(A.bottom) and B.is_join_irreducible(B.top):
         taus.append(_two_block(H, img["A0"], img["B1"]))
@@ -632,9 +627,7 @@ def check_cghsum(A: Lattice, B: Lattice,
             "expected": len(con01A) * len(con01B),
         })
     # order isomorphism with the componentwise order, via restriction
-    map_a, map_b = prov.label_map(0), prov.label_map(1)
-    idx_a = [H.index(map_a[lab]) for lab in A.labels]
-    idx_b = [H.index(map_b[lab]) for lab in B.labels]
+    idx_a, idx_b = prov.embeddings
     set_a, set_b = set(con01A), set(con01B)
     trips = []
     for theta in con01H:
@@ -643,7 +636,7 @@ def check_cghsum(A: Lattice, B: Lattice,
         if ra not in set_a or rb not in set_b:
             problems.append({"restriction_escapes": theta.render(H.labels)})
             continue
-        if hsum_congruences([(A, ra), (B, rb)], H, prov) != theta:
+        if hsum_congruences([(A, ra), (B, rb)]) != theta:
             problems.append({"reassembly_differs": theta.render(H.labels)})
         trips.append((theta, conA.index_of(ra), conB.index_of(rb)))
     oa, ob = conA.order, conB.order
@@ -672,8 +665,7 @@ def check_cghsum(A: Lattice, B: Lattice,
                     con01=len(con01H))
 
 
-def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP,
-                     member_cap: int = DEFAULT_MEMBER_CAP) -> CheckReport:
+def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Three or more summands: empty spectra and pure product congruences."""
     name = "multi-hsum-collapse"
     lats = list(lats)
@@ -681,17 +673,17 @@ def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP,
     if len(lats) < 3 or any(lat.n <= 2 for lat in lats):
         return _skip(name, inst,
                      "needs three or more summands, each above two elements")
-    H, prov = horizontal_sum(lats)
+    H, _ = horizontal_sum(lats)
     try:
-        conH = all_congruences(H, con_cap, member_cap)
-        cons = [all_congruences(lat, con_cap, member_cap) for lat in lats]
+        conH = all_congruences(H, con_cap)
+        cons = [all_congruences(lat, con_cap) for lat in lats]
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
     con01s = [c.con01_members() for c in cons]
     expected_size = 1
     for c in con01s:
         expected_size *= len(c)
-    if expected_size > member_cap:
+    if expected_size > DEFAULT_MEMBER_CAP:
         return _skip(name, inst, "predicted congruence product too large")
     problems = []
     if prime_filters(H).prime_sets() or prime_ideals(H).prime_sets():
@@ -699,7 +691,7 @@ def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP,
     if any(m.num_blocks == 2 for m in conH.members):
         problems.append({"two_class_congruence_found": True})
     predicted = {
-        hsum_congruences(list(zip(lats, combo)), H, prov)
+        hsum_congruences(zip(lats, combo))
         for combo in itertools.product(*con01s)
     }
     predicted |= {Partition.nabla(H.n)}
@@ -740,8 +732,8 @@ def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
                     dilated_size=D.n, fat_intervals=len(fats))
 
 
-def check_b2_hsum_simple(S: Lattice, con_cap: int = DEFAULT_CON_CAP,
-                         member_cap: int = DEFAULT_MEMBER_CAP) -> CheckReport:
+def check_b2_hsum_simple(S: Lattice,
+                         con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Summing with the four-element Boolean lattice leaves con01 plus top.
 
     When S has no proper congruence isolating both bounds, the sum is
@@ -752,13 +744,13 @@ def check_b2_hsum_simple(S: Lattice, con_cap: int = DEFAULT_CON_CAP,
     if S.n <= 2:
         return _skip(name, inst, "needs more than two elements")
     try:
-        conS = all_congruences(S, con_cap, member_cap)
+        conS = all_congruences(S, con_cap)
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
     con01S = conS.con01_members()
     H, _ = horizontal_sum([S, named("B2")])
     try:
-        conH = all_congruences(H, con_cap, member_cap)
+        conH = all_congruences(H, con_cap)
     except SizeCapExceeded as e:
         return _skip(name, inst, str(e))
     problems = []
@@ -790,7 +782,6 @@ def _corrupted_pentagon() -> Lattice:
 
 def run_suite(suites=("all",), seed: int = 7, count: int = 25,
               max_size: int = 9, con_cap: int = DEFAULT_CON_CAP,
-              member_cap: int = DEFAULT_MEMBER_CAP,
               inject_fault: bool = False, census: int = 0):
     """Run the selected checks over the named + random corpus.
 
@@ -848,7 +839,7 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
     # instances, extra args). Built per call, so that the checks are looked
     # up now, and the instances are generators, so that the rng draws
     # happen as each chosen suite runs.
-    caps = (con_cap, member_cap)
+    caps = (con_cap,)
     wide = [lat for lat in pool if lat.n > 2]
     table = (
         ("prime", "prime-filter-equivalences", check_prime_equivalences,
@@ -863,7 +854,7 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
         ("multi", "multi-hsum-collapse", check_multi_hsum,
          families([lat for lat in wide if lat.n <= 6]), caps),
         ("dilate", "dilation-simplicity", check_dilate,
-         each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP), (con_cap,)),
+         each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP), caps),
         ("b2hsum", "b2-hsum-simplicity", check_b2_hsum_simple,
          each(lambda lat: lat.n > 2), caps),
     )
@@ -874,5 +865,5 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
     if inject_fault:
         bad = _corrupted_pentagon()
         run(check_prime_equivalences, "prime-filter-equivalences",
-            _instance(bad), bad, bad, con_cap, member_cap)
+            _instance(bad), bad, bad, con_cap)
     return reports

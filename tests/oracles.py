@@ -19,13 +19,19 @@ against a cubic scan over the table of member meets, and filter primality
 against the join condition, pair by pair. The ideal-side oracles (ideals,
 prime ideals, join irreducibility) are the filter-side ones applied to
 `lat.dual()`, which is itself checked against `Lattice()` validation.
+
+The ordinal and horizontal sums are checked against the builds they
+replaced, which name every summand element by its result label and close
+the label covers through `Lattice.from_covers`. They return the
+provenance as the raw label -> sources dict.
 """
 
 from functools import reduce
 
 from latkit import Lattice, Partition, is_congruence
+from latkit.construct import _display
 from latkit.core import bits, mask_of
-from latkit.errors import LatticeError
+from latkit.errors import EmptyFamily, LatticeError, TrivialSummand
 from latkit.verify import _invariants, _isomorphism
 
 
@@ -429,3 +435,63 @@ def prime_congruences_by_scan(con):
         if prime:
             out.append(ms[t])
     return out
+
+
+def ordinal_sum_by_covers(lower, upper):
+    """`ordinal_sum` as label covers closed by `Lattice.from_covers`."""
+    glue = f"0.{lower.labels[lower.top]}"
+    lmap = {x: f"0.{x}" for x in lower.labels}
+    umap = {y: f"1.{y}" for y in upper.labels}
+    umap[upper.labels[upper.bottom]] = glue
+    labels = [lmap[x] for x in lower.labels]
+    labels += [umap[y] for i, y in enumerate(upper.labels) if i != upper.bottom]
+    covers = [(lmap[lower.labels[i]], lmap[lower.labels[j]])
+              for i, j in lower.cover_pairs]
+    covers += [(umap[upper.labels[i]], umap[upper.labels[j]])
+               for i, j in upper.cover_pairs]
+    name = f"osum({_display(lower)},{_display(upper)})"
+    result = Lattice.from_covers(labels, sorted(set(covers)), name=name)
+    sources = {lmap[x]: [(0, x)] for x in lower.labels}
+    sources[glue] = [(0, lower.labels[lower.top]), (1, upper.labels[upper.bottom])]
+    for i, y in enumerate(upper.labels):
+        if i != upper.bottom:
+            sources[umap[y]] = [(1, y)]
+    return result, {k: tuple(v) for k, v in sources.items()}
+
+
+def horizontal_sum_by_covers(family):
+    """`horizontal_sum` as label covers closed by `Lattice.from_covers`."""
+    family = list(family)
+    if not family:
+        raise EmptyFamily("horizontal sum needs at least one summand")
+    for lat in family:
+        if lat.trivial:
+            raise TrivialSummand("summands must have at least two elements")
+    maps = []
+    labels = ["0"]
+    covers = set()
+    sources = {"0": [], "1": []}
+    for i, lat in enumerate(family):
+        m = {}
+        for x in range(lat.n):
+            lab = lat.labels[x]
+            if x == lat.bottom:
+                m[lab] = "0"
+            elif x == lat.top:
+                m[lab] = "1"
+            else:
+                m[lab] = f"{i}.{lab}"
+        maps.append(m)
+        sources["0"].append((i, lat.labels[lat.bottom]))
+        sources["1"].append((i, lat.labels[lat.top]))
+        for x in range(lat.n):
+            if x not in (lat.bottom, lat.top):
+                lab = m[lat.labels[x]]
+                labels.append(lab)
+                sources[lab] = [(i, lat.labels[x])]
+        for a, b in lat.cover_pairs:
+            covers.add((m[lat.labels[a]], m[lat.labels[b]]))
+    labels.append("1")
+    name = f"hsum({','.join(_display(lat) for lat in family)})"
+    result = Lattice.from_covers(labels, sorted(covers), name=name)
+    return result, {k: tuple(v) for k, v in sources.items()}

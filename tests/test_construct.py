@@ -10,6 +10,7 @@ from latkit import (
     corpus,
     delta,
     dilate,
+    enumerate_lattices,
     eq_from_blocks,
     fat_intervals,
     generated_filter,
@@ -23,14 +24,20 @@ from latkit import (
     nabla,
     ordinal_sum,
 )
+from latkit import construct
 from latkit.construct import FatInterval
 from latkit.errors import (
+    CarrierMismatch,
+    EmptyFamily,
     IntervalTooSmall,
     NablaSummandCongruence,
+    SizeCapExceeded,
     SummandTooSmall,
     TrivialInput,
     TrivialSummand,
 )
+
+from oracles import horizontal_sum_by_covers, ordinal_sum_by_covers
 
 
 def test_ordinal_sum_of_chains_is_a_chain():
@@ -139,18 +146,55 @@ def test_hsum_congruences_rejects_full_collapse():
         hsum_congruences([(c3, nabla(c3)), (c3, delta(c3))])
 
 
+def test_hsum_congruences_error_order_without_building_a_sum(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("hsum_congruences built a lattice")
+
+    monkeypatch.setattr(construct, "Lattice", no_lattice)
+    c1, c3 = named("chain", 1), named("chain", 3)
+    with pytest.raises(EmptyFamily):
+        hsum_congruences([])
+    with pytest.raises(TrivialSummand):
+        hsum_congruences([(c1, delta(c1)), (c3, delta(c3))])
+    with pytest.raises(CarrierMismatch):
+        hsum_congruences([(c1, delta(c1)), (c3, Partition.delta(4))])
+    with pytest.raises(NablaSummandCongruence):
+        hsum_congruences([(c1, delta(c1)), (c3, nabla(c3))])
+    assert hsum_congruences([(c3, delta(c3)), (c3, delta(c3))]) == \
+        Partition.delta(4)
+    c200 = named("chain", 200)
+    with pytest.raises(SizeCapExceeded):
+        hsum_congruences([(c200, delta(c200))] * 3)
+
+
+def test_oversized_results_are_refused_before_assembly(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("assembled an oversized result")
+
+    monkeypatch.setattr(construct, "Lattice", no_work)
+    monkeypatch.setattr(construct, "_union_up", no_work)
+    c300 = named("chain", 300)
+    with pytest.raises(SizeCapExceeded):
+        ordinal_sum(c300, c300)
+    with pytest.raises(SizeCapExceeded):
+        horizontal_sum([c300, c300])
+    with pytest.raises(SizeCapExceeded):
+        interval_hsum(c300, c300.bottom, c300.top, c300)
+    with pytest.raises(SizeCapExceeded):
+        dilate(named("chain", 30))
+
+
 def test_congruence_restriction_round_trip():
     a, b = named("N5"), named("K")
     h, prov = horizontal_sum([a, b])
-    idx_a = [h.index(prov.label_map(0)[lab]) for lab in a.labels]
-    idx_b = [h.index(prov.label_map(1)[lab]) for lab in b.labels]
+    idx_a, idx_b = prov.embeddings
     for theta in all_congruences(h).members:
         ra = theta.restrict(idx_a)
         rb = theta.restrict(idx_b)
         assert is_congruence(a, ra)
         assert is_congruence(b, rb)
         if theta != nabla(h):
-            assert hsum_congruences([(a, ra), (b, rb)], h, prov) == theta
+            assert hsum_congruences([(a, ra), (b, rb)]) == theta
 
 
 def test_fat_intervals():
@@ -273,7 +317,7 @@ def test_restrict_full_relation_to_middle_summand():
     c3 = named("chain", 3)
     h, prov = horizontal_sum([c3, c3, c3])
     assert isomorphic(h, named("M3")) is not None
-    middle = [h.index(prov.label_map(1)[lab]) for lab in c3.labels]
+    middle = prov.embeddings[1]
     assert nabla(h).restrict(middle) == Partition.nabla(3)
     assert delta(h).restrict(middle) == Partition.delta(3)
 
@@ -286,8 +330,7 @@ def test_filter_family_decomposition_of_horizontal_sum():
         h, prov = horizontal_sum([a, b])
         expected = {frozenset(range(h.n))}
         for lat, summand in ((a, 0), (b, 1)):
-            lmap = prov.label_map(summand)
-            to_h = {x: h.index(lmap[lat.labels[x]]) for x in range(lat.n)}
+            to_h = prov.embeddings[summand]
             for member in all_filters(lat).members:
                 if member.elements == frozenset(range(lat.n)):
                     continue
@@ -300,11 +343,9 @@ def test_filter_family_decomposition_of_interval_hsum():
     insert = named("B2")
     a, b = lat.index("y"), lat.top
     out, prov = interval_hsum(lat, a, b, insert)
-    base_map = prov.label_map(0)
-    to_out = {x: out.index(base_map[lat.labels[x]]) for x in range(lat.n)}
-    ins_map = prov.label_map(1)
+    to_out, to_ins = prov.embeddings
     interior = [
-        out.index(ins_map[insert.labels[x]])
+        to_ins[x]
         for x in range(insert.n) if x not in (insert.bottom, insert.top)
     ]
     expected = set()
@@ -319,9 +360,73 @@ def test_filter_family_decomposition_of_interval_hsum():
         if member.elements == frozenset(range(insert.n)):
             continue  # the improper filter contributes nothing new
         inner = [
-            out.index(ins_map[insert.labels[x]])
+            to_ins[x]
             for x in member.elements
             if x not in (insert.bottom, insert.top)
         ]
         expected.add(up_b | frozenset(inner))
     assert {m.elements for m in all_filters(out).members} == expected
+
+
+def _tables(lat):
+    return lat.labels, lat.up, lat.meet_t, lat.join_t, lat.name
+
+
+def test_sums_match_the_cover_based_builds():
+    census = enumerate_lattices(6)
+    pool = corpus(7, 100, 12)
+    rng = random.Random(9)
+    families = [[a, b] for a in census for b in census]
+    families += [[rng.choice(pool) for _ in range(k)]
+                 for k in (2, 3) for _ in range(100)]
+    for family in families:
+        if any(lat.trivial for lat in family):
+            with pytest.raises(TrivialSummand):
+                horizontal_sum(family)
+        else:
+            h, prov = horizontal_sum(family)
+            ref, sources = horizontal_sum_by_covers(family)
+            assert _tables(h) == _tables(ref)
+            # the same sources; only the glue top's key moves last
+            assert prov.sources == sources
+        lower = family[0]
+        for upper in family[1:]:
+            s, prov = ordinal_sum(lower, upper)
+            ref, sources = ordinal_sum_by_covers(lower, upper)
+            assert _tables(s) == _tables(ref)
+            assert list(prov.sources.items()) == list(sources.items())
+            lower = s
+
+
+def _constructions(pool):
+    """(result, provenance, summands) of each construction over `pool`."""
+    for i, lat in enumerate(pool):
+        other = pool[-1 - i]
+        s, prov = ordinal_sum(lat, other)
+        yield s, prov, [lat, other]
+        if not lat.trivial and not other.trivial:
+            h, prov = horizontal_sum([lat, other, lat])
+            yield h, prov, [lat, other, lat]
+        fats = fat_intervals(lat)
+        if fats:
+            insert = other if other.n > 2 else named("B2")
+            out, prov = interval_hsum(lat, *fats[-1], insert)
+            yield out, prov, [lat, insert]
+        if not lat.trivial:
+            d, prov = dilate(lat)
+            yield d, prov, [lat] + [named("B2")] * len(fats)
+
+
+def test_embeddings_agree_with_the_label_maps(engine_pool):
+    # each summand is a sublattice of the result, so its embedding is
+    # injective and keeps meets and joins
+    for result, prov, summands in _constructions(engine_pool):
+        assert len(prov.embeddings) == len(summands)
+        for i, (lat, e) in enumerate(zip(summands, prov.embeddings)):
+            assert len(e) == lat.n == len(set(e))
+            lmap = prov.label_map(i)
+            for x in range(lat.n):
+                assert result.labels[e[x]] == lmap[lat.labels[x]]
+                for y in range(lat.n):
+                    assert e[lat.meet(x, y)] == result.meet(e[x], e[y])
+                    assert e[lat.join(x, y)] == result.join(e[x], e[y])

@@ -65,6 +65,16 @@ def test_from_covers_no_unique_bounds():
         )
 
 
+@pytest.mark.parametrize("labels, up", [
+    (("a", "b"), (3,)),
+    (("a",), (3,)),
+    (("a",), (-1,)),
+])
+def test_up_masks_that_misfit_the_labels_are_bad_input(labels, up):
+    with pytest.raises(BadInput):
+        Lattice(labels, up)
+
+
 def test_construction_size_cap():
     labels = [f"e{i}" for i in range(501)]
     covers = [(f"e{i}", f"e{i+1}") for i in range(500)]
