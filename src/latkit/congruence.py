@@ -195,19 +195,19 @@ class ConLattice:
         return sorted({ix[full & ~c] for f, c in zip(forcing, cls) if f == c})
 
 
-def all_congruences(lat, cap: int = DEFAULT_CON_CAP,
-                    member_cap: int = DEFAULT_MEMBER_CAP) -> ConLattice:
-    """Enumerate Con(lat) as the unions of the closures con(j₋, j)."""
+def all_congruences(lat, cap: int = DEFAULT_CON_CAP) -> ConLattice:
+    """Enumerate Con(lat) as the unions of the closures con(j₋, j).
+
+    Refuses a lattice above `cap` elements, and stops once Con(lat) has
+    more than DEFAULT_MEMBER_CAP members."""
     if lat.n > cap:
         raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
     jbelow, closure = _dependency(lat)
     masks = {0}
     for g in set(closure):
         masks |= {m | g for m in masks}
-        if len(masks) > member_cap:
-            raise SizeCapExceeded(
-                f"more than {member_cap} congruences; raise member_cap to continue"
-            )
+        if len(masks) > DEFAULT_MEMBER_CAP:
+            raise SizeCapExceeded(f"more than {DEFAULT_MEMBER_CAP} congruences")
     keyed = []
     for s in masks:
         first = {}

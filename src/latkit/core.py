@@ -51,6 +51,13 @@ def _check_size(n: int):
         raise SizeCapExceeded(f"{n} elements exceeds construction cap {SIZE_CAP}")
 
 
+def _check_labels(labels):
+    _check_size(len(labels))
+    if len(set(labels)) != len(labels):
+        dup = sorted({x for x in labels if labels.count(x) > 1})
+        raise DuplicateLabel(f"duplicate labels: {dup}")
+
+
 def _at_most_one_cover(strict: int, back) -> bool:
     """Whether x has at most one cover in `strict`.
 
@@ -75,10 +82,7 @@ class Lattice:
         n = len(labels)
         if n == 0:
             raise NoBounds("empty carrier")
-        _check_size(n)
-        if len(set(labels)) != n:
-            dup = sorted({x for x in labels if labels.count(x) > 1})
-            raise DuplicateLabel(f"duplicate labels: {dup}")
+        _check_labels(labels)
         if len(up) != n:
             raise BadInput("labels and up masks differ in length")
         full = (1 << n) - 1
@@ -117,10 +121,9 @@ class Lattice:
                 if k is None:
                     raise NotALattice(labels[i], labels[j], "no unique least upper bound")
                 join_t[i][j] = join_t[j][i] = k
-                k = down_id.get(down[i] & down[j])
-                if k is None:
-                    raise NotALattice(labels[i], labels[j], "no unique greatest lower bound")
-                meet_t[i][j] = meet_t[j][i] = k
+                # A bounded order with every join has every meet, so a
+                # missing meet (None) means a missing join raises later.
+                meet_t[i][j] = meet_t[j][i] = down_id.get(down[i] & down[j])
         self.labels = labels
         self.up = up
         self.down = tuple(down)
@@ -270,10 +273,7 @@ class Lattice:
         the closed order is not a bounded lattice.
         """
         labels = tuple(labels)
-        _check_size(len(labels))
-        if len(set(labels)) != len(labels):
-            dup = sorted({x for x in labels if labels.count(x) > 1})
-            raise DuplicateLabel(f"duplicate labels: {dup}")
+        _check_labels(labels)
         ix = {x: i for i, x in enumerate(labels)}
         n = len(labels)
         adj = [[] for _ in range(n)]
@@ -312,17 +312,6 @@ class Lattice:
         return cls(labels, up, name=name)
 
 
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _chain_labels(k: int):
     if k == 1:
         return ("0",)
@@ -334,6 +323,16 @@ def _chain_labels(k: int):
         return ("0", "a", "b", "1")
     return ("0",) + tuple(f"m{i}" for i in range(1, k - 1)) + ("1",)
 
+
+# The parameterless named lattices: labels, and covers as two-letter
+# strings, low label then high.
+_SMALL = {
+    "B2": (("0", "a", "b", "1"), ("0a", "0b", "a1", "b1")),
+    "M3": (("0", "u", "v", "w", "1"), ("0u", "0v", "0w", "u1", "v1", "w1")),
+    "N5": (("0", "x", "y", "z", "1"), ("0x", "x1", "0y", "yz", "z1")),
+    "K": (("0", "m", "n", "p", "q", "1"),
+          ("0m", "m1", "0n", "np", "0q", "qp", "p1")),
+}
 
 NAMED_KINDS = ("chain", "B2", "M3", "N5", "K", "div")
 
@@ -350,44 +349,18 @@ def named(name: str, *params: int) -> Lattice:
         if len(params) != count:
             raise BadParam(f"{name} takes {count} parameter(s), got {len(params)}")
 
+    if name in _SMALL:
+        want(0)
+        labels, covers = _SMALL[name]
+        return Lattice.from_covers(labels, covers, name=name)
     if name == "chain":
         want(1)
         k = params[0]
         if k < 1:
             raise BadParam("chain size must be >= 1")
         _check_size(k)
-        labels = _chain_labels(k)
-        covers = list(zip(labels, labels[1:]))
-        return Lattice.from_covers(labels, covers, name=f"chain({k})")
-    if name == "B2":
-        want(0)
-        return Lattice.from_covers(
-            ("0", "a", "b", "1"),
-            [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
-            name="B2",
-        )
-    if name == "M3":
-        want(0)
-        return Lattice.from_covers(
-            ("0", "u", "v", "w", "1"),
-            [("0", "u"), ("0", "v"), ("0", "w"), ("u", "1"), ("v", "1"), ("w", "1")],
-            name="M3",
-        )
-    if name == "N5":
-        want(0)
-        return Lattice.from_covers(
-            ("0", "x", "y", "z", "1"),
-            [("0", "x"), ("x", "1"), ("0", "y"), ("y", "z"), ("z", "1")],
-            name="N5",
-        )
-    if name == "K":
-        want(0)
-        return Lattice.from_covers(
-            ("0", "m", "n", "p", "q", "1"),
-            [("0", "m"), ("m", "1"), ("0", "n"), ("n", "p"),
-             ("0", "q"), ("q", "p"), ("p", "1")],
-            name="K",
-        )
+        return Lattice(_chain_labels(k), [(1 << k) - (1 << i) for i in range(k)],
+                       name=f"chain({k})")
     if name == "div":
         want(1)
         k = params[0]
@@ -398,12 +371,7 @@ def named(name: str, *params: int) -> Lattice:
         small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
         divisors = small + [k // d for d in reversed(small) if d * d != k]
         _check_size(len(divisors))
-        labels = [str(d) for d in divisors]
-        covers = [
-            (str(d), str(e))
-            for d in divisors
-            for e in divisors
-            if e % d == 0 and _is_prime(e // d)
-        ]
-        return Lattice.from_covers(labels, covers, name=f"div({k})")
+        up = [mask_of(j for j, e in enumerate(divisors) if e % d == 0)
+              for d in divisors]
+        return Lattice([str(d) for d in divisors], up, name=f"div({k})")
     raise UnknownName(f"no lattice named {name!r}")

@@ -244,15 +244,7 @@ def parse(text: str):
 
 # -- evaluation -----------------------------------------------------------------
 
-def _default_loader(path: str) -> Lattice:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise BadInput(f"{path}: not UTF-8 text ({e.reason})") from None
-    return Lattice.from_json(text, name=f"file({json.dumps(path)})")
-
-
-def evaluate(node, loader=_default_loader) -> Lattice:
+def evaluate(node) -> Lattice:
     """Evaluate a parsed expression to a lattice."""
     def ev(nd):
         if isinstance(nd, NamedAtom):
@@ -260,7 +252,11 @@ def evaluate(node, loader=_default_loader) -> Lattice:
                 return named(nd.kind)
             return named(nd.kind, nd.arg)
         if isinstance(nd, FileAtom):
-            return loader(nd.path)
+            try:
+                text = Path(nd.path).read_text()
+            except UnicodeDecodeError as e:
+                raise BadInput(f"{nd.path}: not UTF-8 text ({e.reason})") from None
+            return Lattice.from_json(text, name=f"file({json.dumps(nd.path)})")
         if isinstance(nd, OSum):
             return construct.ordinal_sum(ev(nd.lower), ev(nd.upper))[0]
         if isinstance(nd, HSum):

@@ -3,15 +3,21 @@
 Each check_* procedure compares a brute-force computation against a
 predicted closed form on one finite instance and returns a CheckReport.
 Brute force is always the arbiter; the closed form is the hypothesis
-under test. Failed reports carry a serializable witness (the lattice as
-JSON plus the offending object); instances skipped because of size caps
-are reported as skipped, never as passed.
+under test. Every check reports the same way, whether it is called
+directly or through `run_suite`: failed reports carry a serializable
+witness (the lattice as JSON plus the offending objects); an instance
+outside a size cap, wherever the cap is hit, or outside the check's
+scope is reported as skipped, never as passed; and any other
+`LatticeError` is reported as a failure carrying the error.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import json
+import math
 import random
 
 from .core import Lattice, bits, mask_of, named
@@ -73,16 +79,47 @@ def _instance(lat: Lattice) -> str:
     return lat.name or f"<{lat.n} elements>"
 
 
-def _skip(name, instance, reason) -> CheckReport:
-    return CheckReport(name, instance, False, {"reason": reason}, skipped=True)
+class _Skip(Exception):
+    """Raised by a check body when the instance lies outside the check."""
 
 
-def _verdict(name, lat, instance, problems, **extra) -> CheckReport:
-    details = dict(extra)
-    if problems:
-        details["lattice"] = lat.to_dict()
-        details["witness"] = problems[:8]
-    return CheckReport(name, instance, not problems, details)
+def _check(name, arity):
+    """Give a check body the report policy that every check shares.
+
+    The body's first `arity` arguments are the summands that name the
+    instance; with arity 0 its first argument is a list of them. It
+    returns (lattice, problems, details). Non-empty problems give FAIL
+    with the lattice and the first eight problems as witness. A
+    `SizeCapExceeded` or `_Skip` raised anywhere in it gives SKIP with
+    the reason, and any other `LatticeError` gives FAIL with the error,
+    plus the lattice when there is one summand.
+    """
+    def wrap(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            args = signature.bind(*args, **kwargs).args
+            if not arity:
+                args = (list(args[0]),) + args[1:]
+            summands = args[:arity] or args[0]
+            inst = " (+) ".join(_instance(lat) for lat in summands)
+            try:
+                lat, problems, details = body(*args)
+            except (SizeCapExceeded, _Skip) as e:
+                return CheckReport(name, inst, False, {"reason": str(e)},
+                                   skipped=True)
+            except LatticeError as e:
+                details = {"error": f"{type(e).__name__}: {e}"}
+                if arity == 1:
+                    details["lattice"] = summands[0].to_dict()
+                return CheckReport(name, inst, False, details)
+            if problems:
+                details["lattice"] = lat.to_dict()
+                details["witness"] = problems[:8]
+            return CheckReport(name, inst, not problems, details)
+        return check
+    return wrap
 
 
 # -- isomorphism ---------------------------------------------------------------
@@ -414,17 +451,26 @@ def _two_block(H, left, right) -> Partition:
     return Partition.from_blocks(H.n, [sorted(left), sorted(right)])
 
 
+def _con01_product(lats, con_cap):
+    """(Con of each summand, its con01 members, the predicted con01 of
+    their horizontal sum): one assembled member per choice of con01
+    members, skipped when there would be too many."""
+    cons = [all_congruences(lat, con_cap) for lat in lats]
+    con01s = [con.con01_members() for con in cons]
+    if math.prod(map(len, con01s)) > DEFAULT_MEMBER_CAP:
+        raise _Skip("predicted congruence product too large")
+    predicted = {hsum_congruences(zip(lats, combo))
+                 for combo in itertools.product(*con01s)}
+    return cons, con01s, predicted
+
+
 # -- checks ----------------------------------------------------------------------
 
+@_check("prime-filter-equivalences", 1)
 def check_prime_equivalences(lat: Lattice,
                              con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Five-way prime-filter equivalence and the two-class characterization."""
-    name = "prime-filter-equivalences"
-    inst = _instance(lat)
-    try:
-        con = all_congruences(lat, con_cap)
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
+    con = all_congruences(lat, con_cap)
     coatoms = {con.members[i] for i in con.coatoms()}
     carrier = frozenset(range(lat.n))
     problems = []
@@ -466,21 +512,17 @@ def check_prime_equivalences(lat: Lattice,
                     or frozenset(zero_class) not in pid_sets):
             problems.append({"congruence": m.render(lat.labels),
                              "reason": "classes not prime filter/ideal"})
-    return _verdict(name, lat, inst, problems,
-                    filters=len(fam.members), congruences=len(con.members))
+    return lat, problems, {"filters": len(fam.members),
+                           "congruences": len(con.members)}
 
 
+@_check("bound-irreducibility", 1)
 def check_irreducibility(lat: Lattice,
                          con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Bound irreducibility against filters, spectra and congruences."""
-    name = "bound-irreducibility"
-    inst = _instance(lat)
     if lat.trivial:
-        return _skip(name, inst, "needs a non-trivial lattice")
-    try:
-        con = all_congruences(lat, con_cap)
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
+        raise _Skip("needs a non-trivial lattice")
+    con = all_congruences(lat, con_cap)
     coatoms = {con.members[i] for i in con.coatoms()}
     n = lat.n
     problems = []
@@ -512,13 +554,12 @@ def check_irreducibility(lat: Lattice,
         if not (both == closed == cong):
             problems.append({"bound": "interior",
                              "flags": [both, closed, cong]})
-    return _verdict(name, lat, inst, problems)
+    return lat, problems, {}
 
 
+@_check("hsum-counts", 2)
 def check_hsum_counts(A: Lattice, B: Lattice) -> CheckReport:
     """Size and filter/ideal count identities of the two-summand sum."""
-    name = "hsum-counts"
-    inst = f"{_instance(A)} (+) {_instance(B)}"
     H, _ = horizontal_sum([A, B])
     problems = []
     if H.n != A.n + B.n - 2:
@@ -529,16 +570,15 @@ def check_hsum_counts(A: Lattice, B: Lattice) -> CheckReport:
     ia, ib, ih = len(all_ideals(A)), len(all_ideals(B)), len(all_ideals(H))
     if ih != ia + ib - 2:
         problems.append({"ideals": [ih, ia, ib]})
-    return _verdict(name, H, inst, problems)
+    return H, problems, {}
 
 
+@_check("hsum-spectra", 2)
 def check_spechsum(A: Lattice, B: Lattice,
                    con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Prime spectra of a two-summand sum against the predicted candidates."""
-    name = "hsum-spectra"
-    inst = f"{_instance(A)} (+) {_instance(B)}"
     if A.n <= 2 or B.n <= 2:
-        return _skip(name, inst, "summands must have more than two elements")
+        raise _Skip("summands must have more than two elements")
     H, prov = horizontal_sum([A, B])
     img = _pair_images(prov, A, B)
     pf = set(prime_filters(H).prime_sets())
@@ -552,11 +592,8 @@ def check_spechsum(A: Lattice, B: Lattice,
         problems.append({"unexpected_prime_ideals": sorted(
             sorted(H.labels[i] for i in s)
             for s in pid - {img["A1"], img["B1"]})})
-    try:
-        con = all_congruences(H, con_cap)
-        coatoms = {con.members[i] for i in con.coatoms()}
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
+    con = all_congruences(H, con_cap)
+    coatoms = {con.members[i] for i in con.coatoms()}
     for first, second, f_key, i_key in (
         (A, B, "A0", "B1"),
         (B, A, "B0", "A1"),
@@ -572,32 +609,19 @@ def check_spechsum(A: Lattice, B: Lattice,
         ]
         if len(set(flags)) != 1:
             problems.append({"side": f_key, "flags": flags})
-    return _verdict(name, H, inst, problems,
-                    prime_filters=len(pf), prime_ideals=len(pid))
+    return H, problems, {"prime_filters": len(pf), "prime_ideals": len(pid)}
 
 
+@_check("hsum-congruence-trichotomy", 2)
 def check_cghsum(A: Lattice, B: Lattice,
                  con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Two-summand congruence trichotomy, product decomposition, order iso."""
-    name = "hsum-congruence-trichotomy"
-    inst = f"{_instance(A)} (+) {_instance(B)}"
     if A.n <= 2 or B.n <= 2:
-        return _skip(name, inst, "summands must have more than two elements")
+        raise _Skip("summands must have more than two elements")
     H, prov = horizontal_sum([A, B])
-    try:
-        conH = all_congruences(H, con_cap)
-        conA = all_congruences(A, con_cap)
-        conB = all_congruences(B, con_cap)
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
-    con01A = conA.con01_members()
-    con01B = conB.con01_members()
-    if len(con01A) * len(con01B) > DEFAULT_MEMBER_CAP:
-        return _skip(name, inst, "predicted congruence product too large")
-    predicted01 = {
-        hsum_congruences([(A, alpha), (B, beta)])
-        for alpha in con01A for beta in con01B
-    }
+    conH = all_congruences(H, con_cap)
+    (conA, conB), (con01A, con01B), predicted01 = \
+        _con01_product([A, B], con_cap)
     img = _pair_images(prov, A, B)
     taus = []
     if A.is_meet_irreducible(A.bottom) and B.is_join_irreducible(B.top):
@@ -660,40 +684,24 @@ def check_cghsum(A: Lattice, B: Lattice,
             problems.append({"tau_not_above_con01": tau.render(H.labels)})
     if len(taus) == 2 and (taus[0].leq(taus[1]) or taus[1].leq(taus[0])):
         problems.append({"taus_comparable": True})
-    return _verdict(name, H, inst, problems,
-                    case=len(taus), con=len(conH.members),
-                    con01=len(con01H))
+    return H, problems, {"case": len(taus), "con": len(conH.members),
+                         "con01": len(con01H)}
 
 
+@_check("multi-hsum-collapse", 0)
 def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Three or more summands: empty spectra and pure product congruences."""
-    name = "multi-hsum-collapse"
-    lats = list(lats)
-    inst = " (+) ".join(_instance(lat) for lat in lats)
     if len(lats) < 3 or any(lat.n <= 2 for lat in lats):
-        return _skip(name, inst,
-                     "needs three or more summands, each above two elements")
+        raise _Skip("needs three or more summands, each above two elements")
     H, _ = horizontal_sum(lats)
-    try:
-        conH = all_congruences(H, con_cap)
-        cons = [all_congruences(lat, con_cap) for lat in lats]
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
-    con01s = [c.con01_members() for c in cons]
-    expected_size = 1
-    for c in con01s:
-        expected_size *= len(c)
-    if expected_size > DEFAULT_MEMBER_CAP:
-        return _skip(name, inst, "predicted congruence product too large")
+    conH = all_congruences(H, con_cap)
+    _, con01s, predicted = _con01_product(lats, con_cap)
+    expected_size = math.prod(map(len, con01s))
     problems = []
     if prime_filters(H).prime_sets() or prime_ideals(H).prime_sets():
         problems.append({"spectra_not_empty": True})
     if any(m.num_blocks == 2 for m in conH.members):
         problems.append({"two_class_congruence_found": True})
-    predicted = {
-        hsum_congruences(zip(lats, combo))
-        for combo in itertools.product(*con01s)
-    }
     predicted |= {Partition.nabla(H.n)}
     computed = set(conH.members)
     if computed != predicted:
@@ -704,18 +712,17 @@ def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     if len(conH.members) != expected_size + 1:
         problems.append({"con_size": len(conH.members),
                          "expected": expected_size + 1})
-    return _verdict(name, H, inst, problems, con=len(conH.members))
+    return H, problems, {"con": len(conH.members)}
 
 
+@_check("dilation-simplicity", 1)
 def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Dilation: simplicity plus the size and filter/ideal count identities."""
-    name = "dilation-simplicity"
-    inst = _instance(lat)
     if lat.trivial:
-        return _skip(name, inst, "needs a non-trivial lattice")
+        raise _Skip("needs a non-trivial lattice")
     D, _ = dilate(lat)
     if D.n > con_cap:
-        return _skip(name, inst, f"dilation has {D.n} elements, cap {con_cap}")
+        raise _Skip(f"dilation has {D.n} elements, cap {con_cap}")
     fats = fat_intervals(lat)
     problems = []
     if D.n != lat.n + 2 * len(fats):
@@ -728,10 +735,10 @@ def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     if len(all_ideals(D)) != len(all_ideals(lat)) + 2 * len(fats):
         problems.append({"ideals": [len(all_ideals(D)),
                                     len(all_ideals(lat)), len(fats)]})
-    return _verdict(name, D, inst, problems,
-                    dilated_size=D.n, fat_intervals=len(fats))
+    return D, problems, {"dilated_size": D.n, "fat_intervals": len(fats)}
 
 
+@_check("b2-hsum-simplicity", 1)
 def check_b2_hsum_simple(S: Lattice,
                          con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     """Summing with the four-element Boolean lattice leaves con01 plus top.
@@ -739,20 +746,11 @@ def check_b2_hsum_simple(S: Lattice,
     When S has no proper congruence isolating both bounds, the sum is
     simple; in every case |Con(sum)| = |con01(S)| + 1.
     """
-    name = "b2-hsum-simplicity"
-    inst = _instance(S)
     if S.n <= 2:
-        return _skip(name, inst, "needs more than two elements")
-    try:
-        conS = all_congruences(S, con_cap)
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
-    con01S = conS.con01_members()
+        raise _Skip("needs more than two elements")
+    con01S = all_congruences(S, con_cap).con01_members()
     H, _ = horizontal_sum([S, named("B2")])
-    try:
-        conH = all_congruences(H, con_cap)
-    except SizeCapExceeded as e:
-        return _skip(name, inst, str(e))
+    conH = all_congruences(H, con_cap)
     problems = []
     if len(conH.members) != len(con01S) + 1:
         problems.append({"con_size": len(conH.members),
@@ -760,8 +758,7 @@ def check_b2_hsum_simple(S: Lattice,
     trivial01 = len(con01S) == 1
     if trivial01 and not is_simple(H, con_cap):
         problems.append({"expected_simple": True})
-    return _verdict(name, H, inst, problems,
-                    con01=len(con01S), simple_case=trivial01)
+    return H, problems, {"con01": len(con01S), "simple_case": trivial01}
 
 
 # -- suite runner ------------------------------------------------------------------
@@ -811,59 +808,42 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
     if census:
         pool.extend(enumerate_lattices(min(census, max_size)))
     rng = random.Random(seed ^ 0x5EED)
-    reports = []
-
-    def run(fn, name, instance, lat_for_witness, *args, **kwargs):
-        try:
-            reports.append(fn(*args, **kwargs))
-        except LatticeError as e:
-            details = {"error": f"{type(e).__name__}: {e}"}
-            if lat_for_witness is not None:
-                details["lattice"] = lat_for_witness.to_dict()
-            reports.append(CheckReport(name, instance, False, details))
 
     def each(keep):
-        return ((_instance(lat), lat, (lat,)) for lat in pool if keep(lat))
+        return ((lat,) for lat in pool if keep(lat))
 
     def pairs(source):
         for _ in range(max(count, 10) if source else 0):
-            A, B = rng.choice(source), rng.choice(source)
-            yield f"{_instance(A)} (+) {_instance(B)}", None, (A, B)
+            yield rng.choice(source), rng.choice(source)
 
     def families(source):
         for _ in range(max(count // 2, 5) if source else 0):
-            fam = [rng.choice(source) for _ in range(rng.choice((3, 3, 4)))]
-            yield " (+) ".join(_instance(lat) for lat in fam), None, (fam,)
+            yield ([rng.choice(source) for _ in range(rng.choice((3, 3, 4)))],)
 
-    # One row per suite, in SUITES order: (suite, report name, check,
-    # instances, extra args). Built per call, so that the checks are looked
-    # up now, and the instances are generators, so that the rng draws
-    # happen as each chosen suite runs.
+    # One row per suite, in SUITES order: (suite, check, instances, extra
+    # args). Built per call, so that the checks are looked up now, and the
+    # instances are generators, so that the rng draws happen as each
+    # chosen suite runs.
     caps = (con_cap,)
     wide = [lat for lat in pool if lat.n > 2]
     table = (
-        ("prime", "prime-filter-equivalences", check_prime_equivalences,
-         each(lambda lat: True), caps),
-        ("irred", "bound-irreducibility", check_irreducibility,
-         each(lambda lat: True), caps),
-        ("counts", "hsum-counts", check_hsum_counts,
+        ("prime", check_prime_equivalences, each(lambda lat: True), caps),
+        ("irred", check_irreducibility, each(lambda lat: True), caps),
+        ("counts", check_hsum_counts,
          pairs([lat for lat in pool if lat.n >= 2]), ()),
-        ("spechsum", "hsum-spectra", check_spechsum, pairs(wide), caps),
-        ("cghsum", "hsum-congruence-trichotomy", check_cghsum,
+        ("spechsum", check_spechsum, pairs(wide), caps),
+        ("cghsum", check_cghsum,
          pairs([lat for lat in wide if lat.n <= DEFAULT_SUMMAND_CAP]), caps),
-        ("multi", "multi-hsum-collapse", check_multi_hsum,
+        ("multi", check_multi_hsum,
          families([lat for lat in wide if lat.n <= 6]), caps),
-        ("dilate", "dilation-simplicity", check_dilate,
+        ("dilate", check_dilate,
          each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP), caps),
-        ("b2hsum", "b2-hsum-simplicity", check_b2_hsum_simple,
-         each(lambda lat: lat.n > 2), caps),
+        ("b2hsum", check_b2_hsum_simple, each(lambda lat: lat.n > 2), caps),
     )
-    for suite, name, check, instances, extra in table:
-        if suite in chosen:
-            for instance, witness, args in instances:
-                run(check, name, instance, witness, *args, *extra)
+    reports = [check(*args, *extra)
+               for suite, check, instances, extra in table
+               if suite in chosen for args in instances]
     if inject_fault:
-        bad = _corrupted_pentagon()
-        run(check_prime_equivalences, "prime-filter-equivalences",
-            _instance(bad), bad, bad, con_cap)
+        reports.append(check_prime_equivalences(_corrupted_pentagon(),
+                                                con_cap))
     return reports

@@ -20,17 +20,20 @@ against the join condition, pair by pair. The ideal-side oracles (ideals,
 prime ideals, join irreducibility) are the filter-side ones applied to
 `lat.dual()`, which is itself checked against `Lattice()` validation.
 
-The ordinal and horizontal sums are checked against the builds they
-replaced, which name every summand element by its result label and close
-the label covers through `Lattice.from_covers`. They return the
+`named` chains and divisor lattices are checked against the build they
+replaced, which closes label covers (consecutive chain labels, divisors
+with a prime quotient) through `Lattice.from_covers`. So are the ordinal
+and horizontal sums, whose old builds name every summand element by its
+result label and close the label covers the same way. They return the
 provenance as the raw label -> sources dict.
 """
 
 from functools import reduce
+from math import isqrt
 
 from latkit import Lattice, Partition, is_congruence
 from latkit.construct import _display
-from latkit.core import bits, mask_of
+from latkit.core import _chain_labels, bits, mask_of
 from latkit.errors import EmptyFamily, LatticeError, TrivialSummand
 from latkit.verify import _invariants, _isomorphism
 
@@ -113,6 +116,26 @@ def divisor_lattice_by_trial_division(n):
     up = tuple(sum(1 << j for j, e in enumerate(divisors) if e % d == 0)
                for d in divisors)
     return tuple(map(str, divisors)), up
+
+
+def _is_prime(k):
+    return k >= 2 and all(k % d for d in range(2, isqrt(k) + 1))
+
+
+def named_by_covers(kind, k):
+    """`named("chain", k)` or `named("div", k)` as label covers closed by
+    `Lattice.from_covers`: consecutive chain labels, and divisors whose
+    quotient is prime."""
+    if kind == "chain":
+        labels = _chain_labels(k)
+        covers = list(zip(labels, labels[1:]))
+    else:
+        divisors = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+        divisors += [k // d for d in reversed(divisors) if d * d != k]
+        labels = [str(d) for d in divisors]
+        covers = [(str(d), str(e)) for d in divisors for e in divisors
+                  if e % d == 0 and _is_prime(e // d)]
+    return Lattice.from_covers(labels, covers, name=f"{kind}({k})")
 
 
 def meet_irreducible_by_pairs(lat, x):

@@ -18,6 +18,7 @@ from latkit.errors import (
 
 from oracles import (
     divisor_lattice_by_trial_division,
+    named_by_covers,
     join_irreducible_by_pairs,
     meet_irreducible_by_pairs,
 )
@@ -65,6 +66,17 @@ def test_from_covers_no_unique_bounds():
         )
 
 
+def test_a_pair_lacking_only_a_meet_still_fails():
+    # The first pair scanned, (c, d), has the join 1 but no meet; the
+    # missing join of (a, b) must still be found.
+    with pytest.raises(NotALattice):
+        Lattice.from_covers(
+            "cdab01",
+            [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
+             ("a", "d"), ("b", "d"), ("c", "1"), ("d", "1")],
+        )
+
+
 @pytest.mark.parametrize("labels, up", [
     (("a", "b"), (3,)),
     (("a",), (3,)),
@@ -105,6 +117,16 @@ def test_divisor_lattices_match_trial_division():
         labels, up = divisor_lattice_by_trial_division(n)
         lat = named("div", n)
         assert (lat.labels, lat.up) == (labels, up), n
+
+
+def test_chains_and_divisor_lattices_match_their_cover_builds():
+    cases = [("chain", k) for k in range(1, 41)]
+    cases += [("div", n) for n in range(1, 401)] + [("div", 720720),
+                                                    ("div", 10**12)]
+    for kind, k in cases:
+        lat, ref = named(kind, k), named_by_covers(kind, k)
+        assert (lat.labels, lat.up, lat.name) == \
+            (ref.labels, ref.up, ref.name), (kind, k)
 
 
 def test_meet_join_on_named_examples():

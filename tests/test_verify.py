@@ -13,7 +13,7 @@ from latkit import (
     named,
     run_suite,
 )
-from latkit.errors import BadConfig
+from latkit.errors import BadConfig, NotACongruence
 from latkit.verify import (
     check_b2_hsum_simple,
     check_cghsum,
@@ -145,6 +145,32 @@ def test_check_prime_equivalences_skips_on_cap():
     report = check_prime_equivalences(named("div", 36), con_cap=5)
     assert report.skipped and not report.passed
     assert "reason" in report.details
+
+
+def test_a_cap_hit_outside_the_congruence_enumeration_skips():
+    report = check_hsum_counts(named("chain", 300), named("chain", 300))
+    assert report.status == "SKIP"
+    assert "construction cap" in report.details["reason"]
+
+
+def test_a_lattice_error_in_a_direct_call_is_a_failure():
+    report = check_hsum_counts(named("chain", 1), named("chain", 3))
+    assert report.status == "FAIL"
+    assert report.details["error"].startswith("TrivialSummand")
+    assert "lattice" not in report.details
+
+
+def test_an_error_in_a_one_lattice_check_carries_the_lattice(monkeypatch):
+    import latkit.verify as verify
+
+    def refuse(lat, cap):
+        raise NotACongruence("refused")
+
+    monkeypatch.setattr(verify, "all_congruences", refuse)
+    report = check_prime_equivalences(named("N5"))
+    assert report.status == "FAIL"
+    assert report.details["error"] == "NotACongruence: refused"
+    assert report.details["lattice"] == named("N5").to_dict()
 
 
 def test_check_irreducibility_passes():
