@@ -21,6 +21,7 @@ from .congruence import (
     ConLattice,
     all_congruences,
     con01,
+    con_summary,
     congruence_generated,
     is_simple,
     is_subdirectly_irreducible,

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .congruence import DEFAULT_CON_CAP, all_congruences
+from .congruence import DEFAULT_CON_CAP, all_congruences, con_summary
+from .equiv import block_renderer
 from .errors import LatticeError, SizeCapExceeded
 from .expr import evaluate, parse
 from .filters import all_filters, all_ideals, prime_filters, prime_ideals
@@ -49,27 +50,30 @@ def _spectra_lines(lat):
 
 def _cmd_analyze(args) -> int:
     lat = _eval_arg(args.expr)
-    print(f"expr: {args.expr}")
-    print(f"elements ({lat.n}): {' '.join(lat.labels)}")
-    print(f"bottom={lat.labels[lat.bottom]} top={lat.labels[lat.top]}")
-    print(f"|L|={lat.n}")
-    print(f"|Filt|={len(all_filters(lat))}")
-    print(f"|Id|={len(all_ideals(lat))}")
-    for line in _spectra_lines(lat):
-        print(line)
+    lines = [
+        f"expr: {args.expr}",
+        f"elements ({lat.n}): {' '.join(lat.labels)}",
+        f"bottom={lat.labels[lat.bottom]} top={lat.labels[lat.top]}",
+        f"|L|={lat.n}",
+        f"|Filt|={len(all_filters(lat))}",
+        f"|Id|={len(all_ideals(lat))}",
+        *_spectra_lines(lat),
+    ]
     if lat.n > args.con_cap:
-        print(f"|Con|=? ({lat.n} elements exceeds --con-cap {args.con_cap})")
-        return 0
-    con = all_congruences(lat, args.con_cap)
-    print(f"|Con|={len(con.members)}")
-    print(f"|Con01|={len(con.con01_indices())}")
-    simple = len(con.members) == 2 and lat.n >= 2
-    print(f"simple={'true' if simple else 'false'}")
-    monolith = con.monolith()
-    si = monolith is not None
-    print(f"subdirectly_irreducible={'true' if si else 'false'}")
-    if si:
-        print(f"monolith: {monolith.render(lat.labels)}")
+        lines.append(f"|Con|=? ({lat.n} elements exceeds --con-cap {args.con_cap})")
+    else:
+        con = con_summary(lat, args.con_cap)
+        lines += [
+            f"|Con|={con.size}",
+            f"|Con01|={con.size01}",
+            f"simple={'true' if con.simple else 'false'}",
+            f"subdirectly_irreducible="
+            f"{'false' if con.monolith is None else 'true'}",
+        ]
+        if con.monolith is not None:
+            lines.append(f"monolith: {con.monolith.render(lat.labels)}")
+    # every fact is in hand before the first line goes out
+    print("\n".join(lines))
     return 0
 
 
@@ -79,9 +83,10 @@ def _cmd_congruences(args) -> int:
     if args.dot:
         print(con_dot(con), end="")
         return 0
-    print(f"|Con|={len(con.members)}")
-    for m in con.members:
-        print(m.render(lat.labels))
+    print(f"|Con|={len(con)}")
+    render = block_renderer(lat.labels)
+    for block_of in con.block_maps:
+        print(render(block_of))
     return 0
 
 

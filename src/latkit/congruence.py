@@ -13,22 +13,46 @@ lists of J-indexed bitmasks: `jbelow[x]`, the join-irreducibles below
 x, and `closure[t]`, the D*-closure of {t}, which is the set that
 con(t₋, t) collapses. A closed set S is a union of closures, and its
 congruence identifies x and y exactly when `jbelow[x] & ~S` equals
-`jbelow[y] & ~S`, the key from which each partition is built once.
-Con(L) is enumerated by OR-folding the closures, and its order, joins
-and meets are subset tests, ORs and ANDs of these masks. The closed
-sets are the downsets of the preorder "t lies in closure[u]", so a
-cover adds one D*-class (the join-irreducibles that force each other),
-and a coatom drops one class that nothing outside it forces. Con(L) is
-distributive, so its prime members are its meet-irreducibles: one per
-class, J(L) without the join-irreducibles that force the class. ConLattice
-carries the members in a fixed canonical order so that listings and
-goldens are deterministic.
+`jbelow[y] & ~S`. Joins and meets in Con(L) are ORs and ANDs of these
+masks. The closed sets are the downsets of the preorder "t lies in
+closure[u]", so a cover adds one D*-class (the join-irreducibles that
+force each other), and a coatom drops one class that nothing outside it
+forces. Con(L) is distributive, so its prime members are its
+meet-irreducibles: one per class, J(L) without the join-irreducibles
+that force the class.
+
+What `latkit analyze` reports is read off the closures, without listing
+Con(L) (`con_summary`):
+- |Con(L)| counts the closed sets by a two-way split: a join-irreducible
+  t is either out, and so is every u that forces t, or in, and so is
+  closure[t]. The count is memoised on the undecided set, multiplied
+  over its connected components, and refused past DEFAULT_MEMBER_CAP
+  states, so that no input runs without limit.
+- A closed set keeps the 0-class a singleton iff it holds no atom, and
+  the 1-class iff it holds J(L) without jbelow[c] for no coatom c. Both
+  survive shrinking the set, so con01 is the interval below μ, the OR of
+  the closures that pass both tests, and |Con01| counts the closed sets
+  inside μ.
+- Every closed set but the empty one holds a closure, so the monolith is
+  the AND of the closures, non-empty exactly when L is subdirectly
+  irreducible; L is simple exactly when every closure is all of J(L).
+
+Listing Con(L) is `all_congruences`'s job alone, and its member cap binds
+only the listings. It compares the count with DEFAULT_MEMBER_CAP before
+it enumerates, OR-folds the closures, keys each mask once by its block
+map and sorts the members into a fixed canonical order (more blocks
+first, then by block map), so that listings and goldens are
+deterministic. A ConLattice keeps each member's mask and block map and
+builds its Partition on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property, reduce
+from math import prod
 from operator import and_
+from typing import NamedTuple, Optional
 
 from .core import Lattice, bits
 from .equiv import Partition, is_congruence
@@ -38,12 +62,18 @@ DEFAULT_CON_CAP = 60
 DEFAULT_MEMBER_CAP = 200_000
 
 
+def _check_cap(lat, cap: int):
+    if lat.n > cap:
+        raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
+
+
 def _dependency(lat):
     """(jbelow, closure) of lat, as described in the module docstring."""
     n, up, down, jt = lat.n, lat.up, lat.down, lat.join_t
     down_id = {d: x for x, d in enumerate(down)}
-    joins = [j for j in range(n)
-             if j != lat.bottom and lat.is_join_irreducible(j)]
+    # k is join-irreducible iff what lies strictly below k is a principal
+    # down-set, that of k's one lower cover k₋ (never so for the bottom)
+    joins = [k for k in range(n) if down[k] ^ (1 << k) in down_id]
     jbelow = [0] * n
     for t, j in enumerate(joins):
         for x in bits(up[j]):
@@ -61,6 +91,74 @@ def _dependency(lat):
             if cs & bit:
                 closure[s] = cs | ct
     return jbelow, closure
+
+
+def _forcing(closure):
+    """forcing[t]: the join-irreducibles whose closure holds t."""
+    forcing = [0] * len(closure)
+    for u, c in enumerate(closure):
+        for t in bits(c):
+            forcing[t] |= 1 << u
+    return forcing
+
+
+def _count_closed(closure, free: int) -> int:
+    """Number of closed sets inside the closed set `free`, by the two-way
+    split of the module docstring."""
+    forcing = _forcing(closure)
+    near = [c | f for c, f in zip(closure, forcing)]
+    memo = {0: 1}
+
+    def count(free):
+        got = memo.get(free)
+        if got is not None:
+            return got
+        parts, rest = [], free
+        while rest:  # the connected components of free
+            part = grow = rest & -rest
+            while grow:
+                reach = 0
+                for t in bits(grow):
+                    reach |= near[t]
+                grow = reach & rest & ~part
+                part |= grow
+            parts.append(part)
+            rest &= ~part
+        if len(parts) > 1:
+            got = prod(map(count, parts))
+        else:
+            t = (free & -free).bit_length() - 1
+            got = count(free & ~closure[t]) + count(free & ~forcing[t])
+        if len(memo) >= DEFAULT_MEMBER_CAP:
+            raise SizeCapExceeded(
+                f"counting congruences took more than {DEFAULT_MEMBER_CAP} states")
+        memo[free] = got
+        return got
+
+    return count(free)
+
+
+def _mu(lat, jbelow, closure) -> int:
+    """Closed set of μ, the largest congruence whose 0- and 1-classes are
+    singletons (module docstring)."""
+    full = (1 << len(closure)) - 1
+    top = lat.top
+    atoms, rests = 0, []
+    for x, jb in enumerate(jbelow):
+        if jb and not jb & (jb - 1):  # x is an atom
+            atoms |= jb
+        if x != top and lat.up[x] == 1 << x | 1 << top:  # x is a coatom
+            rests.append(full & ~jb)
+    mu = 0
+    for c in closure:
+        if not c & atoms and all(r & ~c for r in rests):
+            mu |= c
+    return mu
+
+
+def _monolith(closure) -> int:
+    """Closed set of the monolith: 0 when there is none."""
+    return reduce(and_, closure, (1 << len(closure)) - 1)
 
 
 def _partition(jbelow, s: int) -> Partition:
@@ -88,32 +186,63 @@ def congruence_generated(lat, pairs) -> Partition:
     return _partition(jbelow, s)
 
 
+class _Members(Sequence):
+    """A ConLattice's members as Partitions, each built on first use."""
+
+    def __init__(self, maps):
+        self._maps = maps
+        self._built = [None] * len(maps)
+
+    def __len__(self):
+        return len(self._maps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        p = self._built[i]
+        if p is None:
+            p = self._built[i] = Partition._of_canonical(self._maps[i])
+        return p
+
+    def __iter__(self):
+        built = self._built
+        if None in built:
+            built[:] = [p or Partition._of_canonical(bo)
+                        for p, bo in zip(built, self._maps)]
+        return iter(built)
+
+
 class ConLattice:
     """All congruences of a lattice, ordered by refinement.
 
-    `masks[i]` is the closed set of join-irreducibles of members[i] (see
-    the module docstring), so members[i] <= members[j] iff masks[i] is a
-    subset of masks[j]. `closure[t]` is the D*-closure of the t-th
-    join-irreducible.
+    The members come in the canonical order: more blocks first, then by
+    block map. `masks[i]` is the closed set of join-irreducibles of the
+    i-th member (see the module docstring), so member i refines member j
+    iff masks[i] is a subset of masks[j]. `closure[t]` is the D*-closure
+    of the t-th join-irreducible. `block_maps[i]` is the least-member block
+    map of the i-th member, and `members[i]`, the member as a Partition,
+    is built from it on first use.
     """
 
-    def __init__(self, base: Lattice, members, masks, closure):
+    def __init__(self, base: Lattice, jbelow, closure, masks, block_maps):
         self.base = base
-        self.members = tuple(members)
-        self.masks = tuple(masks)
         self.closure = tuple(closure)
-        self.delta_ix = self.masks.index(0)
-        self.nabla_ix = self.masks.index((1 << len(self.closure)) - 1)
+        self.masks = tuple(masks)
+        self._jbelow = jbelow
+        self.block_maps = tuple(block_maps)
+        self.members = _Members(self.block_maps)
+        # delta alone has |L| blocks and nabla alone one
+        self.delta_ix, self.nabla_ix = 0, len(self.masks) - 1
 
     def __len__(self):
-        return len(self.members)
+        return len(self.masks)
 
     @cached_property
-    def _member_index(self):
-        return {m: i for i, m in enumerate(self.members)}
+    def _map_index(self):
+        return {m: i for i, m in enumerate(self.block_maps)}
 
     def index_of(self, p: Partition) -> int:
-        return self._member_index[p]
+        return self._map_index[p.block_of]
 
     @cached_property
     def _mask_index(self):
@@ -124,10 +253,7 @@ class ConLattice:
         """(forcing, cls): forcing[t] holds the join-irreducibles whose
         closure holds t, and cls[t] = forcing[t] & closure[t] is the
         D*-class of t."""
-        forcing = [0] * len(self.closure)
-        for u, c in enumerate(self.closure):
-            for t in bits(c):
-                forcing[t] |= 1 << u
+        forcing = _forcing(self.closure)
         return forcing, [f & c for f, c in zip(forcing, self.closure)]
 
     @cached_property
@@ -146,27 +272,25 @@ class ConLattice:
     def leq(self, i: int, j: int) -> bool:
         return not self.masks[i] & ~self.masks[j]
 
+    @cached_property
+    def _mu_mask(self):
+        return _mu(self.base, self._jbelow, self.closure)
+
     def con01_indices(self):
-        bot, top = self.base.bottom, self.base.top
-        return [
-            i for i, m in enumerate(self.members)
-            if m.singleton(bot) and m.singleton(top)
-        ]
+        """Members whose 0- and 1-classes are singletons: those below μ."""
+        mu = self._mu_mask
+        return [i for i, s in enumerate(self.masks) if not s & ~mu]
 
     def con01_members(self):
         return [self.members[i] for i in self.con01_indices()]
 
     def mu_con01(self) -> Partition:
         """Largest congruence keeping the 0- and 1-classes singletons."""
-        mask = 0
-        for i in self.con01_indices():
-            mask |= self.masks[i]
-        return self.members[self.masks.index(mask)]
+        return self.members[self.masks.index(self._mu_mask)]
 
     def monolith(self):
         """Least member above the identity, or None when there is none."""
-        proper = [s for s in self.masks if s]
-        mono = reduce(and_, proper) if proper else 0
+        mono = _monolith(self.closure)
         return self.members[self.masks.index(mono)] if mono else None
 
     def covers(self):
@@ -198,24 +322,56 @@ class ConLattice:
 def all_congruences(lat, cap: int = DEFAULT_CON_CAP) -> ConLattice:
     """Enumerate Con(lat) as the unions of the closures con(j₋, j).
 
-    Refuses a lattice above `cap` elements, and stops once Con(lat) has
-    more than DEFAULT_MEMBER_CAP members."""
-    if lat.n > cap:
-        raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
+    Refuses a lattice above `cap` elements, or one with more than
+    DEFAULT_MEMBER_CAP congruences, before it lists any."""
+    _check_cap(lat, cap)
     jbelow, closure = _dependency(lat)
+    gens = set(closure)  # one per D*-class, so at most 2^|gens| members
+    if 1 << len(gens) > DEFAULT_MEMBER_CAP and \
+            _count_closed(closure, (1 << len(closure)) - 1) > DEFAULT_MEMBER_CAP:
+        raise SizeCapExceeded(f"more than {DEFAULT_MEMBER_CAP} congruences")
     masks = {0}
-    for g in set(closure):
+    for g in gens:
         masks |= {m | g for m in masks}
-        if len(masks) > DEFAULT_MEMBER_CAP:
-            raise SizeCapExceeded(f"more than {DEFAULT_MEMBER_CAP} congruences")
-    keyed = []
+    # Key each mask once by its block map, grouped by block count.
+    by_blocks = {}
     for s in masks:
         first = {}
-        bo = tuple([first.setdefault(jb & ~s, i) for i, jb in enumerate(jbelow)])
-        keyed.append((-len(first), bo, s))
-    keyed.sort()
-    return ConLattice(lat, [Partition._of_canonical(bo) for _, bo, _ in keyed],
-                      [s for _, _, s in keyed], closure)
+        least = first.setdefault
+        ns = ~s
+        bo = tuple([least(jb & ns, x) for x, jb in enumerate(jbelow)])
+        by_blocks.setdefault(len(first), []).append((bo, s))
+    keyed = []
+    for k in sorted(by_blocks, reverse=True):
+        keyed += sorted(by_blocks.pop(k))
+    return ConLattice(lat, jbelow, closure, [s for _, s in keyed],
+                      [bo for bo, _ in keyed])
+
+
+class ConSummary(NamedTuple):
+    """Facts about Con(L) read off the closures (see the module docstring)."""
+
+    size: int        # |Con(L)|
+    size01: int      # |Con01(L)|, the members below μ
+    simple: bool
+    monolith: Optional[Partition]  # None unless L is subdirectly irreducible
+
+
+def con_summary(lat, cap: int = DEFAULT_CON_CAP) -> ConSummary:
+    """|Con|, |Con01|, simplicity and the monolith without listing Con(lat).
+
+    Refuses a lattice above `cap` elements, and a count past
+    DEFAULT_MEMBER_CAP states, but not a large Con(lat)."""
+    _check_cap(lat, cap)
+    jbelow, closure = _dependency(lat)
+    full = (1 << len(closure)) - 1
+    mono = _monolith(closure)
+    return ConSummary(
+        _count_closed(closure, full),
+        _count_closed(closure, _mu(lat, jbelow, closure)),
+        lat.n >= 2 and all(c == full for c in closure),
+        _partition(jbelow, mono) if mono else None,
+    )
 
 
 def con01(lat, cap: int = DEFAULT_CON_CAP):
@@ -224,7 +380,10 @@ def con01(lat, cap: int = DEFAULT_CON_CAP):
 
 
 def mu_con01(lat, cap: int = DEFAULT_CON_CAP) -> Partition:
-    return all_congruences(lat, cap).mu_con01()
+    """Largest congruence keeping the 0- and 1-classes singletons."""
+    _check_cap(lat, cap)
+    jbelow, closure = _dependency(lat)
+    return _partition(jbelow, _mu(lat, jbelow, closure))
 
 
 def maximal_congruences(lat, cap: int = DEFAULT_CON_CAP):
@@ -289,8 +448,7 @@ def is_simple(lat, cap: int = DEFAULT_CON_CAP) -> bool:
     Equivalent to every closure con(j₋, j) holding every join-irreducible:
     any congruence above the identity contains one of them.
     """
-    if lat.n > cap:
-        raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
+    _check_cap(lat, cap)
     if lat.n < 2:
         return False
     _, closure = _dependency(lat)
@@ -300,5 +458,7 @@ def is_simple(lat, cap: int = DEFAULT_CON_CAP) -> bool:
 
 def is_subdirectly_irreducible(lat, cap: int = DEFAULT_CON_CAP):
     """(flag, monolith): monolith is the least congruence above the identity."""
-    monolith = all_congruences(lat, cap).monolith()
-    return monolith is not None, monolith
+    _check_cap(lat, cap)
+    jbelow, closure = _dependency(lat)
+    mono = _monolith(closure)
+    return (True, _partition(jbelow, mono)) if mono else (False, None)

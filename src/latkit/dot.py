@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .equiv import block_renderer
+
 
 def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
@@ -25,7 +27,7 @@ def lattice_dot(lat) -> str:
 
 def con_dot(con) -> str:
     """Hasse diagram of a ConLattice, nodes labelled by block notation."""
-    names = [m.render(con.base.labels) for m in con.members]
+    names = list(map(block_renderer(con.base.labels), con.block_maps))
     pairs = [(names[i], names[j]) for i, j in con.covers()]
     title = f"Con({con.base.name})" if con.base.name else "Con"
     return hasse_dot(names, pairs, title=title)

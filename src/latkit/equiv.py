@@ -49,6 +49,25 @@ def _join_pairs(n: int, pairs) -> "Partition":
     return Partition._of_canonical(tuple(find(i) for i in range(n)))
 
 
+def block_renderer(labels):
+    """The block notation of a least-member block map over these labels.
+
+    Blocks come by least member, each listed ascending: a stable sort of
+    the elements by block id groups them so, and an element opens a new
+    block exactly when it is its block's least member.
+    """
+    opens = ["}{" + lab for lab in labels]
+    joins = ["," + lab for lab in labels]
+
+    def render(block_of) -> str:
+        order = sorted(range(len(block_of)), key=block_of.__getitem__)
+        text = "".join([opens[i] if block_of[i] == i else joins[i]
+                        for i in order])
+        return text[1:] + "}" if text else ""
+
+    return render
+
+
 class Partition:
     """Equivalence relation on {0, .., n-1} in least-member canonical form."""
 
@@ -118,11 +137,8 @@ class Partition:
         return all(bj != b for j, bj in enumerate(self.block_of) if j != i)
 
     def render(self, labels) -> str:
-        """Block notation, blocks by least member: grouped in one pass."""
-        groups = {}
-        for i, b in enumerate(self.block_of):
-            groups.setdefault(b, []).append(labels[i])
-        return "".join(["{" + ",".join(g) + "}" for g in groups.values()])
+        """Block notation, blocks by least member (`block_renderer`)."""
+        return block_renderer(labels)(self.block_of)
 
     # -- lattice structure of Eq ------------------------------------------
 

@@ -717,7 +717,8 @@ def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
 
 @_check("dilation-simplicity", 1)
 def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
-    """Dilation: simplicity plus the size and filter/ideal count identities."""
+    """Dilation: simplicity, with `is_simple` held to the listing of Con,
+    plus the size and filter/ideal count identities."""
     if lat.trivial:
         raise _Skip("needs a non-trivial lattice")
     D, _ = dilate(lat)
@@ -727,8 +728,12 @@ def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
     problems = []
     if D.n != lat.n + 2 * len(fats):
         problems.append({"size": [D.n, lat.n, len(fats)]})
-    if not is_simple(D, con_cap):
+    simple = is_simple(D, con_cap)
+    if not simple:
         problems.append({"not_simple": True})
+    listed = len(all_congruences(D, con_cap).members)
+    if simple != (listed == 2):
+        problems.append({"is_simple": simple, "congruences": listed})
     if len(all_filters(D)) != len(all_filters(lat)) + 2 * len(fats):
         problems.append({"filters": [len(all_filters(D)),
                                      len(all_filters(lat)), len(fats)]})
@@ -744,19 +749,26 @@ def check_b2_hsum_simple(S: Lattice,
     """Summing with the four-element Boolean lattice leaves con01 plus top.
 
     When S has no proper congruence isolating both bounds, the sum is
-    simple; in every case |Con(sum)| = |con01(S)| + 1.
+    simple; in every case |Con(sum)| = |con01(S)| + 1. `is_simple` is held
+    to the listings of Con(S) and Con(sum), either way.
     """
     if S.n <= 2:
         raise _Skip("needs more than two elements")
-    con01S = all_congruences(S, con_cap).con01_members()
+    conS = all_congruences(S, con_cap)
+    con01S = conS.con01_members()
     H, _ = horizontal_sum([S, named("B2")])
     conH = all_congruences(H, con_cap)
     problems = []
     if len(conH.members) != len(con01S) + 1:
         problems.append({"con_size": len(conH.members),
                          "con01_of_summand": len(con01S)})
+    for side, lat, con in (("summand", S, conS), ("sum", H, conH)):
+        simple = is_simple(lat, con_cap)
+        if simple != (len(con.members) == 2):
+            problems.append({"is_simple": simple, "of": side,
+                             "congruences": len(con.members)})
     trivial01 = len(con01S) == 1
-    if trivial01 and not is_simple(H, con_cap):
+    if trivial01 and not simple:
         problems.append({"expected_simple": True})
     return H, problems, {"con01": len(con01S), "simple_case": trivial01}
 

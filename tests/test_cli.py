@@ -20,8 +20,9 @@ def test_analyze_pentagon(capsys):
     assert "|Filt|=5" in out
     assert "|Id|=5" in out
     assert "{x,1}" in out and "{y,z,1}" in out
-    assert "simple=false" in out
-    assert "subdirectly_irreducible=true" in out
+    assert out.splitlines()[-4:] == [
+        "|Con01|=2", "simple=false", "subdirectly_irreducible=true",
+        "monolith: {0}{x}{y,z}{1}"]
 
 
 def test_analyze_respects_con_cap(capsys):
@@ -203,3 +204,37 @@ def test_verify_census_flag(capsys):
                            "--census", "5", "--quiet")
     assert code == 0
     assert "0 failed" in out
+
+
+@pytest.mark.parametrize("expr, con, con01", [
+    ("chain(30)", 536870912, 134217728),
+    ("hsum(chain(12),chain(12))", 262147, 262144),
+    ("chain(60)", 576460752303423488, 144115188075855872),
+])
+def test_analyze_counts_con_past_the_member_cap(capsys, expr, con, con01):
+    code, out, err = run_cli(capsys, "analyze", expr)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert f"|Con|={con}" in lines and f"|Con01|={con01}" in lines
+    assert lines[-2:] == ["simple=false", "subdirectly_irreducible=false"]
+
+
+def test_listing_past_the_member_cap_prints_nothing(capsys):
+    for argv in (["congruences", "chain(30)"],
+                 ["congruences", "--dot", "hsum(chain(12),chain(12))"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: more than 200000 congruences\n"
+
+
+def test_analyze_prints_nothing_when_a_con_fact_is_refused(capsys, monkeypatch):
+    import latkit.cli as cli
+    from latkit.errors import SizeCapExceeded
+
+    def refuse(lat, cap):
+        raise SizeCapExceeded("refused")
+
+    monkeypatch.setattr(cli, "con_summary", refuse)
+    code, out, err = run_cli(capsys, "analyze", "N5")
+    assert (code, out, err) == (3, "", "error: refused\n")
+

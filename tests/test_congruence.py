@@ -1,11 +1,14 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
 from latkit import (
+    Partition,
     all_congruences,
     con01,
+    con_summary,
     congruence_generated,
     corpus,
     delta,
@@ -24,6 +27,7 @@ from latkit import (
     two_class_congruences,
 )
 from latkit.construct import dilate
+from latkit import congruence
 from latkit.errors import NotACongruence, SizeCapExceeded
 from latkit.dot import con_dot
 from oracles import (
@@ -305,6 +309,12 @@ def test_engine_matches_the_partition_oracles(engine_pool):
         assert con.mu_con01() == want["mu"], lat
         assert is_simple(lat) == want["simple"], lat
         assert is_subdirectly_irreducible(lat) == want["si"], lat
+        got = con_summary(lat)
+        assert got.size == len(want["members"]), lat
+        assert got.size01 == len(want["con01"]), lat
+        assert got.simple == want["simple"], lat
+        assert (got.monolith is not None, got.monolith) == want["si"], lat
+        assert mu_con01(lat) == want["mu"], lat
         assert all(con.leq(i, j) == bool(row >> j & 1)
                    for i, row in enumerate(con.order)
                    for j in range(len(con))), lat
@@ -337,3 +347,72 @@ def test_con_dot_edges_match_the_order_scan():
         edges = {line for line in con_dot(con).splitlines() if " -> " in line}
         assert edges == {f'  "{names[i]}" -> "{names[j]}";'
                          for i, j in covers_by_order(con)}, lat
+
+
+def test_closure_reads_match_the_listing(engine_pool):
+    # |Con|, |Con01|, mu, the monolith and simplicity read off the closures,
+    # against the listed members with the bounds' classes and the meets and
+    # joins of Partition.
+    for lat in engine_pool:
+        con = all_congruences(lat)
+        ms = list(con.members)
+        sel = [m for m in ms if m.singleton(lat.bottom) and m.singleton(lat.top)]
+        delta_, nabla_ = delta(lat), nabla(lat)
+        proper = [m for m in ms if m != delta_]
+        mono = reduce(Partition.meet, proper) if proper else delta_
+        got = con_summary(lat)
+        assert got.size == len(ms) == len(con), lat
+        assert got.size01 == len(sel) == len(con.con01_indices()), lat
+        mu = reduce(Partition.join, sel, delta_)
+        assert mu_con01(lat) == con.mu_con01() == mu, lat
+        assert got.monolith == con.monolith() == \
+            (None if mono == delta_ else mono), lat
+        assert got.simple == is_simple(lat) == (ms == [delta_, nabla_] and
+                                                 lat.n >= 2), lat
+
+
+def test_closure_reads_past_the_member_cap():
+    # Con(chain(n)) is Boolean on the n - 1 covers, and con01 is Boolean on
+    # the n - 3 covers that touch neither bound.
+    for n in (30, 60):
+        got = con_summary(named("chain", n))
+        assert (got.size, got.size01) == (2 ** (n - 1), 2 ** (n - 3))
+        assert not got.simple and got.monolith is None
+        with pytest.raises(SizeCapExceeded, match="more than 200000"):
+            all_congruences(named("chain", n))
+
+
+def test_the_closed_set_count_is_bounded(monkeypatch):
+    # The count stops at DEFAULT_MEMBER_CAP memoised states; div(12) needs
+    # one state per D*-class and one more for their product.
+    monkeypatch.setattr(congruence, "DEFAULT_MEMBER_CAP", 3)
+    assert con_summary(named("K")).size == 3
+    with pytest.raises(SizeCapExceeded, match="states"):
+        con_summary(named("div", 12))
+
+
+def test_the_listing_is_refused_on_the_count(monkeypatch):
+    # Past 2^17 classes' worth of members the closed sets are counted, and
+    # a count above the cap refuses the listing; below it nothing is counted.
+    counted = []
+
+    def count(closure, free):
+        counted.append(free)
+        return congruence.DEFAULT_MEMBER_CAP + 1
+
+    monkeypatch.setattr(congruence, "_count_closed", count)
+    with pytest.raises(SizeCapExceeded, match="more than 200000 congruences"):
+        all_congruences(named("chain", 19))
+    assert counted == [2 ** 18 - 1]
+    assert len(all_congruences(named("div", 12))) == 8
+    assert counted == [2 ** 18 - 1]
+
+
+def test_members_are_built_on_first_use():
+    con = all_congruences(named("chain", 10))
+    assert con.members._built.count(None) == len(con) == 512
+    assert con.members[-1] == nabla(named("chain", 10))
+    assert con.members[:2] == [con.members[0], con.members[1]]
+    assert con.members._built.count(None) == 509
+    assert [p.block_of for p in con.members] == list(con.block_maps)
+    assert con.index_of(con.members[7]) == 7

@@ -378,3 +378,23 @@ def test_run_suite_census_with_every_suite_stays_green():
                         census=5)
     assert all(r.passed or r.skipped for r in reports), [
         r.line() for r in reports if not r.passed and not r.skipped]
+
+
+def test_an_is_simple_that_ignores_its_last_closure_fails_a_report(monkeypatch):
+    # The suites hold `is_simple` to the listing of Con, so a mutant that
+    # skips the last closure fails at least one report of the CI run.
+    import latkit.verify as verify
+    from latkit.congruence import _dependency
+
+    def ignores_last_closure(lat, cap=60):
+        if lat.n < 2:
+            return False
+        _, closure = _dependency(lat)
+        full = (1 << len(closure)) - 1
+        return all(c == full for c in closure[:-1])
+
+    assert not any(r.status == "FAIL"
+                   for r in run_suite(seed=7, count=25, max_size=9, census=7))
+    monkeypatch.setattr(verify, "is_simple", ignores_last_closure)
+    reports = run_suite(seed=7, count=25, max_size=9, census=7)
+    assert any(r.status == "FAIL" for r in reports)
