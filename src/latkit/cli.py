@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .congruence import DEFAULT_CON_CAP, all_congruences, con_summary
 from .equiv import block_renderer
@@ -159,7 +160,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The latkit parser, built once per process: parsing keeps no state
+    in it, so every call of `main` can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--con-cap", type=int, default=DEFAULT_CON_CAP,
                         help="max lattice size for congruence enumeration")

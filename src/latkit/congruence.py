@@ -19,7 +19,8 @@ closure[u]", so a cover adds one D*-class (the join-irreducibles that
 force each other), and a coatom drops one class that nothing outside it
 forces. Con(L) is distributive, so its prime members are its
 meet-irreducibles: one per class, J(L) without the join-irreducibles
-that force the class.
+that force the class. `prime_congruences` reads them off the closures,
+so it lists no other member.
 
 What `latkit analyze` reports is read off the closures, without listing
 Con(L) (`con_summary`):
@@ -397,12 +398,14 @@ def prime_congruences(lat, cap: int = DEFAULT_CON_CAP):
 
     Con(L) is distributive, so these are its meet-irreducibles: one per
     D*-class, all of J(L) but the join-irreducibles that force the class.
+    They come in the canonical order of `all_congruences`. There are at
+    most |J(L)| of them, so only `cap` limits the call.
     """
-    con = all_congruences(lat, cap)
-    forcing, _ = con._classes
-    full = (1 << len(con.closure)) - 1
-    return [con.members[i]
-            for i in sorted({con._mask_index[full & ~f] for f in forcing})]
+    _check_cap(lat, cap)
+    jbelow, closure = _dependency(lat)
+    full = (1 << len(closure)) - 1
+    primes = [_partition(jbelow, full & ~f) for f in set(_forcing(closure))]
+    return sorted(primes, key=lambda p: (-p.num_blocks, p.block_of))
 
 
 def two_class_congruences(lat, cap: int = DEFAULT_CON_CAP):

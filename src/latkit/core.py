@@ -2,10 +2,16 @@
 
 Elements are dense indices into `labels`. The order is stored as one upset
 bitmask per element, so comparisons, intervals and bound searches are plain
-integer bit operations; meet and join are precomputed lookup tables. Every
-constructor validates the lattice axioms eagerly (unique glb/lub for all
-pairs, unique bottom and top), so downstream code may assume a genuine
-bounded lattice.
+integer bit operations. Every constructor validates the lattice axioms
+(a partial order with a unique bottom and top, and a unique lub for every
+pair, which in a bounded order gives every glb too), so downstream code
+may assume a genuine bounded lattice.
+
+Validation builds no table: one pass over the comparable pairs checks
+antisymmetry and transitivity and collects the downsets, and the join of
+a comparable pair is its larger element, so only each incomparable pair
+needs a lookup of its join among the upsets. The meet and join tables
+`meet_t` and `join_t` are built whole on first read.
 """
 
 from __future__ import annotations
@@ -58,6 +64,14 @@ def _check_labels(labels):
         raise DuplicateLabel(f"duplicate labels: {dup}")
 
 
+def _op_table(masks):
+    """Table of the lattice operation whose (i, j) entry is the element
+    with mask masks[i] & masks[j]: the join on up masks, the meet on down
+    masks."""
+    of = {m: i for i, m in enumerate(masks)}
+    return tuple(tuple([of[m & o] for o in masks]) for m in masks)
+
+
 def _at_most_one_cover(strict: int, back) -> bool:
     """Whether x has at most one cover in `strict`.
 
@@ -92,7 +106,9 @@ class Lattice:
                 raise BadInput("up mask references out-of-range elements")
             if not (row >> i) & 1:
                 raise NotALattice(labels[i], labels[i], "order not reflexive")
+        down = [0] * n
         for i in range(n):
+            bit = 1 << i
             for j in bits(up[i]):
                 if j != i and (up[j] >> i) & 1:
                     raise CycleDetected(
@@ -100,10 +116,7 @@ class Lattice:
                     )
                 if up[j] & ~up[i]:
                     raise NotALattice(labels[i], labels[j], "order not transitive")
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
+                down[j] |= bit
         bottoms = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
         if len(bottoms) != 1 or len(tops) != 1:
@@ -111,27 +124,31 @@ class Lattice:
                 f"need unique bottom and top, found {len(bottoms)} bottom(s) "
                 f"and {len(tops)} top(s)"
             )
-        up_id = {up[i]: i for i in range(n)}
-        down_id = {down[i]: i for i in range(n)}
-        meet_t = [[0] * n for _ in range(n)]
-        join_t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                k = up_id.get(up[i] & up[j])
-                if k is None:
+        # A comparable pair's join is its larger element, by transitivity,
+        # so only the incomparable pairs need a lookup. A bounded order
+        # with every join has every meet.
+        up_id = {m: i for i, m in enumerate(up)}
+        for i in range(n):  # j runs over the j > i incomparable to i
+            for j in bits(full & ~(up[i] | down[i]) & -(2 << i)):
+                if up[i] & up[j] not in up_id:
                     raise NotALattice(labels[i], labels[j], "no unique least upper bound")
-                join_t[i][j] = join_t[j][i] = k
-                # A bounded order with every join has every meet, so a
-                # missing meet (None) means a missing join raises later.
-                meet_t[i][j] = meet_t[j][i] = down_id.get(down[i] & down[j])
         self.labels = labels
         self.up = up
         self.down = tuple(down)
-        self.meet_t = tuple(map(tuple, meet_t))
-        self.join_t = tuple(map(tuple, join_t))
         self.bottom = bottoms[0]
         self.top = tops[0]
         self.name = name
+
+    @cached_property
+    def meet_t(self):
+        """meet_t[i][j] is the meet of i and j: the element whose downset is
+        the intersection of theirs. Built on first read."""
+        return _op_table(self.down)
+
+    @cached_property
+    def join_t(self):
+        """join_t[i][j] is the join of i and j, dually. Built on first read."""
+        return _op_table(self.up)
 
     # -- basic queries ----------------------------------------------------
 
@@ -215,13 +232,19 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """The same carrier under the reversed order, unvalidated since the
-        dual of a lattice is a lattice. Only the tables are set: cached
-        values such as `cover_pairs` do not hold in the dual."""
+        dual of a lattice is a lattice. Only the order and the operation
+        tables already built are carried over, swapped; the others are
+        built on first read. Cached values such as `cover_pairs` do not
+        hold in the dual."""
         out = object.__new__(Lattice)
         out.labels, out.name = self.labels, self.name
         out.up, out.down = self.down, self.up
-        out.meet_t, out.join_t = self.join_t, self.meet_t
         out.bottom, out.top = self.top, self.bottom
+        built = self.__dict__
+        if "meet_t" in built:
+            out.join_t = built["meet_t"]
+        if "join_t" in built:
+            out.meet_t = built["join_t"]
         return out
 
     # -- interchange --------------------------------------------------------

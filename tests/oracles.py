@@ -20,6 +20,11 @@ against the join condition, pair by pair. The ideal-side oracles (ideals,
 prime ideals, join irreducibility) are the filter-side ones applied to
 `lat.dual()`, which is itself checked against `Lattice()` validation.
 
+`Lattice()` validation, which makes one join lookup per incomparable pair
+and builds the meet and join tables on first read, is checked against
+`validated_eagerly`, the eager build it replaced: the same exception for
+every input, and the same tables for every lattice.
+
 `named` chains and divisor lattices are checked against the build they
 replaced, which closes label covers (consecutive chain labels, divisors
 with a prime quotient) through `Lattice.from_covers`. So are the ordinal
@@ -33,9 +38,71 @@ from math import isqrt
 
 from latkit import Lattice, Partition, is_congruence
 from latkit.construct import _display
-from latkit.core import _chain_labels, bits, mask_of
-from latkit.errors import EmptyFamily, LatticeError, TrivialSummand
+from latkit.core import _chain_labels, _check_labels, bits, mask_of
+from latkit.errors import (
+    BadInput,
+    CycleDetected,
+    EmptyFamily,
+    LatticeError,
+    NoBounds,
+    NotALattice,
+    TrivialSummand,
+)
 from latkit.verify import _invariants, _isomorphism
+
+
+def validated_eagerly(labels, up):
+    """The order tables of `Lattice(labels, up)`, as a dict, from the eager
+    validation that fills both operation tables pair by pair, or the
+    exception it raises."""
+    labels = tuple(labels)
+    up = tuple(up)
+    n = len(labels)
+    if n == 0:
+        raise NoBounds("empty carrier")
+    _check_labels(labels)
+    if len(up) != n:
+        raise BadInput("labels and up masks differ in length")
+    full = (1 << n) - 1
+    for i in range(n):
+        row = up[i]
+        if row & ~full:
+            raise BadInput("up mask references out-of-range elements")
+        if not (row >> i) & 1:
+            raise NotALattice(labels[i], labels[i], "order not reflexive")
+    for i in range(n):
+        for j in bits(up[i]):
+            if j != i and (up[j] >> i) & 1:
+                raise CycleDetected(
+                    f"{labels[i]!r} and {labels[j]!r} are mutually comparable"
+                )
+            if up[j] & ~up[i]:
+                raise NotALattice(labels[i], labels[j], "order not transitive")
+    down = [0] * n
+    for i in range(n):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+    bottoms = [i for i in range(n) if up[i] == full]
+    tops = [i for i in range(n) if down[i] == full]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NoBounds(
+            f"need unique bottom and top, found {len(bottoms)} bottom(s) "
+            f"and {len(tops)} top(s)"
+        )
+    up_id = {up[i]: i for i in range(n)}
+    down_id = {down[i]: i for i in range(n)}
+    meet_t = [[0] * n for _ in range(n)]
+    join_t = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k = up_id.get(up[i] & up[j])
+            if k is None:
+                raise NotALattice(labels[i], labels[j], "no unique least upper bound")
+            join_t[i][j] = join_t[j][i] = k
+            meet_t[i][j] = meet_t[j][i] = down_id.get(down[i] & down[j])
+    return {"down": tuple(down), "meet_t": tuple(map(tuple, meet_t)),
+            "join_t": tuple(map(tuple, join_t)), "bottom": bottoms[0],
+            "top": tops[0]}
 
 
 def iter_partitions(n):

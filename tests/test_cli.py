@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from latkit import named
-from latkit.cli import main
+from latkit import cli, named
+from latkit.cli import build_parser, main
+from latkit.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,62 @@ def test_export_json_round_trips_via_file(capsys, tmp_path):
     code, out2, _ = run_cli(capsys, "analyze", f'file("{target}")')
     assert code == 0
     assert "elements (5): 0 x y z 1" in out2
+
+
+BOWTIE = {"elements": ["0", "a", "b", "c", "d", "1"],
+          "covers": [["0", "a"], ["0", "b"], ["a", "c"], ["b", "c"],
+                     ["a", "d"], ["b", "d"], ["c", "1"], ["d", "1"]]}
+
+
+def test_a_bowtie_file_names_its_first_pair_without_a_join(capsys, tmp_path):
+    target = tmp_path / "bowtie.json"
+    target.write_text(json.dumps(BOWTIE))
+    code, out, err = run_cli(capsys, "analyze", f'file("{target}")')
+    assert (code, out) == (2, "")
+    assert err == "error: no unique least upper bound for pair ('a', 'b')\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "chain(400)"),
+    ("export", "--format", "dot", "osum(chain(200),chain(200))"),
+    ("ideals", "chain(300)"),
+])
+def test_export_and_ideals_build_no_operation_table(capsys, monkeypatch, argv):
+    built = []
+    evaluate = cli._eval_arg
+
+    def evaluate_and_keep(text):
+        built.append(evaluate(text))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_eval_arg", evaluate_and_keep)
+    assert run_cli(capsys, *argv)[0] == 0
+    (lat,) = built
+    assert "join_t" not in lat.__dict__ and "meet_t" not in lat.__dict__
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    sequence = [
+        ("verify", "--suite", "prime", "--count", "0", "--con-cap", "20"),
+        ("verify", "--count", "0"),
+        ("congruences", "--dot", "N5"),
+        ("congruences", "N5"),
+        ("export", "--format", "dot", "N5"),
+        ("export", "N5"),
+    ]
+    outs = []
+    for argv in sequence:
+        fresh = build_parser.__wrapped__().parse_args(argv)
+        assert vars(build_parser().parse_args(argv)) == vars(fresh), argv
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        outs.append(out)
+    # without --suite every suite runs
+    checks = {line.split(":")[0] for line in outs[1].splitlines()[:-1]}
+    assert len(checks) == len(SUITES)
+    assert outs[3].startswith("|Con|=5\n")
+    assert json.loads(outs[5]) == named("N5").to_dict()
 
 
 def test_export_dot(capsys):

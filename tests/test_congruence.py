@@ -203,6 +203,19 @@ def test_prime_congruences_past_two_hundred_members():
         assert primes == maximal_congruences(chain)
 
 
+def test_prime_congruences_past_the_member_cap():
+    # Con(chain(30)) has 2^29 members, too many to list; its primes are
+    # the 29 partitions that split the chain at one cover.
+    chain = named("chain", 30)
+    with pytest.raises(SizeCapExceeded):
+        all_congruences(chain)
+    primes = prime_congruences(chain)
+    assert [p.blocks() for p in primes] == [
+        [list(range(k)), list(range(k, 30))] for k in range(29, 0, -1)]
+    with pytest.raises(SizeCapExceeded):
+        prime_congruences(chain, cap=29)
+
+
 def test_quotient():
     n5 = named("N5")
     xi = eq_from_blocks(n5, [{"0", "x"}, {"y", "z", "1"}])

@@ -21,7 +21,9 @@ from oracles import (
     named_by_covers,
     join_irreducible_by_pairs,
     meet_irreducible_by_pairs,
+    validated_eagerly,
 )
+from test_construct import _constructions
 
 
 def test_from_covers_three_chain():
@@ -188,6 +190,33 @@ def test_dual_is_the_validated_reversed_order(engine_pool):
         back = dual.dual()
         for table in TABLES:
             assert getattr(back, table) == getattr(lat, table), (lat, table)
+
+
+def test_validation_builds_the_tables_of_the_eager_build(engine_pool):
+    pool = enumerate_lattices(8) + corpus(7, 100, 12)
+    pool += [result for result, _, _ in _constructions(engine_pool)]
+    for lat in pool:
+        want = validated_eagerly(lat.labels, lat.up)
+        got = Lattice(lat.labels, lat.up)
+        for table in want:
+            assert getattr(got, table) == want[table], (lat, table)
+
+
+def test_validation_builds_no_operation_table():
+    lat = named("chain", 400)
+    assert "meet_t" not in lat.__dict__ and "join_t" not in lat.__dict__
+    assert lat.join(3, 7) == 7 and lat.meet(3, 7) == 3
+    assert "meet_t" in lat.__dict__ and "join_t" in lat.__dict__
+
+
+def test_the_dual_takes_only_the_tables_already_built():
+    lat = named("div", 720)
+    lat.meet_t
+    dual = lat.dual()
+    assert dual.__dict__["join_t"] is lat.meet_t
+    assert "meet_t" not in dual.__dict__ and "join_t" not in lat.__dict__
+    assert dual.meet_t == Lattice(lat.labels, lat.down).meet_t
+    assert "join_t" not in lat.__dict__
 
 
 def test_dual_cover_pairs_are_reversed_after_a_cached_read(engine_pool):

@@ -1,5 +1,5 @@
-"""Property tests of the expression language, the CLI's exit codes and
-the JSON input.
+"""Property tests of the expression language, the CLI's exit codes, the
+JSON input and `Lattice()` validation.
 
 Atoms stay small (chains of up to 8 elements and the named lattices) and
 no expression reads a file, so every example runs in milliseconds. JSON
@@ -22,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from latkit import Lattice, cli, evaluate, parse, render
 from latkit.errors import LatticeError
 from latkit.expr import Dilation, FileAtom, HSum, IHSum, NamedAtom, OSum
+
+from oracles import validated_eagerly
 
 LABELS = ("0", "1", "a", "x", "e3")
 
@@ -150,3 +152,61 @@ def test_json_file_loads_or_raises_a_lattice_error(text):
             fh.write(text)
         _loads_or_raises(lambda _: evaluate(parse(render(FileAtom(path)))),
                          text)
+
+
+@st.composite
+def up_masks(draw):
+    """Up-mask tuples on up to 7 elements: raw masks (often not reflexive,
+    sometimes out of range), reflexive relations (often not transitive),
+    closed relations (often cyclic), orders, bounded or not, and bounded
+    orders with a planted bowtie, which often lack a join. Orders are
+    drawn on a linear extension and then relabelled."""
+    kind = draw(st.sampled_from(("raw", "reflexive", "closed", "order",
+                                 "bounded", "bowtie")))
+    n = draw(st.integers(6 if kind == "bowtie" else 1, 7))
+    full = (1 << n) - 1
+    if kind == "raw":
+        return tuple(draw(st.lists(st.integers(0, 2 * full + 1),
+                                   min_size=n, max_size=n)))
+    up = draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+    if kind in ("order", "bounded", "bowtie"):  # sparse and acyclic
+        sparse = draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+        up = [m & s & -(1 << i) for i, (m, s) in enumerate(zip(up, sparse))]
+    if kind == "bowtie":  # a, b below both c and d: often no join
+        a, b, c, d = draw(st.lists(st.integers(1, n - 2), min_size=4,
+                                   max_size=4, unique=True).map(sorted))
+        up[a] |= 1 << c | 1 << d
+        up[b] |= 1 << c | 1 << d
+    if kind in ("bounded", "bowtie"):
+        up = [full] + [m | 1 << (n - 1) for m in up[1:]]
+    up = [m | 1 << i for i, m in enumerate(up)]
+    if kind == "reflexive":
+        return tuple(up)
+    for k in range(n):  # Warshall: close transitively
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    perm = draw(st.permutations(range(n)))
+    out = [0] * n
+    for i, m in enumerate(up):
+        for j in range(n):
+            if m >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return tuple(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(up_masks())
+def test_validation_raises_what_the_eager_build_raises(up):
+    labels = [f"e{i}" for i in range(len(up))]
+    try:
+        want = validated_eagerly(labels, up)
+    except LatticeError as e:
+        with pytest.raises(LatticeError) as got:
+            Lattice(labels, up)
+        assert type(got.value) is type(e)
+        assert str(got.value) == str(e)
+        return
+    lat = Lattice(labels, up)
+    for table, value in want.items():
+        assert getattr(lat, table) == value, table
