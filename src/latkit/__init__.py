@@ -20,17 +20,14 @@ from .equiv import (
 from .congruence import (
     ConLattice,
     all_congruences,
-    con01,
     con_summary,
     congruence_generated,
     is_simple,
     is_subdirectly_irreducible,
-    maximal_congruences,
     mu_con01,
     prime_congruences,
     principal_congruence,
     quotient,
-    two_class_congruences,
 )
 from .filters import (
     SubsetFamily,

@@ -16,7 +16,7 @@ from .errors import LatticeError, SizeCapExceeded
 from .expr import evaluate, parse
 from .filters import all_filters, all_ideals, prime_filters, prime_ideals
 from .dot import con_dot, lattice_dot
-from .verify import SUITES, reports_to_json, run_suite
+from .verify import SUITES, isomorphic, reports_to_json, run_suite
 
 
 def _eval_arg(text):
@@ -106,8 +106,6 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    from .verify import isomorphic
-
     a = _eval_arg(args.left)
     b = _eval_arg(args.right)
     mapping = isomorphic(a, b)

@@ -44,18 +44,20 @@ it enumerates, OR-folds the closures, keys each mask once by its block
 map and sorts the members into a fixed canonical order (more blocks
 first, then by block map), so that listings and goldens are
 deterministic. A ConLattice keeps each member's mask and block map and
-builds its Partition on first use.
+builds the tuple of Partitions only when `members` is first read. It
+answers what needs the members or their order (con01, covers, coatoms);
+|Con|, μ, the monolith, simplicity and the primes have one reader each
+among the functions below, which read the closures.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cached_property, reduce
 from math import prod
-from operator import and_
+from operator import and_, or_
 from typing import NamedTuple, Optional
 
-from .core import Lattice, bits
+from .core import Lattice, bits, mask_of
 from .equiv import Partition, is_congruence
 from .errors import NotACongruence, SizeCapExceeded
 
@@ -187,32 +189,6 @@ def congruence_generated(lat, pairs) -> Partition:
     return _partition(jbelow, s)
 
 
-class _Members(Sequence):
-    """A ConLattice's members as Partitions, each built on first use."""
-
-    def __init__(self, maps):
-        self._maps = maps
-        self._built = [None] * len(maps)
-
-    def __len__(self):
-        return len(self._maps)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        p = self._built[i]
-        if p is None:
-            p = self._built[i] = Partition._of_canonical(self._maps[i])
-        return p
-
-    def __iter__(self):
-        built = self._built
-        if None in built:
-            built[:] = [p or Partition._of_canonical(bo)
-                        for p, bo in zip(built, self._maps)]
-        return iter(built)
-
-
 class ConLattice:
     """All congruences of a lattice, ordered by refinement.
 
@@ -221,8 +197,8 @@ class ConLattice:
     i-th member (see the module docstring), so member i refines member j
     iff masks[i] is a subset of masks[j]. `closure[t]` is the D*-closure
     of the t-th join-irreducible. `block_maps[i]` is the least-member block
-    map of the i-th member, and `members[i]`, the member as a Partition,
-    is built from it on first use.
+    map of the i-th member; `members`, the tuple of members as Partitions,
+    is built from the block maps on first read.
     """
 
     def __init__(self, base: Lattice, jbelow, closure, masks, block_maps):
@@ -231,12 +207,15 @@ class ConLattice:
         self.masks = tuple(masks)
         self._jbelow = jbelow
         self.block_maps = tuple(block_maps)
-        self.members = _Members(self.block_maps)
         # delta alone has |L| blocks and nabla alone one
         self.delta_ix, self.nabla_ix = 0, len(self.masks) - 1
 
     def __len__(self):
         return len(self.masks)
+
+    @cached_property
+    def members(self):
+        return tuple(map(Partition._of_canonical, self.block_maps))
 
     @cached_property
     def _map_index(self):
@@ -273,26 +252,10 @@ class ConLattice:
     def leq(self, i: int, j: int) -> bool:
         return not self.masks[i] & ~self.masks[j]
 
-    @cached_property
-    def _mu_mask(self):
-        return _mu(self.base, self._jbelow, self.closure)
-
-    def con01_indices(self):
-        """Members whose 0- and 1-classes are singletons: those below μ."""
-        mu = self._mu_mask
-        return [i for i, s in enumerate(self.masks) if not s & ~mu]
-
     def con01_members(self):
-        return [self.members[i] for i in self.con01_indices()]
-
-    def mu_con01(self) -> Partition:
-        """Largest congruence keeping the 0- and 1-classes singletons."""
-        return self.members[self.masks.index(self._mu_mask)]
-
-    def monolith(self):
-        """Least member above the identity, or None when there is none."""
-        mono = _monolith(self.closure)
-        return self.members[self.masks.index(mono)] if mono else None
+        """Members whose 0- and 1-classes are singletons: those below μ."""
+        mu = _mu(self.base, self._jbelow, self.closure)
+        return [m for m, s in zip(self.members, self.masks) if not s & ~mu]
 
     def covers(self):
         """Pairs (i, j) where members[j] covers members[i].
@@ -375,22 +338,11 @@ def con_summary(lat, cap: int = DEFAULT_CON_CAP) -> ConSummary:
     )
 
 
-def con01(lat, cap: int = DEFAULT_CON_CAP):
-    """Congruences whose bottom and top classes are singletons."""
-    return all_congruences(lat, cap).con01_members()
-
-
 def mu_con01(lat, cap: int = DEFAULT_CON_CAP) -> Partition:
     """Largest congruence keeping the 0- and 1-classes singletons."""
     _check_cap(lat, cap)
     jbelow, closure = _dependency(lat)
     return _partition(jbelow, _mu(lat, jbelow, closure))
-
-
-def maximal_congruences(lat, cap: int = DEFAULT_CON_CAP):
-    """Coatoms of the congruence lattice."""
-    con = all_congruences(lat, cap)
-    return [con.members[i] for i in con.coatoms()]
 
 
 def prime_congruences(lat, cap: int = DEFAULT_CON_CAP):
@@ -408,41 +360,22 @@ def prime_congruences(lat, cap: int = DEFAULT_CON_CAP):
     return sorted(primes, key=lambda p: (-p.num_blocks, p.block_of))
 
 
-def two_class_congruences(lat, cap: int = DEFAULT_CON_CAP):
-    con = all_congruences(lat, cap)
-    return [m for m in con.members if m.num_blocks == 2]
-
-
 def quotient(lat, p: Partition):
     """Quotient lattice and the projection element -> block index."""
     if p.n != lat.n or not is_congruence(lat, p):
         raise NotACongruence("quotient requires a congruence of the lattice")
     blocks = p.blocks()
     pos = {block[0]: k for k, block in enumerate(blocks)}
-    labels = []
-    for block in blocks:
-        if len(block) == 1:
-            labels.append(lat.labels[block[0]])
-        else:
-            labels.append("{" + ",".join(lat.labels[i] for i in block) + "}")
-    masks = []
-    for block in blocks:
-        m = 0
-        for i in block:
-            m |= 1 << i
-        masks.append(m)
-    k = len(blocks)
+    projection = tuple(pos[b] for b in p.block_of)
+    labels = [lat.labels[block[0]] if len(block) == 1 else
+              "{" + ",".join(lat.labels[i] for i in block) + "}"
+              for block in blocks]
     up = []
-    for x, bx in enumerate(blocks):
-        row = 0
-        for y in range(k):
-            if any(lat.up[i] & masks[y] for i in bx):
-                row |= 1 << y
-        up.append(row)
+    for block in blocks:  # below block y iff some member is below one of y
+        above = reduce(or_, (lat.up[i] for i in block))
+        up.append(mask_of(projection[j] for j in bits(above)))
     name = f"{lat.name}/~" if lat.name else ""
-    result = Lattice(labels, up, name=name)
-    projection = tuple(pos[p.block_of[i]] for i in range(lat.n))
-    return result, projection
+    return Lattice(labels, up, name=name), projection
 
 
 def is_simple(lat, cap: int = DEFAULT_CON_CAP) -> bool:

@@ -12,7 +12,6 @@ from latkit import (
     all_congruences,
     all_filters,
     all_ideals,
-    con01,
     corpus,
     delta,
     dilate,
@@ -226,7 +225,7 @@ def test_criterion_09_square_sum_simplicity():
         square = named("B2")
         trivial_seen = 0
         for s in pool:
-            members01 = con01(s)
+            members01 = all_congruences(s).con01_members()
             h, _ = horizontal_sum([s, square])
             assert len(all_congruences(h).members) == len(members01) + 1, s.name
             if len(members01) == 1:

@@ -7,7 +7,6 @@ import pytest
 from latkit import (
     Partition,
     all_congruences,
-    con01,
     con_summary,
     congruence_generated,
     corpus,
@@ -17,19 +16,18 @@ from latkit import (
     is_simple,
     is_subdirectly_irreducible,
     isomorphic,
-    maximal_congruences,
     mu_con01,
     named,
     nabla,
     prime_congruences,
     principal_congruence,
     quotient,
-    two_class_congruences,
 )
 from latkit.construct import dilate
 from latkit import congruence
 from latkit.errors import NotACongruence, SizeCapExceeded
 from latkit.dot import con_dot
+from latkit.equiv import block_renderer
 from oracles import (
     closed_sets_by_definition,
     coatoms_by_order,
@@ -134,12 +132,25 @@ def test_all_congruences_cap():
         all_congruences(named("div", 12), cap=4)
 
 
+def coatom_members(lat):
+    con = all_congruences(lat)
+    return [con.members[i] for i in con.coatoms()]
+
+
+def maximal_primes(lat):
+    """The refinement-maximal prime congruences: in the distributive Con(L)
+    these are its coatoms, read without listing Con(L)."""
+    primes = prime_congruences(lat)
+    return [p for p in primes
+            if not any(p != q and p.leq(q) for q in primes)]
+
+
 def test_con01():
     b2 = named("B2")
-    assert con01(b2) == [delta(b2)]
+    assert all_congruences(b2).con01_members() == [delta(b2)]
     n5 = named("N5")
     zeta = eq_from_blocks(n5, [{"y", "z"}])
-    assert set(con01(n5)) == {delta(n5), zeta}
+    assert set(all_congruences(n5).con01_members()) == {delta(n5), zeta}
     k = named("K")
     assert mu_con01(k) == delta(k)
     assert mu_con01(n5) == zeta
@@ -148,7 +159,7 @@ def test_con01():
 def test_con01_is_the_interval_below_mu():
     for lat in corpus(3, 8, 8):
         con = all_congruences(lat)
-        mu = con.mu_con01()
+        mu = mu_con01(lat)
         sel = set(con.con01_members())
         assert mu in sel
         assert sel == {m for m in con.members if m.leq(mu)}
@@ -158,7 +169,7 @@ def test_con01_members_have_three_blocks_when_nontrivial():
     for lat in corpus(4, 8, 8):
         if lat.n <= 2:
             continue
-        for m in con01(lat):
+        for m in all_congruences(lat).con01_members():
             assert m.num_blocks >= 3
 
 
@@ -166,15 +177,21 @@ def test_maximal_congruences():
     b2 = named("B2")
     alpha = eq_from_blocks(b2, [{"0", "a"}, {"b", "1"}])
     beta = eq_from_blocks(b2, [{"0", "b"}, {"a", "1"}])
-    assert set(maximal_congruences(b2)) == {alpha, beta}
+    assert set(coatom_members(b2)) == set(maximal_primes(b2)) == {alpha, beta}
 
 
 def test_maximal_congruences_are_prime():
     for lat in (named("B2"), named("M3"), named("N5"), named("K"),
                 named("div", 12)):
         primes = set(prime_congruences(lat))
-        for m in maximal_congruences(lat):
+        for m in coatom_members(lat):
             assert m in primes
+
+
+def test_maximal_primes_are_the_coatoms(engine_pool):
+    # the pool holds the census up to 8 and a random corpus up to 12
+    for lat in engine_pool:
+        assert set(maximal_primes(lat)) == set(coatom_members(lat)), lat
 
 
 def test_identity_not_prime_on_the_three_chain():
@@ -200,18 +217,20 @@ def test_prime_congruences_past_two_hundred_members():
         chain = named("chain", n)
         primes = prime_congruences(chain)
         assert len(primes) == n - 1
-        assert primes == maximal_congruences(chain)
+        assert primes == coatom_members(chain)
 
 
 def test_prime_congruences_past_the_member_cap():
     # Con(chain(30)) has 2^29 members, too many to list; its primes are
-    # the 29 partitions that split the chain at one cover.
+    # the 29 partitions that split the chain at one cover, and all are
+    # coatoms.
     chain = named("chain", 30)
     with pytest.raises(SizeCapExceeded):
         all_congruences(chain)
     primes = prime_congruences(chain)
     assert [p.blocks() for p in primes] == [
         [list(range(k)), list(range(k, 30))] for k in range(29, 0, -1)]
+    assert maximal_primes(chain) == primes
     with pytest.raises(SizeCapExceeded):
         prime_congruences(chain, cap=29)
 
@@ -233,7 +252,8 @@ def test_quotient():
 
 
 def test_quotient_projection_preserves_operations():
-    for lat in (named("N5"), named("K"), named("div", 12)):
+    for lat in (named("N5"), named("K"), named("div", 12),
+                *enumerate_lattices(6)):
         for theta in all_congruences(lat).members:
             q, proj = quotient(lat, theta)
             for x in range(lat.n):
@@ -249,12 +269,15 @@ def test_quotient_rejects_non_congruence():
 
 
 def test_two_class_congruences():
-    assert two_class_congruences(named("M3")) == []
+    def two_class(lat):
+        return [m for m in all_congruences(lat).members if m.num_blocks == 2]
+
+    assert two_class(named("M3")) == []
     b2 = named("B2")
-    assert len(two_class_congruences(b2)) == 2
+    assert len(two_class(b2)) == 2
     k = named("K")
     mu = eq_from_blocks(k, [{"m", "1"}, {"0", "n", "p", "q"}])
-    assert two_class_congruences(k) == [mu]
+    assert two_class(k) == [mu]
 
 
 def test_is_simple():
@@ -318,8 +341,8 @@ def test_engine_matches_the_partition_oracles(engine_pool):
         assert list(con.members) == want["members"], lat
         assert con.order == want["order"], lat
         assert con.coatoms() == want["coatoms"], lat
-        assert con.con01_indices() == want["con01"], lat
-        assert con.mu_con01() == want["mu"], lat
+        assert con.con01_members() == \
+            [want["members"][i] for i in want["con01"]], lat
         assert is_simple(lat) == want["simple"], lat
         assert is_subdirectly_irreducible(lat) == want["si"], lat
         got = con_summary(lat)
@@ -375,10 +398,11 @@ def test_closure_reads_match_the_listing(engine_pool):
         mono = reduce(Partition.meet, proper) if proper else delta_
         got = con_summary(lat)
         assert got.size == len(ms) == len(con), lat
-        assert got.size01 == len(sel) == len(con.con01_indices()), lat
+        assert got.size01 == len(sel), lat
+        assert con.con01_members() == sel, lat
         mu = reduce(Partition.join, sel, delta_)
-        assert mu_con01(lat) == con.mu_con01() == mu, lat
-        assert got.monolith == con.monolith() == \
+        assert mu_con01(lat) == mu, lat
+        assert got.monolith == is_subdirectly_irreducible(lat)[1] == \
             (None if mono == delta_ else mono), lat
         assert got.simple == is_simple(lat) == (ms == [delta_, nabla_] and
                                                  lat.n >= 2), lat
@@ -422,10 +446,15 @@ def test_the_listing_is_refused_on_the_count(monkeypatch):
 
 
 def test_members_are_built_on_first_use():
-    con = all_congruences(named("chain", 10))
-    assert con.members._built.count(None) == len(con) == 512
-    assert con.members[-1] == nabla(named("chain", 10))
-    assert con.members[:2] == [con.members[0], con.members[1]]
-    assert con.members._built.count(None) == 509
+    # Listing Con(L), its DOT and its rendered block maps build no Partition.
+    lat = named("chain", 10)
+    con = all_congruences(lat)
+    assert "members" not in con.__dict__
+    con_dot(con)
+    assert "members" not in con.__dict__
+    list(map(block_renderer(lat.labels), con.block_maps))
+    assert "members" not in con.__dict__
+    assert type(con.members) is tuple and len(con.members) == len(con) == 512
     assert [p.block_of for p in con.members] == list(con.block_maps)
+    assert con.members[-1] == nabla(lat)
     assert con.index_of(con.members[7]) == 7
