@@ -7,7 +7,7 @@ constructions (ordinal, horizontal, interval substitution, dilation),
 an isomorphism test, a random corpus, and a theorem-checking suite.
 """
 
-from .core import Lattice, NAMED_KINDS, named
+from .core import Lattice, named
 from .equiv import (
     Partition,
     are_blocks_convex,

@@ -14,7 +14,7 @@ from .congruence import DEFAULT_CON_CAP, all_congruences, con_summary
 from .equiv import block_renderer
 from .errors import LatticeError, SizeCapExceeded
 from .expr import evaluate, parse
-from .filters import all_filters, all_ideals, prime_filters, prime_ideals
+from .filters import all_filters, all_ideals
 from .dot import con_dot, lattice_dot
 from .verify import SUITES, isomorphic, reports_to_json, run_suite
 
@@ -38,12 +38,11 @@ def _family_lines(lat, family):
     return out
 
 
-def _spectra_lines(lat):
+def _spectra_lines(lat, filters, ideals):
     out = []
-    for title, family in (("Spec_Filt:", prime_filters),
-                          ("Spec_Id:", prime_ideals)):
+    for title, family in (("Spec_Filt:", filters), ("Spec_Id:", ideals)):
         out.append(title)
-        for m in sorted(family(lat).members,
+        for m in sorted(family.prime_members(),
                         key=lambda m: lat.labels[m.generator]):
             out.append("  " + _set_text(lat, m.elements))
     return out
@@ -51,14 +50,15 @@ def _spectra_lines(lat):
 
 def _cmd_analyze(args) -> int:
     lat = _eval_arg(args.expr)
+    filters, ideals = all_filters(lat), all_ideals(lat)
     lines = [
         f"expr: {args.expr}",
         f"elements ({lat.n}): {' '.join(lat.labels)}",
         f"bottom={lat.labels[lat.bottom]} top={lat.labels[lat.top]}",
         f"|L|={lat.n}",
-        f"|Filt|={len(all_filters(lat))}",
-        f"|Id|={len(all_ideals(lat))}",
-        *_spectra_lines(lat),
+        f"|Filt|={len(filters)}",
+        f"|Id|={len(ideals)}",
+        *_spectra_lines(lat, filters, ideals),
     ]
     if lat.n > args.con_cap:
         lines.append(f"|Con|=? ({lat.n} elements exceeds --con-cap {args.con_cap})")
@@ -100,7 +100,7 @@ def _cmd_family(args, family) -> int:
 
 def _cmd_spectra(args) -> int:
     lat = _eval_arg(args.expr)
-    for line in _spectra_lines(lat):
+    for line in _spectra_lines(lat, all_filters(lat), all_ideals(lat)):
         print(line)
     return 0
 
@@ -162,55 +162,51 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The latkit parser, built once per process: parsing keeps no state
     in it, so every call of `main` can share it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--con-cap", type=int, default=DEFAULT_CON_CAP,
-                        help="max lattice size for congruence enumeration")
-    common.add_argument("--seed", type=int, default=7)
-    common.add_argument("--quiet", action="store_true")
     parser = argparse.ArgumentParser(
         prog="latkit",
         description="Finite bounded-lattice computations: congruences, "
                     "filters, ideals, spectra, sum constructions and a "
                     "verification suite.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    # --con-cap goes only to the commands that read it
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--con-cap", type=int, default=DEFAULT_CON_CAP,
+                        help="max lattice size for congruence enumeration")
+
+    p = sub.add_parser("analyze", parents=[capped],
                        help="sizes, spectra, congruence summary")
     p.set_defaults(func=_cmd_analyze)
     p.add_argument("expr")
-    p = sub.add_parser("congruences", parents=[common],
+    p = sub.add_parser("congruences", parents=[capped],
                        help="list every congruence")
     p.set_defaults(func=_cmd_congruences)
     p.add_argument("expr")
     p.add_argument("--dot", action="store_true",
                    help="emit the congruence order as DOT instead")
-    p = sub.add_parser("filters", parents=[common],
-                       help="list all filters, primes flagged P")
+    p = sub.add_parser("filters", help="list all filters, primes flagged P")
     p.set_defaults(func=lambda args: _cmd_family(args, all_filters))
     p.add_argument("expr")
-    p = sub.add_parser("ideals", parents=[common],
-                       help="list all ideals, primes flagged P")
+    p = sub.add_parser("ideals", help="list all ideals, primes flagged P")
     p.set_defaults(func=lambda args: _cmd_family(args, all_ideals))
     p.add_argument("expr")
-    p = sub.add_parser("spectra", parents=[common],
-                       help="prime filters and prime ideals")
+    p = sub.add_parser("spectra", help="prime filters and prime ideals")
     p.set_defaults(func=_cmd_spectra)
     p.add_argument("expr")
-    p = sub.add_parser("iso", parents=[common],
-                       help="search for an isomorphism")
+    p = sub.add_parser("iso", help="search for an isomorphism")
     p.set_defaults(func=_cmd_iso)
     p.add_argument("left")
     p.add_argument("right")
-    p = sub.add_parser("export", parents=[common],
-                       help="write the lattice as JSON or DOT")
+    p = sub.add_parser("export", help="write the lattice as JSON or DOT")
     p.set_defaults(func=_cmd_export)
     p.add_argument("expr")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[capped],
                        help="run the theorem-checking suites")
     p.set_defaults(func=_cmd_verify)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--quiet", action="store_true")
     p.add_argument("--suite", action="append", default=[],
                    help=f"comma-separated from: all, {', '.join(SUITES)}")
     p.add_argument("--count", type=int, default=25)

@@ -357,8 +357,6 @@ _SMALL = {
           ("0m", "m1", "0n", "np", "0q", "qp", "p1")),
 }
 
-NAMED_KINDS = ("chain", "B2", "M3", "N5", "K", "div")
-
 
 def named(name: str, *params: int) -> Lattice:
     """Canonical small lattices used throughout the test corpus.

@@ -132,9 +132,9 @@ def _tokenize(text: str):
             out.append(_Token("string", "".join(buf), i + 1))
             i = j + 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # exactly the digits int() reads; not "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(_Token("int", int(text[i:j]), i + 1))
             i = j
@@ -256,6 +256,8 @@ def evaluate(node) -> Lattice:
                 text = Path(nd.path).read_text()
             except UnicodeDecodeError as e:
                 raise BadInput(f"{nd.path}: not UTF-8 text ({e.reason})") from None
+            except ValueError as e:  # a NUL in the path
+                raise BadInput(f"{nd.path!r}: {e}") from None
             return Lattice.from_json(text, name=f"file({json.dumps(nd.path)})")
         if isinstance(nd, OSum):
             return construct.ordinal_sum(ev(nd.lower), ev(nd.upper))[0]

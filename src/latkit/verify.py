@@ -154,11 +154,10 @@ def _invariants(lat):
             for i in range(n)
         ]
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        inv = [(rank[keys[i]],) for i in range(n)]
-        new_classes = len(set(inv))
-        if new_classes == classes:
-            return [v[0] if len(v) == 1 else v for v in inv]
-        classes = new_classes
+        inv = [rank[k] for k in keys]
+        if len(rank) == classes:
+            return inv
+        classes = len(rank)
 
 
 def isomorphic(a: Lattice, b: Lattice):
@@ -663,12 +662,9 @@ def check_cghsum(A: Lattice, B: Lattice,
         if hsum_congruences([(A, ra), (B, rb)]) != theta:
             problems.append({"reassembly_differs": theta.render(H.labels)})
         trips.append((theta, conA.index_of(ra), conB.index_of(rb)))
-    oa, ob = conA.order, conB.order
     for theta, a1, b1 in trips:
         for theta2, a2, b2 in trips:
-            lhs = theta.leq(theta2)
-            rhs = ((oa[a1] >> a2) & 1) and ((ob[b1] >> b2) & 1)
-            if lhs != bool(rhs):
+            if theta.leq(theta2) != (conA.leq(a1, a2) and conB.leq(b1, b2)):
                 problems.append({
                     "order_mismatch": [theta.render(H.labels),
                                        theta2.render(H.labels)],

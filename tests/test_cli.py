@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -146,6 +147,53 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys):
     assert len(checks) == len(SUITES)
     assert outs[3].startswith("|Con|=5\n")
     assert json.loads(outs[5]) == named("N5").to_dict()
+
+
+def _options(parser):
+    return {o for a in parser._actions for o in a.option_strings
+            if o.startswith("--") and o != "--help"}
+
+
+def test_each_option_is_declared_only_where_it_is_read():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert _options(parser) == set()
+    assert {name: _options(p) for name, p in sub.choices.items()} == {
+        "analyze": {"--con-cap"},
+        "congruences": {"--con-cap", "--dot"},
+        "filters": set(),
+        "ideals": set(),
+        "spectra": set(),
+        "iso": set(),
+        "export": {"--format"},
+        "verify": {"--con-cap", "--seed", "--quiet", "--suite", "--count",
+                   "--max-size", "--json", "--census", "--inject-fault"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--con-cap", "5", "congruences", "chain(10)"],
+    ["--seed", "3", "verify"],
+    ["--quiet", "verify"],
+    ["filters", "--con-cap", "5", "B2"],
+])
+def test_an_option_where_it_is_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "latkit: error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "chain(\u00b2)"],
+    ["analyze", 'file("a\x00b.json")'],
+])
+def test_odd_digits_and_nul_paths_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and err.startswith("error:")
 
 
 def test_export_dot(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from latkit import evaluate, isomorphic, named, parse, render
-from latkit.errors import ArityError, ExprSyntaxError, UnknownLabel
+from latkit.errors import ArityError, BadInput, ExprSyntaxError, UnknownLabel
 from latkit.expr import MAX_DEPTH, Dilation, HSum, NamedAtom, OSum
 
 
@@ -80,6 +80,18 @@ def test_evaluate_file_round_trip(tmp_path):
     lat = evaluate(parse(f'file("{target}")'))
     assert lat.labels == named("N5").labels
     assert lat.up == named("N5").up
+
+
+def test_digits_are_the_ones_int_reads():
+    assert parse("chain(\u0663)") == NamedAtom("chain", 3)  # Arabic-Indic 3
+    for text in ("chain(\u00b2)", "div(1\u00b9)", "chain(\u2460)"):
+        with pytest.raises(ExprSyntaxError, match="unexpected character"):
+            parse(text)
+
+
+def test_a_nul_in_a_file_path_is_bad_input():
+    with pytest.raises(BadInput, match="null byte"):
+        evaluate(parse('file("a\x00b.json")'))
 
 
 def test_nesting_depth_is_limited():

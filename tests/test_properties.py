@@ -49,7 +49,7 @@ trees = st.recursive(
 # two of them never run together into a larger parameter.
 TOKENS = ("chain", "div", "B2", "M3", "N5", "K", "osum", "hsum", "ihsum",
           "D", "(", ")", ",", '"0"', '"1"', '"a"', '"', " ", "\\",
-          "-", "é", "\n")
+          "-", "é", "²", "\n")
 token_soup = st.lists(
     st.one_of(st.sampled_from(TOKENS), st.integers(0, 8).map(" {} ".format)),
     max_size=16,

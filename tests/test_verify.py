@@ -219,6 +219,19 @@ def test_check_cghsum_all_three_cases():
     assert r.passed and r.details["case"] == 0
 
 
+def test_check_cghsum_reads_the_product_order_off_con_leq(monkeypatch):
+    from latkit import ConLattice
+
+    c4 = named("chain", 4)
+    assert check_cghsum(c4, c4).passed
+    # Con01 of chain(4) has comparable members, so an order that holds
+    # everything comparable disagrees with the refinement of the sums
+    monkeypatch.setattr(ConLattice, "leq", lambda self, i, j: True)
+    r = check_cghsum(c4, c4)
+    assert r.status == "FAIL"
+    assert any("order_mismatch" in p for p in r.details["witness"])
+
+
 def test_check_multi_hsum():
     c3 = named("chain", 3)
     r = check_multi_hsum([c3, c3, c3])
