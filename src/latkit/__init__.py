@@ -46,7 +46,6 @@ from .filters import (
 )
 from .construct import (
     FatInterval,
-    SumProvenance,
     dilate,
     fat_intervals,
     horizontal_sum,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from .congruence import DEFAULT_CON_CAP, all_congruences, con_summary
@@ -131,31 +132,42 @@ def _cmd_verify(args) -> int:
     suites = []
     for chunk in args.suite:
         suites.extend(s for s in chunk.split(",") if s)
-    if not suites:
-        suites = ["all"]
-    reports = run_suite(
-        suites=tuple(suites),
-        seed=args.seed,
-        count=args.count,
-        max_size=args.max_size,
-        con_cap=args.con_cap,
-        inject_fault=args.inject_fault,
-        census=args.census,
-    )
-    failed = [r for r in reports if not r.passed and not r.skipped]
-    skipped = [r for r in reports if r.skipped]
-    for r in reports:
-        if not args.quiet or (not r.passed and not r.skipped):
-            print(r.line())
-    print(
-        f"{len(reports) - len(failed) - len(skipped)} passed, "
-        f"{len(failed)} failed, {len(skipped)} skipped"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
+    # an unwritable report path is refused before any check runs
+    with open(args.json, "w") if args.json else nullcontext() as fh:
+        reports = run_suite(
+            suites=tuple(suites or ["all"]),
+            seed=args.seed,
+            count=args.count,
+            max_size=args.max_size,
+            con_cap=args.con_cap,
+            inject_fault=args.inject_fault,
+            census=args.census,
+        )
+        failed = [r for r in reports if not r.passed and not r.skipped]
+        skipped = [r for r in reports if r.skipped]
+        for r in reports:
+            if not args.quiet or (not r.passed and not r.skipped):
+                print(r.line())
+        print(
+            f"{len(reports) - len(failed) - len(skipped)} passed, "
+            f"{len(failed)} failed, {len(skipped)} skipped"
+        )
+        if fh is not None:
             fh.write(reports_to_json(reports))
+    if args.json:
         print(f"report written to {args.json}")
     return 1 if failed else 0
+
+
+def _con_cap(text: str) -> int:
+    """A --con-cap value: an integer of at least 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
 
 
 @cache
@@ -172,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # --con-cap goes only to the commands that read it
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--con-cap", type=int, default=DEFAULT_CON_CAP,
+    capped.add_argument("--con-cap", type=_con_cap, default=DEFAULT_CON_CAP,
                         help="max lattice size for congruence enumeration")
 
     p = sub.add_parser("analyze", parents=[capped],

@@ -3,17 +3,18 @@
 Result labels are namespaced so goldens stay deterministic: "i.x" for
 summand i's interior element x, bare "0"/"1" for the glue points of a
 horizontal sum, and "l[a,b]" / "r[a,b]" for the pair inserted into the
-interval [a,b] by the dilation. A SumProvenance holds each summand's
-embedding, the result index of every summand element, and from these
-maps every result label back to the summand elements it came from; glue
-points trace to all summands. Each construction checks the size cap,
-assembles its up masks from its summands' and runs full lattice
-validation on them rather than trusting the construction.
+interval [a,b] by the dilation. Each construction returns the result
+and one embedding per summand: a tuple `e` with `e[x]` the result index
+of summand element x, so the glue points lie in the image of every
+summand, and a summand's labels carry over as
+`{lab: result.labels[e[x]] for x, lab in enumerate(summand.labels)}`.
+Each construction checks the size cap, assembles its up masks from its
+summands' and runs full lattice validation on them rather than trusting
+the construction.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .core import Lattice, _check_size, bits, mask_of
@@ -28,44 +29,6 @@ from .errors import (
     TrivialInput,
     TrivialSummand,
 )
-
-
-class SumProvenance:
-    """Where each result element came from.
-
-    Built from the result labels and, per summand, its labels and its
-    embedding `e`, where `e[x]` is the result index of summand element x.
-    `embeddings` keeps these index tuples; `sources` maps each result
-    label, in result-index order, to its (summand index, source label)
-    pairs.
-    """
-
-    def __init__(self, labels, summands):
-        summands = [(tuple(names), tuple(e)) for names, e in summands]
-        self.embeddings = tuple(e for _, e in summands)
-        found = [[] for _ in labels]
-        for i, (names, e) in enumerate(summands):
-            for x, r in enumerate(e):
-                found[r].append((i, names[x]))
-        self.sources = dict(zip(labels, map(tuple, found)))
-
-    def sources_of(self, label: str):
-        return self.sources[label]
-
-    def label_map(self, summand: int) -> dict:
-        """source label -> result label, for one summand."""
-        out = {}
-        for result, pairs in self.sources.items():
-            for i, src in pairs:
-                if i == summand:
-                    out[src] = result
-        return out
-
-    def to_dict(self) -> dict:
-        return {k: [list(p) for p in v] for k, v in self.sources.items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class FatInterval(NamedTuple):
@@ -100,7 +63,7 @@ def ordinal_sum(lower: Lattice, upper: Lattice):
     """
     _check_size(lower.n + upper.n - 1)
     labels = [f"0.{x}" for x in lower.labels]
-    e0 = range(lower.n)
+    e0 = tuple(range(lower.n))
     e1 = []
     for y, lab in enumerate(upper.labels):
         if y == upper.bottom:
@@ -113,32 +76,31 @@ def ordinal_sum(lower: Lattice, upper: Lattice):
     for x in e0:
         up[x] |= up[lower.top]
     name = f"osum({_display(lower)},{_display(upper)})"
-    return Lattice(labels, up, name=name), SumProvenance(
-        labels, ((lower.labels, e0), (upper.labels, e1)))
+    return Lattice(labels, up, name=name), (e0, tuple(e1))
 
 
-def _hsum_layout(family):
-    """The horizontal sum's labels and each summand's embedding into them."""
+def _hsum_embeddings(family):
+    """Each summand's embedding into the horizontal sum: the glue bottom
+    is 0, the interiors follow in summand order, the glue top comes last."""
     if not family:
         raise EmptyFamily("horizontal sum needs at least one summand")
     if any(lat.trivial for lat in family):
         raise TrivialSummand("summands must have at least two elements")
     top = 1 + sum(lat.n - 2 for lat in family)
     _check_size(top + 1)
-    labels, embeddings = ["0"], []
-    for i, lat in enumerate(family):
+    embeddings, fresh = [], 1
+    for lat in family:
         e = []
-        for x, lab in enumerate(lat.labels):
+        for x in range(lat.n):
             if x == lat.bottom:
                 e.append(0)
             elif x == lat.top:
                 e.append(top)
             else:
-                e.append(len(labels))
-                labels.append(f"{i}.{lab}")
-        embeddings.append(e)
-    labels.append("1")
-    return labels, embeddings
+                e.append(fresh)
+                fresh += 1
+        embeddings.append(tuple(e))
+    return tuple(embeddings)
 
 
 def horizontal_sum(family):
@@ -148,11 +110,16 @@ def horizontal_sum(family):
     contribute nothing beyond the glue points, so they are absorbed.
     """
     family = list(family)
-    labels, embeddings = _hsum_layout(family)
+    embeddings = _hsum_embeddings(family)
+    # every summand reaches the glue top, the largest index
+    labels = [""] * (max(embeddings[0]) + 1)
+    for i, (lat, e) in enumerate(zip(family, embeddings)):
+        for x, lab in enumerate(lat.labels):
+            labels[e[x]] = f"{i}.{lab}"
+    labels[0], labels[-1] = "0", "1"
     up = _union_up(len(labels), zip(family, embeddings))
     name = f"hsum({','.join(_display(lat) for lat in family)})"
-    return Lattice(labels, up, name=name), SumProvenance(
-        labels, [(lat.labels, e) for lat, e in zip(family, embeddings)])
+    return Lattice(labels, up, name=name), embeddings
 
 
 def hsum_congruences(pairs) -> Partition:
@@ -171,10 +138,10 @@ def hsum_congruences(pairs) -> Partition:
             raise NablaSummandCongruence(
                 "summand congruences must not collapse the whole summand"
             )
-    labels, embeddings = _hsum_layout([lat for lat, _ in pairs])
+    embeddings = _hsum_embeddings([lat for lat, _ in pairs])
     links = [(e[x], e[b]) for e, (_, p) in zip(embeddings, pairs)
              for x, b in enumerate(p.block_of)]
-    return _join_pairs(len(labels), links)
+    return _join_pairs(max(embeddings[0]) + 1, links)
 
 
 def fat_intervals(lat: Lattice):
@@ -231,8 +198,7 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
            for x in range(insert.n) if e1[x] >= n0]
     name = (f"ihsum({_display(lat)},{lat.labels[a]},{lat.labels[b]},"
             f"{_display(insert)})")
-    return Lattice(labels, up, name=name), SumProvenance(
-        labels, ((lat.labels, range(n0)), (insert.labels, e1)))
+    return Lattice(labels, up, name=name), (tuple(range(n0)), tuple(e1))
 
 
 def dilate(lat: Lattice):
@@ -248,8 +214,7 @@ def dilate(lat: Lattice):
     fats = fat_intervals(lat)
     n0 = lat.n
     if not fats:
-        return lat.renamed(f"D({_display(lat)})"), SumProvenance(
-            lat.labels, ((lat.labels, range(n0)),))
+        return lat.renamed(f"D({_display(lat)})"), (tuple(range(n0)),)
     _check_size(n0 + 2 * len(fats))
     labels = list(lat.labels)
     taken = set(labels)
@@ -266,9 +231,9 @@ def dilate(lat: Lattice):
     # up[b] now also holds the pairs of the fat intervals above b
     for k, (a, b) in enumerate(fats):
         up += [up[b] | 1 << (n0 + 2 * k), up[b] | 1 << (n0 + 2 * k + 1)]
-    # summand k+1 is the square inserted into the k-th fat interval, with
-    # its elements named as in named("B2")
-    squares = [(("0", "a", "b", "1"), (a, n0 + 2 * k, n0 + 2 * k + 1, b))
-               for k, (a, b) in enumerate(fats)]
-    return Lattice(labels, up, name=f"D({_display(lat)})"), SumProvenance(
-        labels, [(lat.labels, range(n0))] + squares)
+    # summand k+1 is named("B2"), its elements 0, a, b, 1 sent into the
+    # k-th fat interval
+    squares = tuple((a, n0 + 2 * k, n0 + 2 * k + 1, b)
+                    for k, (a, b) in enumerate(fats))
+    return (Lattice(labels, up, name=f"D({_display(lat)})"),
+            (tuple(range(n0)),) + squares)

@@ -37,6 +37,7 @@ from . import expr as expr_mod
 DEFAULT_DILATE_INPUT_CAP = 8
 DEFAULT_SUMMAND_CAP = 10
 CENSUS_CAP = 10
+COUNT_CAP = 10_000
 
 
 class CheckReport:
@@ -282,12 +283,19 @@ def _chain_product_top(rng) -> Lattice:
     return Lattice.from_covers(labels, covers, name=f"chainprodtop({p},{q})")
 
 
-def corpus(seed: int, count: int, max_size: int):
-    """Deterministic-by-seed mix of named and random lattices, size-capped."""
-    if max_size < 2:
-        raise BadConfig("max_size must be at least 2")
+def _check_count(count: int) -> None:
     if count < 0:
         raise BadConfig("count must be non-negative")
+    if count > COUNT_CAP:
+        raise BadConfig(f"count capped at {COUNT_CAP}")
+
+
+def corpus(seed: int, count: int, max_size: int):
+    """Deterministic-by-seed mix of named and random lattices, size-capped;
+    `count` may not exceed COUNT_CAP."""
+    if max_size < 2:
+        raise BadConfig("max_size must be at least 2")
+    _check_count(count)
     out = [lat for lat in _named_baseline() if lat.n <= max_size]
     rng = random.Random(seed)
     for _ in range(count):
@@ -433,9 +441,9 @@ def enumerate_lattices(max_n: int):
 
 # -- shared helpers for the horizontal-sum checks --------------------------------
 
-def _pair_images(prov, A, B):
+def _pair_images(embeddings, A, B):
     """Index sets of A minus bottom/top and B minus bottom/top in their sum."""
-    e_a, e_b = prov.embeddings
+    e_a, e_b = embeddings
     def image(lat, e, exclude):
         return frozenset(e[i] for i in range(lat.n) if i != exclude)
     return {
@@ -578,8 +586,8 @@ def check_spechsum(A: Lattice, B: Lattice,
     """Prime spectra of a two-summand sum against the predicted candidates."""
     if A.n <= 2 or B.n <= 2:
         raise _Skip("summands must have more than two elements")
-    H, prov = horizontal_sum([A, B])
-    img = _pair_images(prov, A, B)
+    H, embeddings = horizontal_sum([A, B])
+    img = _pair_images(embeddings, A, B)
     pf = set(prime_filters(H).prime_sets())
     pid = set(prime_ideals(H).prime_sets())
     problems = []
@@ -617,11 +625,11 @@ def check_cghsum(A: Lattice, B: Lattice,
     """Two-summand congruence trichotomy, product decomposition, order iso."""
     if A.n <= 2 or B.n <= 2:
         raise _Skip("summands must have more than two elements")
-    H, prov = horizontal_sum([A, B])
+    H, embeddings = horizontal_sum([A, B])
     conH = all_congruences(H, con_cap)
     (conA, conB), (con01A, con01B), predicted01 = \
         _con01_product([A, B], con_cap)
-    img = _pair_images(prov, A, B)
+    img = _pair_images(embeddings, A, B)
     taus = []
     if A.is_meet_irreducible(A.bottom) and B.is_join_irreducible(B.top):
         taus.append(_two_block(H, img["A0"], img["B1"]))
@@ -650,7 +658,7 @@ def check_cghsum(A: Lattice, B: Lattice,
             "expected": len(con01A) * len(con01B),
         })
     # order isomorphism with the componentwise order, via restriction
-    idx_a, idx_b = prov.embeddings
+    idx_a, idx_b = embeddings
     set_a, set_b = set(con01A), set(con01B)
     trips = []
     for theta in con01H:
@@ -791,8 +799,9 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
     """Run the selected checks over the named + random corpus.
 
     Deterministic by seed. `census=n` additionally sweeps every lattice
-    with up to n elements (opt-in: exhaustive, n <= 10). Returns the full
-    report list; failures are whatever reports carry status FAIL.
+    with up to n elements (opt-in: exhaustive, n <= 10); `count` may not
+    exceed COUNT_CAP. Returns the full report list; failures are
+    whatever reports carry status FAIL.
     """
     if isinstance(suites, str):
         suites = (suites,)
@@ -806,8 +815,7 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
             raise BadConfig(
                 f"unknown suite {s!r}; valid: all, {', '.join(SUITES)}"
             )
-    if count < 0:
-        raise BadConfig("count must be non-negative")
+    _check_count(count)
     if max_size < 2:
         raise BadConfig("max_size must be at least 2")
     if census < 0 or census > CENSUS_CAP:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from latkit import cli, named
+from latkit import cli, named, verify
 from latkit.cli import build_parser, main
 from latkit.verify import SUITES
 
@@ -275,6 +275,53 @@ def test_verify_json_report(capsys, tmp_path):
     assert code == 0
     data = json.loads(target.read_text())
     assert all(d["status"] == "PASS" for d in data)
+
+
+def test_an_unwritable_report_path_is_refused_before_any_check(
+        capsys, monkeypatch, tmp_path):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("ran the checks")
+
+    monkeypatch.setattr(cli, "run_suite", no_checks)
+    code, out, err = run_cli(capsys, "verify", "--suite", "prime",
+                             "--count", "0",
+                             "--json", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "B2", "--con-cap", "-1"],
+    ["analyze", "B2", "--con-cap", "0"],
+    ["congruences", "B2", "--con-cap", "0"],
+    ["verify", "--con-cap", "0"],
+])
+def test_a_con_cap_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--con-cap: must be at least 1" in captured.err
+
+
+def test_a_con_cap_of_one_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "B2", "--con-cap", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "|Con|=? (4 elements exceeds --con-cap 1)"
+
+
+def test_verify_count_past_the_cap_exits_2(capsys, monkeypatch):
+    def no_lattices():
+        raise AssertionError("started building the corpus")
+
+    monkeypatch.setattr(verify, "_named_baseline", no_lattices)
+    code, out, err = run_cli(capsys, "verify", "--suite", "prime",
+                             "--max-size", "2", "--count", "99999999999")
+    assert code == 2
+    assert out == ""
+    assert err == "error: count capped at 10000\n"
 
 
 def test_verify_inject_fault(capsys):

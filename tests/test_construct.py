@@ -68,10 +68,21 @@ def test_ordinal_sum_size_identity():
         assert s.n == a.n + b.n - 1
 
 
+def _sources(result, summands, embeddings):
+    """Each result label, in result-index order, with the (summand index,
+    summand label) pairs that the embeddings send to it."""
+    found = [[] for _ in result.labels]
+    for i, (lat, e) in enumerate(zip(summands, embeddings)):
+        for x, lab in enumerate(lat.labels):
+            found[e[x]].append((i, lab))
+    return {lab: tuple(pairs) for lab, pairs in zip(result.labels, found)}
+
+
 def test_ordinal_sum_glue_keeps_left_label():
-    s, prov = ordinal_sum(named("chain", 3), named("chain", 3))
+    c3 = named("chain", 3)
+    s, embeddings = ordinal_sum(c3, c3)
     assert "0.1" in s.labels  # the left summand's top
-    assert prov.sources_of("0.1") == ((0, "1"), (1, "0"))
+    assert _sources(s, [c3, c3], embeddings)["0.1"] == ((0, "1"), (1, "0"))
 
 
 def test_horizontal_sum_shapes():
@@ -186,8 +197,7 @@ def test_oversized_results_are_refused_before_assembly(monkeypatch):
 
 def test_congruence_restriction_round_trip():
     a, b = named("N5"), named("K")
-    h, prov = horizontal_sum([a, b])
-    idx_a, idx_b = prov.embeddings
+    h, (idx_a, idx_b) = horizontal_sum([a, b])
     for theta in all_congruences(h).members:
         ra = theta.restrict(idx_a)
         rb = theta.restrict(idx_b)
@@ -279,21 +289,22 @@ def test_dilate_twice_stays_simple():
 
 def test_interior_generators_span_everything():
     a, b = named("chain", 3), named("chain", 4)
-    h, prov = horizontal_sum([a, b])
+    h, _ = horizontal_sum([a, b])
     lo = h.index("0.m")
     hi = h.index("1.a")
     assert generated_filter(h, [lo, hi]) == set(range(h.n))
 
 
 def test_provenance_round_trip():
-    import json
-
-    h, prov = horizontal_sum([named("chain", 3), named("B2")])
-    data = json.loads(prov.to_json())
-    assert data["0"] == [[0, "0"], [1, "0"]]
-    assert data["1"] == [[0, "1"], [1, "1"]]
-    assert data["1.a"] == [[1, "a"]]
-    assert prov.label_map(1)["a"] == "1.a"
+    c3, b2 = named("chain", 3), named("B2")
+    h, embeddings = horizontal_sum([c3, b2])
+    sources = _sources(h, [c3, b2], embeddings)
+    assert sources["0"] == ((0, "0"), (1, "0"))
+    assert sources["1"] == ((0, "1"), (1, "1"))
+    assert sources["1.a"] == ((1, "a"),)
+    e1 = embeddings[1]
+    assert {lab: h.labels[e1[x]] for x, lab in enumerate(b2.labels)}["a"] \
+        == "1.a"
 
 
 def test_fresh_labels_when_dilating_twice():
@@ -315,9 +326,9 @@ def test_single_summand_sums():
 
 def test_restrict_full_relation_to_middle_summand():
     c3 = named("chain", 3)
-    h, prov = horizontal_sum([c3, c3, c3])
+    h, embeddings = horizontal_sum([c3, c3, c3])
     assert isomorphic(h, named("M3")) is not None
-    middle = prov.embeddings[1]
+    middle = embeddings[1]
     assert nabla(h).restrict(middle) == Partition.nabla(3)
     assert delta(h).restrict(middle) == Partition.delta(3)
 
@@ -327,10 +338,10 @@ def test_filter_family_decomposition_of_horizontal_sum():
     # (mapped through the glueing) plus the whole carrier
     for a_name, b_name in ((("N5",), ("K",)), (("chain", 4), ("B2",))):
         a, b = named(*a_name), named(*b_name)
-        h, prov = horizontal_sum([a, b])
+        h, embeddings = horizontal_sum([a, b])
         expected = {frozenset(range(h.n))}
         for lat, summand in ((a, 0), (b, 1)):
-            to_h = prov.embeddings[summand]
+            to_h = embeddings[summand]
             for member in all_filters(lat).members:
                 if member.elements == frozenset(range(lat.n)):
                     continue
@@ -342,8 +353,7 @@ def test_filter_family_decomposition_of_interval_hsum():
     lat = named("N5")
     insert = named("B2")
     a, b = lat.index("y"), lat.top
-    out, prov = interval_hsum(lat, a, b, insert)
-    to_out, to_ins = prov.embeddings
+    out, (to_out, to_ins) = interval_hsum(lat, a, b, insert)
     interior = [
         to_ins[x]
         for x in range(insert.n) if x not in (insert.bottom, insert.top)
@@ -384,49 +394,66 @@ def test_sums_match_the_cover_based_builds():
             with pytest.raises(TrivialSummand):
                 horizontal_sum(family)
         else:
-            h, prov = horizontal_sum(family)
+            h, embeddings = horizontal_sum(family)
             ref, sources = horizontal_sum_by_covers(family)
             assert _tables(h) == _tables(ref)
             # the same sources; only the glue top's key moves last
-            assert prov.sources == sources
+            assert _sources(h, family, embeddings) == sources
         lower = family[0]
         for upper in family[1:]:
-            s, prov = ordinal_sum(lower, upper)
+            s, embeddings = ordinal_sum(lower, upper)
             ref, sources = ordinal_sum_by_covers(lower, upper)
             assert _tables(s) == _tables(ref)
-            assert list(prov.sources.items()) == list(sources.items())
+            assert list(_sources(s, [lower, upper], embeddings).items()) == \
+                list(sources.items())
             lower = s
 
 
 def _constructions(pool):
-    """(result, provenance, summands) of each construction over `pool`."""
+    """(result, embeddings, summands, stems) of each construction over
+    `pool`; `stems` maps (summand, element) of each element that
+    interval_hsum or dilate inserts to its label before any priming."""
+    square = named("B2")
     for i, lat in enumerate(pool):
         other = pool[-1 - i]
-        s, prov = ordinal_sum(lat, other)
-        yield s, prov, [lat, other]
+        s, embeddings = ordinal_sum(lat, other)
+        yield s, embeddings, [lat, other], {}
         if not lat.trivial and not other.trivial:
-            h, prov = horizontal_sum([lat, other, lat])
-            yield h, prov, [lat, other, lat]
+            h, embeddings = horizontal_sum([lat, other, lat])
+            yield h, embeddings, [lat, other, lat], {}
         fats = fat_intervals(lat)
         if fats:
-            insert = other if other.n > 2 else named("B2")
-            out, prov = interval_hsum(lat, *fats[-1], insert)
-            yield out, prov, [lat, insert]
+            insert = other if other.n > 2 else square
+            out, embeddings = interval_hsum(lat, *fats[-1], insert)
+            yield out, embeddings, [lat, insert], {
+                (1, x): f"1.{lab}" for x, lab in enumerate(insert.labels)
+                if x not in (insert.bottom, insert.top)}
         if not lat.trivial:
-            d, prov = dilate(lat)
-            yield d, prov, [lat] + [named("B2")] * len(fats)
+            d, embeddings = dilate(lat)
+            stems = {}
+            for k, (a, b) in enumerate(fats):
+                pair = f"[{lat.labels[a]},{lat.labels[b]}]"
+                stems[k + 1, square.index("a")] = "l" + pair
+                stems[k + 1, square.index("b")] = "r" + pair
+            yield d, embeddings, [lat] + [square] * len(fats), stems
 
 
 def test_embeddings_agree_with_the_label_maps(engine_pool):
     # each summand is a sublattice of the result, so its embedding is
     # injective and keeps meets and joins
-    for result, prov, summands in _constructions(engine_pool):
-        assert len(prov.embeddings) == len(summands)
-        for i, (lat, e) in enumerate(zip(summands, prov.embeddings)):
+    for result, embeddings, summands, stems in _constructions(engine_pool):
+        assert type(embeddings) is tuple
+        assert len(embeddings) == len(summands)
+        for lat, e in zip(summands, embeddings):
+            assert type(e) is tuple
+            assert all(type(r) is int for r in e)
             assert len(e) == lat.n == len(set(e))
-            lmap = prov.label_map(i)
             for x in range(lat.n):
-                assert result.labels[e[x]] == lmap[lat.labels[x]]
                 for y in range(lat.n):
                     assert e[lat.meet(x, y)] == result.meet(e[x], e[y])
                     assert e[lat.join(x, y)] == result.join(e[x], e[y])
+        # an inserted element is named by its stem, primed until unique
+        for (i, x), stem in stems.items():
+            label = result.labels[embeddings[i][x]]
+            assert label.startswith(stem)
+            assert set(label[len(stem):]) <= {"'"}

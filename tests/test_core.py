@@ -194,7 +194,7 @@ def test_dual_is_the_validated_reversed_order(engine_pool):
 
 def test_validation_builds_the_tables_of_the_eager_build(engine_pool):
     pool = enumerate_lattices(8) + corpus(7, 100, 12)
-    pool += [result for result, _, _ in _constructions(engine_pool)]
+    pool += [result for result, *_ in _constructions(engine_pool)]
     for lat in pool:
         want = validated_eagerly(lat.labels, lat.up)
         got = Lattice(lat.labels, lat.up)

@@ -367,6 +367,22 @@ def test_run_suite_census_sweep():
         run_suite(suites=("dilate",), census=11)
 
 
+def test_count_is_capped_before_any_lattice_is_built(monkeypatch):
+    import latkit.verify as verify
+
+    def no_lattices():
+        raise AssertionError("started building the corpus")
+
+    monkeypatch.setattr(verify, "_named_baseline", no_lattices)
+    for draw in (lambda count: run_suite(count=count),
+                 lambda count: corpus(7, count, 2)):
+        with pytest.raises(BadConfig):
+            draw(verify.COUNT_CAP + 1)
+        # the cap itself passes validation and starts the build
+        with pytest.raises(AssertionError):
+            draw(verify.COUNT_CAP)
+
+
 def test_run_suite_builds_the_census_only_up_to_max_size(monkeypatch):
     import latkit.verify as verify
     sizes = []
