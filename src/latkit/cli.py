@@ -11,7 +11,7 @@ import sys
 from contextlib import nullcontext
 from functools import cache
 
-from .congruence import DEFAULT_CON_CAP, all_congruences, con_summary
+from .congruence import all_congruences, con_summary
 from .equiv import block_renderer
 from .errors import LatticeError, SizeCapExceeded
 from .expr import evaluate, parse
@@ -61,19 +61,16 @@ def _cmd_analyze(args) -> int:
         f"|Id|={len(ideals)}",
         *_spectra_lines(lat, filters, ideals),
     ]
-    if lat.n > args.con_cap:
-        lines.append(f"|Con|=? ({lat.n} elements exceeds --con-cap {args.con_cap})")
-    else:
-        con = con_summary(lat, args.con_cap)
-        lines += [
-            f"|Con|={con.size}",
-            f"|Con01|={con.size01}",
-            f"simple={'true' if con.simple else 'false'}",
-            f"subdirectly_irreducible="
-            f"{'false' if con.monolith is None else 'true'}",
-        ]
-        if con.monolith is not None:
-            lines.append(f"monolith: {con.monolith.render(lat.labels)}")
+    con = con_summary(lat)
+    lines += [
+        f"|Con|={con.size}",
+        f"|Con01|={con.size01}",
+        f"simple={'true' if con.simple else 'false'}",
+        f"subdirectly_irreducible="
+        f"{'false' if con.monolith is None else 'true'}",
+    ]
+    if con.monolith is not None:
+        lines.append(f"monolith: {con.monolith.render(lat.labels)}")
     # every fact is in hand before the first line goes out
     print("\n".join(lines))
     return 0
@@ -81,7 +78,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_congruences(args) -> int:
     lat = _eval_arg(args.expr)
-    con = all_congruences(lat, args.con_cap)
+    con = all_congruences(lat)
     if args.dot:
         print(con_dot(con), end="")
         return 0
@@ -139,7 +136,6 @@ def _cmd_verify(args) -> int:
             seed=args.seed,
             count=args.count,
             max_size=args.max_size,
-            con_cap=args.con_cap,
             inject_fault=args.inject_fault,
             census=args.census,
         )
@@ -159,17 +155,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _con_cap(text: str) -> int:
-    """A --con-cap value: an integer of at least 1."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
-    return cap
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The latkit parser, built once per process: parsing keeps no state
@@ -182,17 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --con-cap goes only to the commands that read it
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--con-cap", type=_con_cap, default=DEFAULT_CON_CAP,
-                        help="max lattice size for congruence enumeration")
-
-    p = sub.add_parser("analyze", parents=[capped],
-                       help="sizes, spectra, congruence summary")
+    p = sub.add_parser("analyze", help="sizes, spectra, congruence summary")
     p.set_defaults(func=_cmd_analyze)
     p.add_argument("expr")
-    p = sub.add_parser("congruences", parents=[capped],
-                       help="list every congruence")
+    p = sub.add_parser("congruences", help="list every congruence")
     p.set_defaults(func=_cmd_congruences)
     p.add_argument("expr")
     p.add_argument("--dot", action="store_true",
@@ -214,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
     p.add_argument("expr")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p = sub.add_parser("verify", parents=[capped],
-                       help="run the theorem-checking suites")
+    p = sub.add_parser("verify", help="run the theorem-checking suites")
     p.set_defaults(func=_cmd_verify)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--quiet", action="store_true")

@@ -38,16 +38,21 @@ Con(L) (`con_summary`):
   the AND of the closures, non-empty exactly when L is subdirectly
   irreducible; L is simple exactly when every closure is all of J(L).
 
-Listing Con(L) is `all_congruences`'s job alone, and its member cap binds
-only the listings. It compares the count with DEFAULT_MEMBER_CAP before
-it enumerates, OR-folds the closures, keys each mask once by its block
-map and sorts the members into a fixed canonical order (more blocks
-first, then by block map), so that listings and goldens are
-deterministic. A ConLattice keeps each member's mask and block map and
-builds the tuple of Partitions only when `members` is first read. It
-answers what needs the members or their order (con01, covers, coatoms);
-|Con|, μ, the monolith, simplicity and the primes have one reader each
-among the functions below, which read the closures.
+The closure readers take no size cap: they cost O(n²) table reads and
+O(|J|²) mask operations, so they answer on any lattice that can be built.
+
+Listing Con(L) is `all_congruences`'s job alone, and its caps bind only
+the listings. It refuses a lattice above DEFAULT_CON_CAP elements before
+it builds a join table, so that a refusal costs no work, and it compares
+the count with DEFAULT_MEMBER_CAP before it enumerates. It OR-folds the
+closures, keys each mask once by its block map and sorts the members
+into a fixed canonical order (more blocks first, then by block map), so
+that listings and goldens are deterministic. A ConLattice keeps each
+member's mask and block map and builds the tuple of Partitions only when
+`members` is first read. It answers what needs the members or their
+order (con01, covers, coatoms); |Con|, μ, the monolith, simplicity and
+the primes have one reader each among the functions below, which read
+the closures.
 """
 
 from __future__ import annotations
@@ -63,11 +68,6 @@ from .errors import NotACongruence, SizeCapExceeded
 
 DEFAULT_CON_CAP = 60
 DEFAULT_MEMBER_CAP = 200_000
-
-
-def _check_cap(lat, cap: int):
-    if lat.n > cap:
-        raise SizeCapExceeded(f"{lat.n} elements exceeds congruence cap {cap}")
 
 
 def _dependency(lat):
@@ -283,12 +283,14 @@ class ConLattice:
         return sorted({ix[full & ~c] for f, c in zip(forcing, cls) if f == c})
 
 
-def all_congruences(lat, cap: int = DEFAULT_CON_CAP) -> ConLattice:
+def all_congruences(lat) -> ConLattice:
     """Enumerate Con(lat) as the unions of the closures con(j₋, j).
 
-    Refuses a lattice above `cap` elements, or one with more than
-    DEFAULT_MEMBER_CAP congruences, before it lists any."""
-    _check_cap(lat, cap)
+    Refuses a lattice above DEFAULT_CON_CAP elements, or one with more
+    than DEFAULT_MEMBER_CAP congruences, before it lists any."""
+    if lat.n > DEFAULT_CON_CAP:
+        raise SizeCapExceeded(
+            f"{lat.n} elements exceeds congruence cap {DEFAULT_CON_CAP}")
     jbelow, closure = _dependency(lat)
     gens = set(closure)  # one per D*-class, so at most 2^|gens| members
     if 1 << len(gens) > DEFAULT_MEMBER_CAP and \
@@ -321,12 +323,11 @@ class ConSummary(NamedTuple):
     monolith: Optional[Partition]  # None unless L is subdirectly irreducible
 
 
-def con_summary(lat, cap: int = DEFAULT_CON_CAP) -> ConSummary:
+def con_summary(lat) -> ConSummary:
     """|Con|, |Con01|, simplicity and the monolith without listing Con(lat).
 
-    Refuses a lattice above `cap` elements, and a count past
-    DEFAULT_MEMBER_CAP states, but not a large Con(lat)."""
-    _check_cap(lat, cap)
+    Refuses a count past DEFAULT_MEMBER_CAP states, but not a large
+    Con(lat)."""
     jbelow, closure = _dependency(lat)
     full = (1 << len(closure)) - 1
     mono = _monolith(closure)
@@ -338,22 +339,20 @@ def con_summary(lat, cap: int = DEFAULT_CON_CAP) -> ConSummary:
     )
 
 
-def mu_con01(lat, cap: int = DEFAULT_CON_CAP) -> Partition:
+def mu_con01(lat) -> Partition:
     """Largest congruence keeping the 0- and 1-classes singletons."""
-    _check_cap(lat, cap)
     jbelow, closure = _dependency(lat)
     return _partition(jbelow, _mu(lat, jbelow, closure))
 
 
-def prime_congruences(lat, cap: int = DEFAULT_CON_CAP):
+def prime_congruences(lat):
     """Members t != nabla such that p ^ q <= t forces p <= t or q <= t.
 
     Con(L) is distributive, so these are its meet-irreducibles: one per
     D*-class, all of J(L) but the join-irreducibles that force the class.
     They come in the canonical order of `all_congruences`. There are at
-    most |J(L)| of them, so only `cap` limits the call.
+    most |J(L)| of them, so no cap limits the call.
     """
-    _check_cap(lat, cap)
     jbelow, closure = _dependency(lat)
     full = (1 << len(closure)) - 1
     primes = [_partition(jbelow, full & ~f) for f in set(_forcing(closure))]
@@ -378,13 +377,12 @@ def quotient(lat, p: Partition):
     return Lattice(labels, up, name=name), projection
 
 
-def is_simple(lat, cap: int = DEFAULT_CON_CAP) -> bool:
+def is_simple(lat) -> bool:
     """True iff the only congruences are the identity and the full relation.
 
     Equivalent to every closure con(j₋, j) holding every join-irreducible:
     any congruence above the identity contains one of them.
     """
-    _check_cap(lat, cap)
     if lat.n < 2:
         return False
     _, closure = _dependency(lat)
@@ -392,9 +390,8 @@ def is_simple(lat, cap: int = DEFAULT_CON_CAP) -> bool:
     return all(c == full for c in closure)
 
 
-def is_subdirectly_irreducible(lat, cap: int = DEFAULT_CON_CAP):
+def is_subdirectly_irreducible(lat):
     """(flag, monolith): monolith is the least congruence above the identity."""
-    _check_cap(lat, cap)
     jbelow, closure = _dependency(lat)
     mono = _monolith(closure)
     return (True, _partition(jbelow, mono)) if mono else (False, None)

@@ -14,19 +14,13 @@ scope is reported as skipped, never as passed; and any other
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import json
 import math
 import random
 
 from .core import Lattice, bits, mask_of, named
-from .congruence import (
-    DEFAULT_CON_CAP,
-    DEFAULT_MEMBER_CAP,
-    all_congruences,
-    is_simple,
-)
+from .congruence import DEFAULT_MEMBER_CAP, all_congruences, is_simple
 from .construct import dilate, fat_intervals, horizontal_sum, hsum_congruences
 from .equiv import Partition, is_congruence
 from .errors import BadConfig, LatticeError, SizeCapExceeded
@@ -96,11 +90,8 @@ def _check(name, arity):
     plus the lattice when there is one summand.
     """
     def wrap(body):
-        signature = inspect.signature(body)
-
         @functools.wraps(body)
-        def check(*args, **kwargs):
-            args = signature.bind(*args, **kwargs).args
+        def check(*args):
             if not arity:
                 args = (list(args[0]),) + args[1:]
             summands = args[:arity] or args[0]
@@ -458,11 +449,11 @@ def _two_block(H, left, right) -> Partition:
     return Partition.from_blocks(H.n, [sorted(left), sorted(right)])
 
 
-def _con01_product(lats, con_cap):
+def _con01_product(lats):
     """(Con of each summand, its con01 members, the predicted con01 of
     their horizontal sum): one assembled member per choice of con01
     members, skipped when there would be too many."""
-    cons = [all_congruences(lat, con_cap) for lat in lats]
+    cons = [all_congruences(lat) for lat in lats]
     con01s = [con.con01_members() for con in cons]
     if math.prod(map(len, con01s)) > DEFAULT_MEMBER_CAP:
         raise _Skip("predicted congruence product too large")
@@ -474,10 +465,9 @@ def _con01_product(lats, con_cap):
 # -- checks ----------------------------------------------------------------------
 
 @_check("prime-filter-equivalences", 1)
-def check_prime_equivalences(lat: Lattice,
-                             con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_prime_equivalences(lat: Lattice) -> CheckReport:
     """Five-way prime-filter equivalence and the two-class characterization."""
-    con = all_congruences(lat, con_cap)
+    con = all_congruences(lat)
     coatoms = {con.members[i] for i in con.coatoms()}
     carrier = frozenset(range(lat.n))
     problems = []
@@ -524,12 +514,11 @@ def check_prime_equivalences(lat: Lattice,
 
 
 @_check("bound-irreducibility", 1)
-def check_irreducibility(lat: Lattice,
-                         con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_irreducibility(lat: Lattice) -> CheckReport:
     """Bound irreducibility against filters, spectra and congruences."""
     if lat.trivial:
         raise _Skip("needs a non-trivial lattice")
-    con = all_congruences(lat, con_cap)
+    con = all_congruences(lat)
     coatoms = {con.members[i] for i in con.coatoms()}
     n = lat.n
     problems = []
@@ -581,8 +570,7 @@ def check_hsum_counts(A: Lattice, B: Lattice) -> CheckReport:
 
 
 @_check("hsum-spectra", 2)
-def check_spechsum(A: Lattice, B: Lattice,
-                   con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_spechsum(A: Lattice, B: Lattice) -> CheckReport:
     """Prime spectra of a two-summand sum against the predicted candidates."""
     if A.n <= 2 or B.n <= 2:
         raise _Skip("summands must have more than two elements")
@@ -599,7 +587,7 @@ def check_spechsum(A: Lattice, B: Lattice,
         problems.append({"unexpected_prime_ideals": sorted(
             sorted(H.labels[i] for i in s)
             for s in pid - {img["A1"], img["B1"]})})
-    con = all_congruences(H, con_cap)
+    con = all_congruences(H)
     coatoms = {con.members[i] for i in con.coatoms()}
     for first, second, f_key, i_key in (
         (A, B, "A0", "B1"),
@@ -620,15 +608,13 @@ def check_spechsum(A: Lattice, B: Lattice,
 
 
 @_check("hsum-congruence-trichotomy", 2)
-def check_cghsum(A: Lattice, B: Lattice,
-                 con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
     """Two-summand congruence trichotomy, product decomposition, order iso."""
     if A.n <= 2 or B.n <= 2:
         raise _Skip("summands must have more than two elements")
     H, embeddings = horizontal_sum([A, B])
-    conH = all_congruences(H, con_cap)
-    (conA, conB), (con01A, con01B), predicted01 = \
-        _con01_product([A, B], con_cap)
+    conH = all_congruences(H)
+    (conA, conB), (con01A, con01B), predicted01 = _con01_product([A, B])
     img = _pair_images(embeddings, A, B)
     taus = []
     if A.is_meet_irreducible(A.bottom) and B.is_join_irreducible(B.top):
@@ -693,13 +679,13 @@ def check_cghsum(A: Lattice, B: Lattice,
 
 
 @_check("multi-hsum-collapse", 0)
-def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_multi_hsum(lats) -> CheckReport:
     """Three or more summands: empty spectra and pure product congruences."""
     if len(lats) < 3 or any(lat.n <= 2 for lat in lats):
         raise _Skip("needs three or more summands, each above two elements")
     H, _ = horizontal_sum(lats)
-    conH = all_congruences(H, con_cap)
-    _, con01s, predicted = _con01_product(lats, con_cap)
+    conH = all_congruences(H)
+    _, con01s, predicted = _con01_product(lats)
     expected_size = math.prod(map(len, con01s))
     problems = []
     if prime_filters(H).prime_sets() or prime_ideals(H).prime_sets():
@@ -720,22 +706,22 @@ def check_multi_hsum(lats, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
 
 
 @_check("dilation-simplicity", 1)
-def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_dilate(lat: Lattice) -> CheckReport:
     """Dilation: simplicity, with `is_simple` held to the listing of Con,
     plus the size and filter/ideal count identities."""
     if lat.trivial:
         raise _Skip("needs a non-trivial lattice")
     D, _ = dilate(lat)
-    if D.n > con_cap:
-        raise _Skip(f"dilation has {D.n} elements, cap {con_cap}")
+    # listed first, so that a dilation past the listing cap skips before
+    # any other work
+    listed = len(all_congruences(D))
     fats = fat_intervals(lat)
     problems = []
     if D.n != lat.n + 2 * len(fats):
         problems.append({"size": [D.n, lat.n, len(fats)]})
-    simple = is_simple(D, con_cap)
+    simple = is_simple(D)
     if not simple:
         problems.append({"not_simple": True})
-    listed = len(all_congruences(D, con_cap).members)
     if simple != (listed == 2):
         problems.append({"is_simple": simple, "congruences": listed})
     if len(all_filters(D)) != len(all_filters(lat)) + 2 * len(fats):
@@ -748,8 +734,7 @@ def check_dilate(lat: Lattice, con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
 
 
 @_check("b2-hsum-simplicity", 1)
-def check_b2_hsum_simple(S: Lattice,
-                         con_cap: int = DEFAULT_CON_CAP) -> CheckReport:
+def check_b2_hsum_simple(S: Lattice) -> CheckReport:
     """Summing with the four-element Boolean lattice leaves con01 plus top.
 
     When S has no proper congruence isolating both bounds, the sum is
@@ -758,16 +743,16 @@ def check_b2_hsum_simple(S: Lattice,
     """
     if S.n <= 2:
         raise _Skip("needs more than two elements")
-    conS = all_congruences(S, con_cap)
+    conS = all_congruences(S)
     con01S = conS.con01_members()
     H, _ = horizontal_sum([S, named("B2")])
-    conH = all_congruences(H, con_cap)
+    conH = all_congruences(H)
     problems = []
     if len(conH.members) != len(con01S) + 1:
         problems.append({"con_size": len(conH.members),
                          "con01_of_summand": len(con01S)})
     for side, lat, con in (("summand", S, conS), ("sum", H, conH)):
-        simple = is_simple(lat, con_cap)
+        simple = is_simple(lat)
         if simple != (len(con.members) == 2):
             problems.append({"is_simple": simple, "of": side,
                              "congruences": len(con.members)})
@@ -794,8 +779,7 @@ def _corrupted_pentagon() -> Lattice:
 
 
 def run_suite(suites=("all",), seed: int = 7, count: int = 25,
-              max_size: int = 9, con_cap: int = DEFAULT_CON_CAP,
-              inject_fault: bool = False, census: int = 0):
+              max_size: int = 9, inject_fault: bool = False, census: int = 0):
     """Run the selected checks over the named + random corpus.
 
     Deterministic by seed. `census=n` additionally sweeps every lattice
@@ -836,30 +820,27 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
         for _ in range(max(count // 2, 5) if source else 0):
             yield ([rng.choice(source) for _ in range(rng.choice((3, 3, 4)))],)
 
-    # One row per suite, in SUITES order: (suite, check, instances, extra
-    # args). Built per call, so that the checks are looked up now, and the
-    # instances are generators, so that the rng draws happen as each
-    # chosen suite runs.
-    caps = (con_cap,)
+    # One row per suite, in SUITES order: (suite, check, instances). Built
+    # per call, so that the checks are looked up now, and the instances
+    # are generators, so that the rng draws happen as each chosen suite
+    # runs.
     wide = [lat for lat in pool if lat.n > 2]
     table = (
-        ("prime", check_prime_equivalences, each(lambda lat: True), caps),
-        ("irred", check_irreducibility, each(lambda lat: True), caps),
+        ("prime", check_prime_equivalences, each(lambda lat: True)),
+        ("irred", check_irreducibility, each(lambda lat: True)),
         ("counts", check_hsum_counts,
-         pairs([lat for lat in pool if lat.n >= 2]), ()),
-        ("spechsum", check_spechsum, pairs(wide), caps),
+         pairs([lat for lat in pool if lat.n >= 2])),
+        ("spechsum", check_spechsum, pairs(wide)),
         ("cghsum", check_cghsum,
-         pairs([lat for lat in wide if lat.n <= DEFAULT_SUMMAND_CAP]), caps),
+         pairs([lat for lat in wide if lat.n <= DEFAULT_SUMMAND_CAP])),
         ("multi", check_multi_hsum,
-         families([lat for lat in wide if lat.n <= 6]), caps),
+         families([lat for lat in wide if lat.n <= 6])),
         ("dilate", check_dilate,
-         each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP), caps),
-        ("b2hsum", check_b2_hsum_simple, each(lambda lat: lat.n > 2), caps),
+         each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP)),
+        ("b2hsum", check_b2_hsum_simple, each(lambda lat: lat.n > 2)),
     )
-    reports = [check(*args, *extra)
-               for suite, check, instances, extra in table
+    reports = [check(*args) for suite, check, instances in table
                if suite in chosen for args in instances]
     if inject_fault:
-        reports.append(check_prime_equivalences(_corrupted_pentagon(),
-                                                con_cap))
+        reports.append(check_prime_equivalences(_corrupted_pentagon()))
     return reports

@@ -28,10 +28,12 @@ def test_analyze_pentagon(capsys):
 
 
 def test_analyze_respects_con_cap(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "div(36)", "--con-cap", "5")
+    # the 60-element cap binds only listings, and analyze lists nothing
+    code, out, _ = run_cli(capsys, "analyze", "chain(61)")
     assert code == 0
-    assert "|Con|=?" in out
-    assert "|Filt|=9" in out
+    lines = out.splitlines()
+    assert "|Con|=1152921504606846976" in lines
+    assert "|Con01|=288230376151711744" in lines
 
 
 def test_congruences_listing(capsys):
@@ -45,9 +47,10 @@ def test_congruences_listing(capsys):
 
 
 def test_congruences_cap_exit_code(capsys):
-    code, _, err = run_cli(capsys, "congruences", "div(36)", "--con-cap", "5")
+    code, out, err = run_cli(capsys, "congruences", "chain(61)")
     assert code == 3
-    assert "exceeds" in err
+    assert out == ""
+    assert err == "error: 61 elements exceeds congruence cap 60\n"
 
 
 def test_filters_listing(capsys):
@@ -128,7 +131,7 @@ def test_export_and_ideals_build_no_operation_table(capsys, monkeypatch, argv):
 def test_the_shared_parser_keeps_no_state_between_calls(capsys):
     assert build_parser() is build_parser()
     sequence = [
-        ("verify", "--suite", "prime", "--count", "0", "--con-cap", "20"),
+        ("verify", "--suite", "prime", "--count", "0", "--seed", "3"),
         ("verify", "--count", "0"),
         ("congruences", "--dot", "N5"),
         ("congruences", "N5"),
@@ -160,23 +163,23 @@ def test_each_option_is_declared_only_where_it_is_read():
               if isinstance(a, argparse._SubParsersAction)]
     assert _options(parser) == set()
     assert {name: _options(p) for name, p in sub.choices.items()} == {
-        "analyze": {"--con-cap"},
-        "congruences": {"--con-cap", "--dot"},
+        "analyze": set(),
+        "congruences": {"--dot"},
         "filters": set(),
         "ideals": set(),
         "spectra": set(),
         "iso": set(),
         "export": {"--format"},
-        "verify": {"--con-cap", "--seed", "--quiet", "--suite", "--count",
-                   "--max-size", "--json", "--census", "--inject-fault"},
+        "verify": {"--seed", "--quiet", "--suite", "--count", "--max-size",
+                   "--json", "--census", "--inject-fault"},
     }
 
 
 @pytest.mark.parametrize("argv", [
-    ["--con-cap", "5", "congruences", "chain(10)"],
+    ["--dot", "congruences", "chain(10)"],
     ["--seed", "3", "verify"],
     ["--quiet", "verify"],
-    ["filters", "--con-cap", "5", "B2"],
+    ["filters", "--dot", "B2"],
 ])
 def test_an_option_where_it_is_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -292,24 +295,17 @@ def test_an_unwritable_report_path_is_refused_before_any_check(
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "B2", "--con-cap", "-1"],
-    ["analyze", "B2", "--con-cap", "0"],
-    ["congruences", "B2", "--con-cap", "0"],
-    ["verify", "--con-cap", "0"],
-])
-def test_a_con_cap_below_one_is_a_usage_error(capsys, argv):
+    ["analyze", "B2"],
+    ["congruences", "B2"],
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_con_cap_is_an_unrecognized_argument(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([*argv, "--con-cap", "5"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "--con-cap: must be at least 1" in captured.err
-
-
-def test_a_con_cap_of_one_is_accepted(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "B2", "--con-cap", "1")
-    assert code == 0
-    assert out.splitlines()[-1] == "|Con|=? (4 elements exceeds --con-cap 1)"
+    assert "unrecognized arguments: --con-cap 5" in captured.err
 
 
 def test_verify_count_past_the_cap_exits_2(capsys, monkeypatch):
@@ -383,7 +379,7 @@ def test_analyze_prints_nothing_when_a_con_fact_is_refused(capsys, monkeypatch):
     import latkit.cli as cli
     from latkit.errors import SizeCapExceeded
 
-    def refuse(lat, cap):
+    def refuse(lat):
         raise SizeCapExceeded("refused")
 
     monkeypatch.setattr(cli, "con_summary", refuse)

@@ -23,7 +23,7 @@ from latkit import (
     principal_congruence,
     quotient,
 )
-from latkit.construct import dilate
+from latkit.construct import dilate, horizontal_sum
 from latkit import congruence
 from latkit.errors import NotACongruence, SizeCapExceeded
 from latkit.dot import con_dot
@@ -128,8 +128,9 @@ def test_all_congruences_members_are_join_and_meet_closed():
 
 
 def test_all_congruences_cap():
-    with pytest.raises(SizeCapExceeded):
-        all_congruences(named("div", 12), cap=4)
+    with pytest.raises(SizeCapExceeded,
+                       match="^61 elements exceeds congruence cap 60$"):
+        all_congruences(named("chain", 61))
 
 
 def coatom_members(lat):
@@ -231,8 +232,6 @@ def test_prime_congruences_past_the_member_cap():
     assert [p.blocks() for p in primes] == [
         [list(range(k)), list(range(k, 30))] for k in range(29, 0, -1)]
     assert maximal_primes(chain) == primes
-    with pytest.raises(SizeCapExceeded):
-        prime_congruences(chain, cap=29)
 
 
 def test_quotient():
@@ -417,6 +416,62 @@ def test_closure_reads_past_the_member_cap():
         assert not got.simple and got.monolith is None
         with pytest.raises(SizeCapExceeded, match="more than 200000"):
             all_congruences(named("chain", n))
+
+
+def test_the_closure_readers_answer_past_the_listing_cap():
+    # chain(n): Con is Boolean on the n - 1 covers, con01 on the n - 3
+    # covers that touch neither bound, and the primes split at one cover.
+    n = 500
+    chain = named("chain", n)
+    assert con_summary(chain) == (2 ** (n - 1), 2 ** (n - 3), False, None)
+    assert not is_simple(chain)
+    assert is_subdirectly_irreducible(chain) == (False, None)
+    assert mu_con01(chain) == Partition.from_blocks(
+        n, [[0], list(range(1, n - 1)), [n - 1]])
+    assert prime_congruences(chain) == [
+        Partition.from_blocks(n, [list(range(k)), list(range(k, n))])
+        for k in range(n - 1, 0, -1)]
+
+
+def test_the_closure_readers_answer_on_a_500_element_sum():
+    # H = hsum(chain(a), chain(b)): con01(H) is con01(A) x con01(B), and
+    # Con(H) adds the two two-class congruences and the full relation. Its
+    # primes are those two and, below them, each interior split at one
+    # cover with the other interior kept whole.
+    a, b = 250, 252
+    H, (e_a, e_b) = horizontal_sum([named("chain", a), named("chain", b)])
+    assert H.n == 500
+    assert con_summary(H) == (2 ** (a - 3 + b - 3) + 3, 2 ** (a - 3 + b - 3),
+                              False, None)
+    assert not is_simple(H)
+    assert is_subdirectly_irreducible(H) == (False, None)
+    inner_a = [e_a[i] for i in range(1, a - 1)]
+    inner_b = [e_b[i] for i in range(1, b - 1)]
+    assert mu_con01(H) == Partition.from_blocks(
+        H.n, [[H.bottom], inner_a, inner_b, [H.top]])
+    taus = [Partition.from_blocks(H.n, [[H.bottom, *inner_b],
+                                        [*inner_a, H.top]]),
+            Partition.from_blocks(H.n, [[H.bottom, *inner_a],
+                                        [*inner_b, H.top]])]
+    splits = [Partition.from_blocks(
+        H.n, [[H.bottom], inner[:k], inner[k:], other, [H.top]])
+        for inner, other in ((inner_a, inner_b), (inner_b, inner_a))
+        for k in range(1, len(inner))]
+    assert len(splits) == (a - 3) + (b - 3)
+    assert prime_congruences(H) == sorted(
+        taus + splits, key=lambda p: (-p.num_blocks, p.block_of))
+
+
+def test_a_482_element_sum_of_boolean_squares_is_simple():
+    # con01(B2) is the identity alone, so a sum of three or more copies
+    # has only the identity and the full relation
+    H, _ = horizontal_sum([named("B2")] * 240)
+    assert H.n == 482
+    assert is_simple(H)
+    assert con_summary(H) == (2, 1, True, nabla(H))
+    assert is_subdirectly_irreducible(H) == (True, nabla(H))
+    assert mu_con01(H) == delta(H)
+    assert prime_congruences(H) == [delta(H)]
 
 
 def test_the_closed_set_count_is_bounded(monkeypatch):

@@ -142,9 +142,10 @@ def test_check_prime_equivalences_passes(maker):
 
 
 def test_check_prime_equivalences_skips_on_cap():
-    report = check_prime_equivalences(named("div", 36), con_cap=5)
+    report = check_prime_equivalences(named("chain", 61))
     assert report.skipped and not report.passed
-    assert "reason" in report.details
+    assert report.details == {
+        "reason": "61 elements exceeds congruence cap 60"}
 
 
 def test_a_cap_hit_outside_the_congruence_enumeration_skips():
@@ -163,7 +164,7 @@ def test_a_lattice_error_in_a_direct_call_is_a_failure():
 def test_an_error_in_a_one_lattice_check_carries_the_lattice(monkeypatch):
     import latkit.verify as verify
 
-    def refuse(lat, cap):
+    def refuse(lat):
         raise NotACongruence("refused")
 
     monkeypatch.setattr(verify, "all_congruences", refuse)
@@ -251,6 +252,20 @@ def test_check_dilate():
     assert r.details["dilated_size"] == 10
     r = check_dilate(named("chain", 1))
     assert r.skipped
+
+
+def test_check_dilate_refuses_a_large_dilation_before_work(monkeypatch):
+    import latkit.verify as verify
+
+    def no_work(*args):
+        raise AssertionError("worked on a dilation past the listing cap")
+
+    monkeypatch.setattr(verify, "fat_intervals", no_work)
+    monkeypatch.setattr(verify, "is_simple", no_work)
+    monkeypatch.setattr(verify, "all_filters", no_work)
+    r = check_dilate(named("chain", 10))
+    assert r.status == "SKIP"
+    assert r.details == {"reason": "82 elements exceeds congruence cap 60"}
 
 
 def test_check_b2_hsum():
@@ -415,7 +430,7 @@ def test_an_is_simple_that_ignores_its_last_closure_fails_a_report(monkeypatch):
     import latkit.verify as verify
     from latkit.congruence import _dependency
 
-    def ignores_last_closure(lat, cap=60):
+    def ignores_last_closure(lat):
         if lat.n < 2:
             return False
         _, closure = _dependency(lat)
