@@ -295,17 +295,19 @@ def test_an_unwritable_report_path_is_refused_before_any_check(
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "B2"],
-    ["congruences", "B2"],
-    ["verify"],
-], ids=lambda argv: argv[0])
+    pytest.param(["analyze", "B2", "--con-cap", "-1"], id="analyze-minus-one"),
+    pytest.param(["analyze", "B2", "--con-cap", "0"], id="analyze-zero"),
+    pytest.param(["analyze", "B2", "--con-cap", "1"], id="analyze-one"),
+    pytest.param(["congruences", "B2", "--con-cap", "0"], id="congruences"),
+    pytest.param(["verify", "--con-cap", "0"], id="verify"),
+])
 def test_con_cap_is_an_unrecognized_argument(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--con-cap", "5"])
+        main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "unrecognized arguments: --con-cap 5" in captured.err
+    assert f"unrecognized arguments: --con-cap {argv[-1]}" in captured.err
 
 
 def test_verify_count_past_the_cap_exits_2(capsys, monkeypatch):
