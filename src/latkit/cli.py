@@ -10,9 +10,9 @@ import argparse
 import sys
 from contextlib import nullcontext
 from functools import cache
+from itertools import islice
 
 from .congruence import all_congruences, con_summary
-from .equiv import block_renderer
 from .errors import LatticeError, SizeCapExceeded
 from .expr import evaluate, parse
 from .filters import all_filters, all_ideals
@@ -83,9 +83,9 @@ def _cmd_congruences(args) -> int:
         print(con_dot(con), end="")
         return 0
     print(f"|Con|={len(con)}")
-    render = block_renderer(lat.labels)
-    for block_of in con.block_maps:
-        print(render(block_of))
+    lines = con.lines()  # printed in batches: one print a line costs more
+    while chunk := list(islice(lines, 4096)):
+        print("\n".join(chunk))
     return 0
 
 

@@ -45,33 +45,68 @@ Listing Con(L) is `all_congruences`'s job alone, and its caps bind only
 the listings. It refuses a lattice above DEFAULT_CON_CAP elements before
 it builds a join table, so that a refusal costs no work, and it compares
 the count with DEFAULT_MEMBER_CAP before it enumerates. It OR-folds the
-closures, keys each mask once by its block map and sorts the members
-into a fixed canonical order (more blocks first, then by block map), so
-that listings and goldens are deterministic. A ConLattice keeps each
-member's mask and block map and builds the tuple of Partitions only when
-`members` is first read. It answers what needs the members or their
-order (con01, covers, coatoms); |Con|, μ, the monolith, simplicity and
-the primes have one reader each among the functions below, which read
-the closures.
+closures and keys each member by one bytes row: 255 minus its number of
+blocks, its least-member block map, then its mask. Sorting the rows once
+puts the members in a fixed canonical order (more blocks first, then by
+block map), so that listings and goldens are deterministic. From three
+members per element of L on, the rows are built for all members at
+once, bit-sliced: each big int holds one 8-bit lane per member, and x's
+block id is the least y whose jbelow[y] ^ jbelow[x] the member holds,
+an AND of lanes over a few join-irreducibles. `ConLattice.lines()`
+renders the rows in block notation in the same way, a chunk of members
+at a time; smaller listings are keyed and rendered one member at a time.
+DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
+carries into the next. A ConLattice reads the masks, the block maps and
+the tuple of Partitions off the rows only when they are first asked for.
+It answers what needs the members or their order (con01, covers,
+coatoms); |Con|, μ, the monolith, simplicity and the primes have one
+reader each among the functions below, which read the closures.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cached_property, reduce
+from itertools import count
 from math import prod
 from operator import and_, or_
 from typing import NamedTuple, Optional
 
 from .core import Lattice, bits, mask_of
-from .equiv import Partition, is_congruence
+from .equiv import Partition, block_renderer, is_congruence
 from .errors import NotACongruence, SizeCapExceeded
 
+# The listing keys and renders its members in 8-bit lanes and bytes rows,
+# one byte per element index, block count and position, so this cap must
+# stay below 128, where no lane carries into the next. It must also stay
+# at most 65: a member's mask, over at most n - 1 join-irreducibles,
+# fills the _WIDTH bytes of its row.
 DEFAULT_CON_CAP = 60
 DEFAULT_MEMBER_CAP = 200_000
+_WIDTH = 8
+# A listing keys and renders its members lane-wise from this many members
+# per element of the lattice on; below it, one member at a time costs less
+# (the crossover lay near 30 members at 8 to 17 elements, and near 150 at
+# 55).
+_LANES_PER_ELEMENT = 3
+_CHUNK = 4096  # members rendered per pass of `ConLattice.lines`
 
 
 def _dependency(lat):
-    """(jbelow, closure) of lat, as described in the module docstring."""
+    """(jbelow, closure) of lat, as described in the module docstring.
+
+    Computed once per Lattice and kept in its __dict__ beside the tables
+    that `cached_property` keeps there, so a `renamed` copy shares it and
+    a `dual` computes its own."""
+    got = lat.__dict__.get("_dependency")
+    if got is None:
+        got = lat.__dict__["_dependency"] = _closures(lat)
+    return got
+
+
+def _closures(lat):
+    """(jbelow, closure) of lat, computed afresh."""
     n, up, down, jt = lat.n, lat.up, lat.down, lat.join_t
     down_id = {d: x for x, d in enumerate(down)}
     # k is join-irreducible iff what lies strictly below k is a principal
@@ -93,7 +128,7 @@ def _dependency(lat):
         for s, cs in enumerate(closure):
             if cs & bit:
                 closure[s] = cs | ct
-    return jbelow, closure
+    return tuple(jbelow), tuple(closure)
 
 
 def _forcing(closure):
@@ -193,29 +228,64 @@ class ConLattice:
     """All congruences of a lattice, ordered by refinement.
 
     The members come in the canonical order: more blocks first, then by
-    block map. `masks[i]` is the closed set of join-irreducibles of the
-    i-th member (see the module docstring), so member i refines member j
-    iff masks[i] is a subset of masks[j]. `closure[t]` is the D*-closure
-    of the t-th join-irreducible. `block_maps[i]` is the least-member block
-    map of the i-th member; `members`, the tuple of members as Partitions,
-    is built from the block maps on first read.
+    block map. `rows[i]` is the i-th member as bytes: 255 minus its
+    number of blocks, its least-member block map, and its mask in
+    little-endian order, so that sorting the rows sorts the members.
+    `masks[i]` is the closed set of join-irreducibles of the i-th member
+    (see the module docstring), so member i refines member j iff masks[i]
+    is a subset of masks[j]. `closure[t]` is the D*-closure of the t-th
+    join-irreducible. `masks`, `block_maps` (the least-member block maps)
+    and `members` (the members as Partitions) are read off the rows on
+    first use; `lines()` renders the rows without any of them.
     """
 
-    def __init__(self, base: Lattice, jbelow, closure, masks, block_maps):
+    def __init__(self, base: Lattice, jbelow, closure, rows):
         self.base = base
         self.closure = tuple(closure)
-        self.masks = tuple(masks)
         self._jbelow = jbelow
-        self.block_maps = tuple(block_maps)
+        self.rows = tuple(rows)
         # delta alone has |L| blocks and nabla alone one
-        self.delta_ix, self.nabla_ix = 0, len(self.masks) - 1
+        self.delta_ix, self.nabla_ix = 0, len(self.rows) - 1
 
     def __len__(self):
-        return len(self.masks)
+        return len(self.rows)
+
+    @cached_property
+    def masks(self):
+        end = self.base.n + 1  # where the block map ends and the mask starts
+        return tuple([int.from_bytes(r[end:], "little") for r in self.rows])
+
+    @cached_property
+    def block_maps(self):
+        end = self.base.n + 1
+        return tuple([tuple(r[1:end]) for r in self.rows])
 
     @cached_property
     def members(self):
         return tuple(map(Partition._of_canonical, self.block_maps))
+
+    def lines(self):
+        """Each member in block notation (`equiv.block_renderer`), in
+        order, one line at a time. From three members per element on, the
+        lines of a chunk of members are rendered lane-wise
+        (`_render_codes`) as one text, which is split at a character that
+        no label holds; smaller listings go through `block_renderer`."""
+        labels = self.base.labels
+        if not _by_lanes(len(self.rows), len(labels)):
+            yield from map(block_renderer(labels), self.block_maps)
+            return
+        used = set("".join(labels))
+        sep = next(c for c in map(chr, count(10)) if c not in used)
+        pieces = [""] * 256  # indexed by the codes of `_render_codes`
+        for x, lab in enumerate(labels):
+            pieces[x], pieces[128 + x] = "," + lab, "}{" + lab
+        pieces[128], pieces[255] = "{" + labels[0], "}" + sep
+        get = pieces.__getitem__
+        for start in range(0, len(self.rows), _CHUNK):
+            codes = _render_codes(self.rows[start:start + _CHUNK], len(labels))
+            lines = "".join(map(get, codes)).split(sep)
+            lines.pop()  # the empty text after the last separator
+            yield from lines
 
     @cached_property
     def _map_index(self):
@@ -299,19 +369,118 @@ def all_congruences(lat) -> ConLattice:
     masks = {0}
     for g in gens:
         masks |= {m | g for m in masks}
-    # Key each mask once by its block map, grouped by block count.
-    by_blocks = {}
+    key = _rows_by_lanes if _by_lanes(len(masks), lat.n) else _rows_by_member
+    rows = key(jbelow, closure, list(masks))
+    rows.sort()
+    return ConLattice(lat, jbelow, closure, rows)
+
+
+def _by_lanes(members: int, n: int) -> bool:
+    return members >= _LANES_PER_ELEMENT * n
+
+
+def _rows_by_member(jbelow, closure, masks):
+    """The unsorted rows of `ConLattice` for these masks, keyed one member
+    at a time: x opens a block unless an earlier element has its
+    `jbelow[x] & ~s`."""
+    rows = []
     for s in masks:
         first = {}
         least = first.setdefault
         ns = ~s
-        bo = tuple([least(jb & ns, x) for x, jb in enumerate(jbelow)])
-        by_blocks.setdefault(len(first), []).append((bo, s))
-    keyed = []
-    for k in sorted(by_blocks, reverse=True):
-        keyed += sorted(by_blocks.pop(k))
-    return ConLattice(lat, jbelow, closure, [s for _, s in keyed],
-                      [bo for bo, _ in keyed])
+        bo = [least(jb & ns, x) for x, jb in enumerate(jbelow)]
+        rows.append(bytes([255 - len(first), *bo]) + s.to_bytes(_WIDTH, "little"))
+    return rows
+
+
+def _rows_by_lanes(jbelow, closure, masks):
+    """The rows of `_rows_by_member`, in the order of `masks`, keyed for
+    all members at once.
+
+    Each big int holds one 8-bit lane per member, member i in byte i.
+    y and x share a block exactly when the member holds jbelow[x] ^
+    jbelow[y], and a member holding t holds closure[t], so the test is an
+    AND of the lanes of a few join-irreducibles. x's block id is the least
+    such y; x opens a block when no y < x qualifies. Every value in a lane
+    stays below 256, so no lane carries into the next.
+    """
+    m, n = len(masks), len(jbelow)
+    ones = int.from_bytes(b"\1" * m, "little")
+    packed = array("Q", masks)  # 8 bytes a mask, as in the rows
+    if sys.byteorder == "big":
+        packed.byteswap()
+    packed = packed.tobytes()
+    # byte[k]: byte k of each mask, a lane each; holds[t]: 255 in the
+    # lanes of the members that hold t
+    byte = [int.from_bytes(packed[k::_WIDTH], "little") for k in range(_WIDTH)]
+    holds = [(byte[t >> 3] >> (t & 7) & ones) * 255 for t in range(len(closure))]
+    full, ids = ones * 255, [y * ones for y in range(n)]
+    row = n + 1 + _WIDTH
+    buf = bytearray(m * row)
+    blocks = 0
+    for x in range(n):
+        bid, joined = ids[x], 0
+        for y in range(x - 1, -1, -1):  # the least such y is set last
+            same, rest = full, jbelow[x] ^ jbelow[y]
+            while rest:
+                t = (rest & -rest).bit_length() - 1
+                same &= holds[t]
+                rest &= ~closure[t]
+            bid ^= (bid ^ ids[y]) & same
+            joined |= same
+        blocks += ones & ~joined
+        buf[x + 1::row] = bid.to_bytes(m, "little")
+    buf[0::row] = (255 * ones - blocks).to_bytes(m, "little")
+    for k in range(_WIDTH):
+        buf[n + 1 + k::row] = packed[k::_WIDTH]
+    data = bytes(buf)
+    return [data[i:i + row] for i in range(0, len(data), row)]
+
+
+def _render_codes(rows, n):
+    """For each row, n + 1 bytes: the piece codes of `ConLattice.lines`
+    in the order they are printed, then 255 (the closing brace).
+
+    An element is printed in its block, blocks by least member and each
+    ascending, so its position is the number of elements whose (block
+    id, index) is smaller. Its code is its index, plus 128 when it opens
+    its block. Both are computed lane-wise, as in `_rows_by_lanes`: with
+    every value below 128, (a | 128) - b has its top bit set exactly when
+    a >= b, so lanes compare without a borrow into the next.
+    """
+    m, row = len(rows), len(rows[0])
+    data = b"".join(rows)
+    ones = int.from_bytes(b"\1" * m, "little")
+    high = ones << 7
+    ids = [y * ones for y in range(n)]
+    bids = [int.from_bytes(data[k::row], "little") for k in range(1, n + 1)]
+    rank, codes = [0] * n, []
+    for x, bx in enumerate(bids):
+        bx |= high
+        for z in range(x):  # z comes first iff its block id is not larger
+            first = (bx - bids[z]) >> 7 & ones
+            rank[x] += first
+            rank[z] += ones ^ first
+        # x opens its block iff its block id reaches x, its largest value
+        codes.append(ids[x] | ((bx - ids[x]) & high))
+    at = [None] * n
+    moving = []
+    for x, r in enumerate(rank):
+        if r == (r & 255) * ones:  # at the same position in every member
+            at[r & 255] = codes[x]
+        else:
+            moving.append(x)
+    buf = bytearray(m * (n + 1))
+    for p in range(n):
+        if at[p] is None:
+            at[p] = 0
+            for x in moving:
+                v = rank[x] ^ ids[p]
+                hit = ((v | high) - ones) & high ^ high  # 128 where v is 0
+                at[p] |= codes[x] & (hit >> 7) * 255
+        buf[p::n + 1] = at[p].to_bytes(m, "little")
+    buf[n::n + 1] = b"\xff" * m
+    return bytes(buf)
 
 
 class ConSummary(NamedTuple):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .equiv import block_renderer
-
 
 def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
@@ -27,7 +25,7 @@ def lattice_dot(lat) -> str:
 
 def con_dot(con) -> str:
     """Hasse diagram of a ConLattice, nodes labelled by block notation."""
-    names = list(map(block_renderer(con.base.labels), con.block_maps))
+    names = list(con.lines())
     pairs = [(names[i], names[j]) for i, j in con.covers()]
     title = f"Con({con.base.name})" if con.base.name else "Con"
     return hasse_dot(names, pairs, title=title)

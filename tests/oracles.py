@@ -585,3 +585,13 @@ def horizontal_sum_by_covers(family):
     name = f"hsum({','.join(_display(lat) for lat in family)})"
     result = Lattice.from_covers(labels, sorted(covers), name=name)
     return result, {k: tuple(v) for k, v in sources.items()}
+
+
+def relabelled(lat, perm):
+    """Copy of `lat` with old element i moved to index perm[i]."""
+    labels = [None] * lat.n
+    up = [0] * lat.n
+    for i in range(lat.n):
+        labels[perm[i]] = lat.labels[i]
+        up[perm[i]] = mask_of(perm[j] for j in bits(lat.up[i]))
+    return Lattice(labels, up)

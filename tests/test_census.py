@@ -3,12 +3,11 @@ import random
 import pytest
 
 from latkit import Lattice, corpus, enumerate_lattices, isomorphic
-from latkit.core import bits, mask_of
 from latkit.verify import (_coatom_extensions, _invariants, _least_lows,
                            _up_of_lows)
 
 from oracles import (_certificate, census_by_pairwise_iso,
-                     coatom_children_by_validation)
+                     coatom_children_by_validation, relabelled)
 
 # Lattices with 1..10 elements up to isomorphism, OEIS A006966.
 A006966 = (1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994)
@@ -31,16 +30,6 @@ def oracle8():
 
 def _fingerprint(lats):
     return [(lat.name, lat.labels, lat.up) for lat in lats]
-
-
-def _relabelled(lat, perm):
-    """Copy of `lat` with old element i moved to index perm[i]."""
-    labels = [None] * lat.n
-    up = [0] * lat.n
-    for i in range(lat.n):
-        labels[perm[i]] = lat.labels[i]
-        up[perm[i]] = mask_of(perm[j] for j in bits(lat.up[i]))
-    return Lattice(labels, up)
 
 
 def _random_linear_extension(rng, lat):
@@ -85,7 +74,7 @@ def test_least_lows_gives_the_census_representative():
     for lat in enumerate_lattices(7):
         assert _up_of_lows(_least_lows(lat.up, lat.down)) == lat.up
         for _ in range(4):
-            moved = _relabelled(lat, _random_linear_extension(rng, lat))
+            moved = relabelled(lat, _random_linear_extension(rng, lat))
             assert _up_of_lows(_least_lows(moved.up, moved.down)) == lat.up
 
 
@@ -115,7 +104,7 @@ def test_certificate_survives_relabelling():
         for _ in range(3):
             perm = list(range(lat.n))
             rng.shuffle(perm)
-            assert _key(_relabelled(lat, perm)) == key
+            assert _key(relabelled(lat, perm)) == key
 
 
 def test_certificate_agrees_with_isomorphic_on_the_corpus():

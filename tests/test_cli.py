@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,16 @@ def test_analyze_respects_con_cap(capsys):
     lines = out.splitlines()
     assert "|Con|=1152921504606846976" in lines
     assert "|Con01|=288230376151711744" in lines
+
+
+def test_a_listing_of_two_to_the_sixteen_congruences_is_unchanged(capsys):
+    # keyed and rendered lane-wise, a chunk of members at a time; the
+    # digest is that of the member-at-a-time listing it replaced
+    code, out, err = run_cli(capsys, "congruences", "osum(chain(7),chain(11))")
+    assert code == 0 and err == ""
+    assert out.count("\n") == 65537
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "67b55507fc2c9c92be33f971384a029530cd050481e7d306b7b3cf79cb90ab8d"
 
 
 def test_congruences_listing(capsys):

@@ -5,6 +5,7 @@ from functools import reduce
 import pytest
 
 from latkit import (
+    Lattice,
     Partition,
     all_congruences,
     con_summary,
@@ -25,6 +26,8 @@ from latkit import (
 )
 from latkit.construct import dilate, horizontal_sum
 from latkit import congruence
+from latkit.congruence import DEFAULT_MEMBER_CAP
+from latkit.expr import evaluate, parse
 from latkit.errors import NotACongruence, SizeCapExceeded
 from latkit.dot import con_dot
 from latkit.equiv import block_renderer
@@ -32,10 +35,13 @@ from oracles import (
     closed_sets_by_definition,
     coatoms_by_order,
     con_lattice_by_partitions,
+    cover_principals,
     congruences_by_exhaustion,
     covers_by_order,
+    join_closure,
     prime_congruences_by_scan,
     principal_by_worklist,
+    relabelled,
 )
 
 
@@ -513,3 +519,87 @@ def test_members_are_built_on_first_use():
     assert [p.block_of for p in con.members] == list(con.block_maps)
     assert con.members[-1] == nabla(lat)
     assert con.index_of(con.members[7]) == 7
+
+
+def _both_ways(monkeypatch, lat):
+    """all_congruences(lat) keyed and rendered one member at a time (no
+    listing reaches DEFAULT_MEMBER_CAP members per element), then
+    lane-wise: the rows, lines and DOT of each."""
+    out = []
+    for per_element in (DEFAULT_MEMBER_CAP, 0):
+        monkeypatch.setattr(congruence, "_LANES_PER_ELEMENT", per_element)
+        con = all_congruences(lat)
+        out.append((con.rows, list(con.lines()), con_dot(con)))
+    return out
+
+
+def test_the_lane_wise_listing_matches_the_member_wise_one(monkeypatch):
+    # Every census class up to 8, as enumerated (the index order is a
+    # linear extension) and reindexed so that it is not one, as ihsum, D
+    # and file(...) give: there a block's least index need not be its
+    # bottom, and a block need not be a run of indices.
+    rng = random.Random(17)
+    for lat in enumerate_lattices(8):
+        backwards = range(lat.n - 1, -1, -1)
+        shuffled = rng.sample(range(lat.n), lat.n)
+        for copy in (lat, relabelled(lat, backwards),
+                     relabelled(lat, shuffled)):
+            by_member, by_lanes = _both_ways(monkeypatch, copy)
+            assert by_lanes == by_member, copy.labels
+            assert all_congruences(copy).block_maps == tuple(
+                p.block_of for p in join_closure(copy.n, cover_principals(copy)))
+
+
+def test_the_two_keyings_agree_row_for_row(monkeypatch):
+    # On the same members in a shuffled order, and in lines past one
+    # render chunk (chain(14) has 8,192 members).
+    rng = random.Random(5)
+    for expr in ("hsum(chain(6),N5,chain(5))", 'ihsum(chain(12),"m3","m7",M3)',
+                 "D(hsum(chain(3),chain(4)))", "chain(14)"):
+        lat = evaluate(parse(expr))
+        jbelow, closure = congruence._dependency(lat)
+        masks = list(all_congruences(lat).masks)
+        rng.shuffle(masks)
+        assert congruence._rows_by_lanes(jbelow, closure, masks) == \
+            congruence._rows_by_member(jbelow, closure, masks), expr
+        by_member, by_lanes = _both_ways(monkeypatch, lat)
+        assert by_lanes == by_member, expr
+
+
+def test_lines_keep_labels_that_hold_braces_commas_and_newlines(monkeypatch):
+    lat = Lattice.from_covers(["0", "a\nb", "{,}", "1\n"],
+                              [("0", "a\nb"), ("0", "{,}"), ("a\nb", "1\n"),
+                               ("{,}", "1\n")])
+    by_member, by_lanes = _both_ways(monkeypatch, lat)
+    assert by_lanes == by_member
+    assert by_member[1][0] == "{0}{a\nb}{{,}}{1\n}"
+
+
+def test_the_listing_cap_fits_its_lanes():
+    # The listing's 8-bit lanes and bytes rows hold element indices, block
+    # counts and positions below 128, and a mask over at most n - 1
+    # join-irreducibles in _WIDTH bytes.
+    assert congruence.DEFAULT_CON_CAP < 128
+    assert congruence.DEFAULT_CON_CAP - 1 <= 8 * congruence._WIDTH
+
+
+def test_the_dependency_is_computed_once_per_lattice(monkeypatch):
+    closures = congruence._closures
+    seen = []
+
+    def counted(lat):
+        seen.append(lat)
+        return closures(lat)
+
+    monkeypatch.setattr(congruence, "_closures", counted)
+    lat = named("N5")
+    dep = congruence._dependency(lat)
+    for read in (all_congruences, con_summary, is_simple, prime_congruences,
+                 mu_con01, is_subdirectly_irreducible):
+        read(lat)
+    assert seen == [lat]
+    # a renamed copy shares it; the dual, under the reversed order, does not
+    assert congruence._dependency(lat.renamed("P")) is dep
+    dual = lat.dual()
+    assert congruence._dependency(dual) == closures(Lattice(lat.labels, lat.down))
+    assert seen == [lat, dual]
