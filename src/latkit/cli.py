@@ -10,7 +10,6 @@ import argparse
 import sys
 from contextlib import nullcontext
 from functools import cache
-from itertools import islice
 
 from .congruence import all_congruences, con_summary
 from .errors import LatticeError, SizeCapExceeded
@@ -83,8 +82,7 @@ def _cmd_congruences(args) -> int:
         print(con_dot(con), end="")
         return 0
     print(f"|Con|={len(con)}")
-    lines = con.lines()  # printed in batches: one print a line costs more
-    while chunk := list(islice(lines, 4096)):
+    for chunk in con.line_chunks():  # one print a line costs more
         print("\n".join(chunk))
     return 0
 

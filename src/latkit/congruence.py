@@ -52,7 +52,7 @@ block map), so that listings and goldens are deterministic. From three
 members per element of L on, the rows are built for all members at
 once, bit-sliced: each big int holds one 8-bit lane per member, and x's
 block id is the least y whose jbelow[y] ^ jbelow[x] the member holds,
-an AND of lanes over a few join-irreducibles. `ConLattice.lines()`
+an AND of lanes over a few join-irreducibles. `ConLattice.line_chunks()`
 renders the rows in block notation in the same way, a chunk of members
 at a time; smaller listings are keyed and rendered one member at a time.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
@@ -86,11 +86,14 @@ DEFAULT_CON_CAP = 60
 DEFAULT_MEMBER_CAP = 200_000
 _WIDTH = 8
 # A listing keys and renders its members lane-wise from this many members
-# per element of the lattice on; below it, one member at a time costs less
-# (the crossover lay near 30 members at 8 to 17 elements, and near 150 at
-# 55).
+# per element of the lattice on; below it, one member at a time costs less.
+# Keying crossed over near 30 members at 8 to 17 elements and near 150 at
+# 55; rendering between 1.5 and 2.5 members per element, two-member
+# listings of 17 to 37 elements rendering 5 to 10 times slower in lanes.
+# One threshold serves both: a second one at 2 saved 0.04 ms in a `cli`
+# benchmark batch's 0.85 s.
 _LANES_PER_ELEMENT = 3
-_CHUNK = 4096  # members rendered per pass of `ConLattice.lines`
+_CHUNK = 4096  # members rendered per pass of `ConLattice.line_chunks`
 
 
 def _dependency(lat):
@@ -236,7 +239,7 @@ class ConLattice:
     is a subset of masks[j]. `closure[t]` is the D*-closure of the t-th
     join-irreducible. `masks`, `block_maps` (the least-member block maps)
     and `members` (the members as Partitions) are read off the rows on
-    first use; `lines()` renders the rows without any of them.
+    first use; `line_chunks()` renders the rows without any of them.
     """
 
     def __init__(self, base: Lattice, jbelow, closure, rows):
@@ -264,15 +267,17 @@ class ConLattice:
     def members(self):
         return tuple(map(Partition._of_canonical, self.block_maps))
 
-    def lines(self):
+    def line_chunks(self):
         """Each member in block notation (`equiv.block_renderer`), in
-        order, one line at a time. From three members per element on, the
-        lines of a chunk of members are rendered lane-wise
-        (`_render_codes`) as one text, which is split at a character that
-        no label holds; smaller listings go through `block_renderer`."""
+        order, as lists of lines. From _LANES_PER_ELEMENT members per
+        element on, each list holds the next _CHUNK members, rendered
+        lane-wise (`_render_codes`) as one text that is split at a
+        character no label holds. A smaller listing, of fewer than
+        _LANES_PER_ELEMENT * DEFAULT_CON_CAP members, comes as one list
+        from `block_renderer`."""
         labels = self.base.labels
         if not _by_lanes(len(self.rows), len(labels)):
-            yield from map(block_renderer(labels), self.block_maps)
+            yield list(map(block_renderer(labels), self.block_maps))
             return
         used = set("".join(labels))
         sep = next(c for c in map(chr, count(10)) if c not in used)
@@ -285,7 +290,7 @@ class ConLattice:
             codes = _render_codes(self.rows[start:start + _CHUNK], len(labels))
             lines = "".join(map(get, codes)).split(sep)
             lines.pop()  # the empty text after the last separator
-            yield from lines
+            yield lines
 
     @cached_property
     def _map_index(self):
@@ -438,7 +443,7 @@ def _rows_by_lanes(jbelow, closure, masks):
 
 
 def _render_codes(rows, n):
-    """For each row, n + 1 bytes: the piece codes of `ConLattice.lines`
+    """For each row, n + 1 bytes: the piece codes of `ConLattice.line_chunks`
     in the order they are printed, then 255 (the closing brace).
 
     An element is printed in its block, blocks by least member and each

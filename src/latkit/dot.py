@@ -25,7 +25,7 @@ def lattice_dot(lat) -> str:
 
 def con_dot(con) -> str:
     """Hasse diagram of a ConLattice, nodes labelled by block notation."""
-    names = list(con.lines())
+    names = [line for chunk in con.line_chunks() for line in chunk]
     pairs = [(names[i], names[j]) for i, j in con.covers()]
     title = f"Con({con.base.name})" if con.base.name else "Con"
     return hasse_dot(names, pairs, title=title)

@@ -529,7 +529,8 @@ def _both_ways(monkeypatch, lat):
     for per_element in (DEFAULT_MEMBER_CAP, 0):
         monkeypatch.setattr(congruence, "_LANES_PER_ELEMENT", per_element)
         con = all_congruences(lat)
-        out.append((con.rows, list(con.lines()), con_dot(con)))
+        lines = [line for chunk in con.line_chunks() for line in chunk]
+        out.append((con.rows, lines, con_dot(con)))
     return out
 
 
@@ -564,6 +565,13 @@ def test_the_two_keyings_agree_row_for_row(monkeypatch):
             congruence._rows_by_member(jbelow, closure, masks), expr
         by_member, by_lanes = _both_ways(monkeypatch, lat)
         assert by_lanes == by_member, expr
+
+
+def test_a_listing_is_rendered_a_chunk_at_a_time():
+    chunks = list(all_congruences(named("chain", 14)).line_chunks())
+    assert [len(c) for c in chunks] == [congruence._CHUNK] * 2
+    # below the lane threshold, the whole listing is one list
+    assert [len(c) for c in all_congruences(named("N5")).line_chunks()] == [5]
 
 
 def test_lines_keep_labels_that_hold_braces_commas_and_newlines(monkeypatch):
