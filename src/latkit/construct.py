@@ -8,9 +8,11 @@ and one embedding per summand: a tuple `e` with `e[x]` the result index
 of summand element x, so the glue points lie in the image of every
 summand, and a summand's labels carry over as
 `{lab: result.labels[e[x]] for x, lab in enumerate(summand.labels)}`.
-Each construction checks the size cap, assembles its up masks from its
-summands' and runs full lattice validation on them rather than trusting
-the construction.
+Each construction checks the size cap and assembles its masks from its
+summands', a big-int shift per run of consecutive indices. Ordinal and
+horizontal sums of lattices are lattices, so they are built from their
+up and down masks unvalidated; `interval_hsum` and `dilate` pass their up
+masks to the full lattice validation of `Lattice()`.
 """
 
 from __future__ import annotations
@@ -42,18 +44,35 @@ def _display(lat: Lattice) -> str:
     return lat.name or f"<{lat.n}>"
 
 
-def _image(mask: int, e) -> int:
+def _runs(e):
+    """The embedding `e` as runs (lo, width, dest) of consecutive indices:
+    the summand elements in `width << lo` go to dest, dest + 1, ..."""
+    runs, lo = [], 0
+    for x in range(1, len(e) + 1):
+        if x == len(e) or e[x] != e[x - 1] + 1:
+            runs.append((lo, (1 << (x - lo)) - 1, e[lo]))
+            lo = x
+    return runs
+
+
+def _image(mask: int, runs) -> int:
     """The mask of the result indices of the summand elements in `mask`."""
-    return mask_of(e[x] for x in bits(mask))
+    out = 0
+    for lo, width, dest in runs:
+        out |= (mask >> lo & width) << dest
+    return out
 
 
-def _union_up(n: int, parts) -> list:
-    """Up masks of the union of the orders of (summand, embedding) parts."""
-    up = [0] * n
+def _union_up(n: int, parts):
+    """Up and down masks of the union of the orders of (summand,
+    embedding) parts."""
+    up, down = [0] * n, [0] * n
     for lat, e in parts:
-        for x, row in enumerate(lat.up):
-            up[e[x]] |= _image(row, e)
-    return up
+        runs = _runs(e)
+        for x, y in enumerate(e):
+            up[y] |= _image(lat.up[x], runs)
+            down[y] |= _image(lat.down[x], runs)
+    return up, down
 
 
 def ordinal_sum(lower: Lattice, upper: Lattice):
@@ -71,12 +90,16 @@ def ordinal_sum(lower: Lattice, upper: Lattice):
         else:
             e1.append(len(labels))
             labels.append(f"1.{lab}")
-    up = _union_up(len(labels), ((lower, e0), (upper, e1)))
+    up, down = _union_up(len(labels), ((lower, e0), (upper, e1)))
     # everything of `lower` lies below the glue point, so below all of `upper`
     for x in e0:
         up[x] |= up[lower.top]
+    for y in e1:
+        down[y] |= down[lower.top]
     name = f"osum({_display(lower)},{_display(upper)})"
-    return Lattice(labels, up, name=name), (e0, tuple(e1))
+    return (Lattice._unchecked(labels, up, down, lower.bottom, e1[upper.top],
+                               name),
+            (e0, tuple(e1)))
 
 
 def _hsum_embeddings(family):
@@ -117,9 +140,10 @@ def horizontal_sum(family):
         for x, lab in enumerate(lat.labels):
             labels[e[x]] = f"{i}.{lab}"
     labels[0], labels[-1] = "0", "1"
-    up = _union_up(len(labels), zip(family, embeddings))
+    up, down = _union_up(len(labels), zip(family, embeddings))
     name = f"hsum({','.join(_display(lat) for lat in family)})"
-    return Lattice(labels, up, name=name), embeddings
+    return (Lattice._unchecked(labels, up, down, 0, len(labels) - 1, name),
+            embeddings)
 
 
 def hsum_congruences(pairs) -> Partition:
@@ -194,7 +218,8 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
     block = mask_of(range(n0, len(labels)))
     for i in bits(lat.down[a]):
         up[i] |= block
-    up += [_image(insert.up[x], e1) | lat.up[b]
+    runs = _runs(e1)
+    up += [_image(insert.up[x], runs) | lat.up[b]
            for x in range(insert.n) if e1[x] >= n0]
     name = (f"ihsum({_display(lat)},{lat.labels[a]},{lat.labels[b]},"
             f"{_display(insert)})")

@@ -2,10 +2,13 @@
 
 Elements are dense indices into `labels`. The order is stored as one upset
 bitmask per element, so comparisons, intervals and bound searches are plain
-integer bit operations. Every constructor validates the lattice axioms
-(a partial order with a unique bottom and top, and a unique lub for every
-pair, which in a bounded order gives every glb too), so downstream code
-may assume a genuine bounded lattice.
+integer bit operations. `Lattice()`, `from_covers` and `div(n)` validate
+the lattice axioms (a partial order with a unique bottom and top, and a
+unique lub for every pair, which in a bounded order gives every glb too),
+so downstream code may assume a genuine bounded lattice. Chains, duals and
+the ordinal and horizontal sums are lattices by construction: they are
+built by `Lattice._unchecked` from both order tables, unvalidated, and a
+differential test checks their tables against `Lattice()`'s.
 
 Validation builds no table: one pass over the comparable pairs checks
 antisymmetry and transitivity and collects the downsets, and the join of
@@ -139,6 +142,15 @@ class Lattice:
         self.top = tops[0]
         self.name = name
 
+    @classmethod
+    def _unchecked(cls, labels, up, down, bottom, top, name):
+        """The lattice with these order tables, taken as they are: only for
+        builds that are lattices by construction."""
+        out = object.__new__(cls)
+        out.labels, out.up, out.down = tuple(labels), tuple(up), tuple(down)
+        out.bottom, out.top, out.name = bottom, top, name
+        return out
+
     @cached_property
     def meet_t(self):
         """meet_t[i][j] is the meet of i and j: the element whose downset is
@@ -192,13 +204,22 @@ class Lattice:
 
     @cached_property
     def cover_pairs(self):
-        """All pairs (i, j) where j covers i."""
+        """All pairs (i, j) where j covers i, in (i, j) order.
+
+        Each step tests the lowest j left above i and then drops all of
+        j's upset, so a cover is dropped only when it is tested itself;
+        where the index order extends the lattice order every j tested is
+        a cover. The j rise, so the pairs come out sorted.
+        """
         out = []
-        for i in range(self.n):
-            for j in bits(self.up[i] & ~(1 << i)):
-                between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
+        for i, row in enumerate(self.up):
+            strict = left = row & ~(1 << i)
+            while left:
+                low = left & -left
+                j = low.bit_length() - 1
+                if self.down[j] & strict == low:
                     out.append((i, j))
+                left &= ~self.up[j]
         return tuple(out)
 
     def is_meet_irreducible(self, x: int) -> bool:
@@ -236,10 +257,8 @@ class Lattice:
         tables already built are carried over, swapped; the others are
         built on first read. Cached values such as `cover_pairs` do not
         hold in the dual."""
-        out = object.__new__(Lattice)
-        out.labels, out.name = self.labels, self.name
-        out.up, out.down = self.down, self.up
-        out.bottom, out.top = self.top, self.bottom
+        out = Lattice._unchecked(self.labels, self.down, self.up,
+                                 self.top, self.bottom, self.name)
         built = self.__dict__
         if "meet_t" in built:
             out.join_t = built["meet_t"]
@@ -380,8 +399,9 @@ def named(name: str, *params: int) -> Lattice:
         if k < 1:
             raise BadParam("chain size must be >= 1")
         _check_size(k)
-        return Lattice(_chain_labels(k), [(1 << k) - (1 << i) for i in range(k)],
-                       name=f"chain({k})")
+        return Lattice._unchecked(
+            _chain_labels(k), [(1 << k) - (1 << i) for i in range(k)],
+            [(2 << i) - 1 for i in range(k)], 0, k - 1, name=f"chain({k})")
     if name == "div":
         want(1)
         k = params[0]

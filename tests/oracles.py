@@ -25,6 +25,9 @@ and builds the meet and join tables on first read, is checked against
 `validated_eagerly`, the eager build it replaced: the same exception for
 every input, and the same tables for every lattice.
 
+`cover_pairs`, which drops the upset of each element it tests, is checked
+against the scan it replaced, which tests every comparable pair.
+
 `named` chains and divisor lattices are checked against the build they
 replaced, which closes label covers (consecutive chain labels, divisors
 with a prime quotient) through `Lattice.from_covers`. So are the ordinal
@@ -203,6 +206,18 @@ def named_by_covers(kind, k):
         covers = [(str(d), str(e)) for d in divisors for e in divisors
                   if e % d == 0 and _is_prime(e // d)]
     return Lattice.from_covers(labels, covers, name=f"{kind}({k})")
+
+
+def cover_pairs_by_scan(lat):
+    """`lat.cover_pairs` by testing every comparable pair for an element
+    strictly between."""
+    out = []
+    for i in range(lat.n):
+        for j in bits(lat.up[i] & ~(1 << i)):
+            between = lat.up[i] & lat.down[j] & ~(1 << i) & ~(1 << j)
+            if not between:
+                out.append((i, j))
+    return tuple(out)
 
 
 def meet_irreducible_by_pairs(lat, x):

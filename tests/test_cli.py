@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from latkit import cli, named, verify
+from latkit import Lattice, cli, named, verify
 from latkit.cli import build_parser, main
 from latkit.verify import SUITES
 
@@ -62,6 +62,17 @@ def test_congruences_cap_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: 61 elements exceeds congruence cap 60\n"
+
+
+def test_a_listing_of_a_sum_of_chains_is_refused_without_validating(
+        capsys, monkeypatch):
+    def no_validation(*args, **kwargs):
+        raise AssertionError("validated a lattice")
+
+    monkeypatch.setattr(Lattice, "__init__", no_validation)
+    code, out, err = run_cli(capsys, "congruences", "osum(chain(97),chain(44))")
+    assert (code, out) == (3, "")
+    assert err == "error: 140 elements exceeds congruence cap 60\n"
 
 
 def test_filters_listing(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from latkit import (
+    Lattice,
     Partition,
     all_congruences,
     all_filters,
@@ -37,7 +38,7 @@ from latkit.errors import (
     TrivialSummand,
 )
 
-from oracles import horizontal_sum_by_covers, ordinal_sum_by_covers
+from oracles import horizontal_sum_by_covers, ordinal_sum_by_covers, relabelled
 
 
 def test_ordinal_sum_of_chains_is_a_chain():
@@ -47,8 +48,6 @@ def test_ordinal_sum_of_chains_is_a_chain():
 
 
 def test_ordinal_sum_square_plus_stem():
-    from latkit import Lattice
-
     s, _ = ordinal_sum(named("B2"), named("chain", 2))
     assert s.n == 5
     # two atoms joining below a pendant top: 0 < {n,q} < p < 1
@@ -407,6 +406,46 @@ def test_sums_match_the_cover_based_builds():
             assert list(_sources(s, [lower, upper], embeddings).items()) == \
                 list(sources.items())
             lower = s
+
+
+ORDER = ("labels", "up", "down", "bottom", "top")
+
+
+def _assert_validated(lat):
+    want = Lattice(lat.labels, lat.up)
+    for table in ORDER:
+        assert getattr(lat, table) == getattr(want, table), (lat, table)
+
+
+def test_unvalidated_builds_match_the_validated_tables():
+    # chains and the ordinal and horizontal sums skip Lattice(); their
+    # order tables must be the ones it computes
+    census = [lat for lat in enumerate_lattices(7) if lat.n >= 2]
+    for a in census:
+        for b in census:
+            _assert_validated(ordinal_sum(a, b)[0])
+            if a.n >= 3 and b.n >= 3:
+                _assert_validated(horizontal_sum([a, b])[0])
+    rng = random.Random(18)
+
+    def shuffled(lat):
+        perm = list(range(lat.n))
+        rng.shuffle(perm)
+        return relabelled(lat, perm)
+
+    pentagon = named("N5")
+    partners = [named("chain", 3), named("B2"), pentagon, shuffled(pentagon)]
+    sides = [dilate(lat)[0] for lat in census] + [shuffled(lat) for lat in census]
+    for s in sides:
+        for d in partners:
+            _assert_validated(ordinal_sum(s, d)[0])
+            _assert_validated(ordinal_sum(d, s)[0])
+            _assert_validated(horizontal_sum([s, d])[0])
+            _assert_validated(horizontal_sum([s, d, s])[0])
+    # Lattice() costs k^2 steps on chain(k): every k up to 120, then a
+    # sample up to the cap
+    for k in [*range(1, 121), *range(140, 500, 40), 499, 500]:
+        _assert_validated(named("chain", k))
 
 
 def _constructions(pool):

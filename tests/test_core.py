@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,10 +18,12 @@ from latkit.errors import (
 )
 
 from oracles import (
+    cover_pairs_by_scan,
     divisor_lattice_by_trial_division,
     named_by_covers,
     join_irreducible_by_pairs,
     meet_irreducible_by_pairs,
+    relabelled,
     validated_eagerly,
 )
 from test_construct import _constructions
@@ -224,6 +227,17 @@ def test_dual_cover_pairs_are_reversed_after_a_cached_read(engine_pool):
         pairs = lat.cover_pairs
         assert sorted(lat.dual().cover_pairs) == sorted(
             (j, i) for i, j in pairs), lat
+
+
+def test_cover_pairs_match_the_pair_scan(engine_pool):
+    # a shuffled index order is no longer a linear extension of the order
+    rng = random.Random(18)
+    for lat in engine_pool:
+        assert lat.cover_pairs == cover_pairs_by_scan(lat), lat
+        perm = list(range(lat.n))
+        rng.shuffle(perm)
+        copy = relabelled(lat, perm)
+        assert copy.cover_pairs == cover_pairs_by_scan(copy), lat
 
 
 def test_named_shapes():
