@@ -1,6 +1,7 @@
 """Construction expressions: parse, render, evaluate.
 
-Grammar (whitespace-insensitive; labels and paths are double-quoted):
+Grammar (whitespace-insensitive; labels and paths are double-quoted, and
+in them a backslash makes the next character, such as a quote, literal):
 
     expr  := atom
            | "osum(" expr "," expr ")"
@@ -15,13 +16,13 @@ Rendering is the canonical inverse of parsing: parse(render(e)) == e.
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
 from .core import Lattice, named
-from .errors import ArityError, BadInput, ExprSyntaxError
+from .errors import ArityError, BadInput, ExprSyntaxError, SizeCapExceeded
 from . import construct
 
 _BARE_ATOMS = ("B2", "M3", "N5", "K")
@@ -29,6 +30,15 @@ _INT_ATOMS = ("chain", "div")
 # Deepest nesting of constructions accepted; the parser, `render` and
 # `evaluate` recurse once or twice per level.
 MAX_DEPTH = 100
+# Most bytes a file(...) atom reads. The JSON export of a 500-element
+# osum(chain(250),chain(251)) is 28,328 bytes, of the 414-element dilation
+# of seven stacked B2s 61,223 bytes.
+MAX_FILE_BYTES = 1 << 20
+
+
+def _quote(text: str) -> str:
+    """`text` as a string token: only backslash and quote are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # -- AST --------------------------------------------------------------------
@@ -49,7 +59,7 @@ class FileAtom:
     path: str
 
     def render(self) -> str:
-        return f"file({json.dumps(self.path)})"
+        return f"file({_quote(self.path)})"
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,8 @@ class IHSum:
     insert: object
 
     def render(self) -> str:
-        return (f"ihsum({self.base.render()},{json.dumps(self.low)},"
-                f"{json.dumps(self.high)},{self.insert.render()})")
+        return (f"ihsum({self.base.render()},{_quote(self.low)},"
+                f"{_quote(self.high)},{self.insert.render()})")
 
 
 @dataclass(frozen=True)
@@ -93,108 +103,82 @@ def render(node) -> str:
     return node.render()
 
 
-# -- tokenizer ----------------------------------------------------------------
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos  # 1-based offset in the source text
-
-
-def _tokenize(text: str):
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "(),":
-            out.append(_Token(c, c, i + 1))
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ExprSyntaxError("unterminated string", i + 1)
-            out.append(_Token("string", "".join(buf), i + 1))
-            i = j + 1
-            continue
-        if c.isdecimal():  # exactly the digits int() reads; not "²"
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            out.append(_Token("int", int(text[i:j]), i + 1))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i + 1))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i + 1)
-    out.append(_Token("eof", None, n + 1))
-    return out
-
-
 # -- parser --------------------------------------------------------------------
 
+# One token at the offset it is matched at, after any whitespace. \s, \d and
+# \w hold where str.isspace(), str.isdecimal() (the digits int() reads) and
+# str.isalnum() or "_" do; a name must also start where str.isalpha() or
+# "_" holds, so "²" is no name. A quote that opens no string is a `char`.
+_TOKEN = re.compile(r'''\s*(?:(?P<punct>[(),])|(?P<string>"(?:[^"\\]|\\.)*")
+    |(?P<int>\d+)|(?P<name>\w+)|(?P<char>.))?''', re.S | re.X)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.k = 0
+    """Recursive descent over tokens scanned one at a time, so a fault is
+    met in reading order and nothing past it is read."""
+
+    def __init__(self, text):
+        self.text = text
+        self.end = 0
         self.depth = 0
+        self.tok = self._scan()  # lookahead: (kind, value, 1-based offset)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
+    def _scan(self):
+        m = _TOKEN.match(self.text, self.end)
+        self.end = m.end()
+        kind = m.lastgroup
+        if kind is None:
+            return ("eof", None, len(self.text) + 1)
+        value, pos = m[kind], m.start(kind) + 1
+        if kind == "punct":
+            return (value, value, pos)
+        if kind == "string":
+            return (kind, _ESCAPE.sub(r"\1", value[1:-1]), pos)
+        if kind == "int":
+            try:
+                return (kind, int(value), pos)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ExprSyntaxError("integer literal too long", pos) from None
+        if kind == "name" and (value[0].isalpha() or value[0] == "_"):
+            return (kind, value, pos)
+        if value == '"':
+            raise ExprSyntaxError("unterminated string", pos)
+        raise ExprSyntaxError(f"unexpected character {value[0]!r}", pos)
 
-    def take(self, kind) -> _Token:
-        tok = self.tokens[self.k]
-        if tok.kind != kind:
+    def take(self, kind):
+        found, value, pos = self.tok
+        if found != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.value!r}" if tok.kind != "eof"
+                f"expected {kind!r}, found {value!r}" if found != "eof"
                 else f"expected {kind!r}, found end of input",
-                tok.pos,
+                pos,
             )
-        self.k += 1
-        return tok
+        self.tok = self._scan()
+        return value
 
     def expr(self):
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH}",
-                                  self.peek().pos)
+                                  self.tok[2])
         node = self._node()
         self.depth -= 1
         return node
 
     def _node(self):
-        tok = self.take("name")
-        word = tok.value
+        pos = self.tok[2]
+        word = self.take("name")
         if word in _BARE_ATOMS:
             return NamedAtom(word)
         if word in _INT_ATOMS:
             self.take("(")
-            arg = self.take("int").value
+            arg = self.take("int")
             self.take(")")
             return NamedAtom(word, arg)
         if word == "file":
             self.take("(")
-            path = self.take("string").value
+            path = self.take("string")
             self.take(")")
             return FileAtom(path)
         if word == "osum":
@@ -216,19 +200,19 @@ class _Parser:
             self.take("(")
             base = self.expr()
             self.take(",")
-            low = self.take("string").value
+            low = self.take("string")
             self.take(",")
-            high = self.take("string").value
+            high = self.take("string")
             self.take(",")
             insert = self.expr()
             self.take(")")
             return IHSum(base, low, high, insert)
-        raise ExprSyntaxError(f"unknown name {word!r}", tok.pos)
+        raise ExprSyntaxError(f"unknown name {word!r}", pos)
 
     def _expr_list(self):
         self.take("(")
         args = [self.expr()]
-        while self.peek().kind == ",":
+        while self.tok[0] == ",":
             self.take(",")
             args.append(self.expr())
         self.take(")")
@@ -236,7 +220,7 @@ class _Parser:
 
 
 def parse(text: str):
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     node = p.expr()
     p.take("eof")
     return node
@@ -253,12 +237,17 @@ def evaluate(node) -> Lattice:
             return named(nd.kind, nd.arg)
         if isinstance(nd, FileAtom):
             try:
-                text = Path(nd.path).read_text()
+                with Path(nd.path).open("rb") as fh:
+                    data = fh.read(MAX_FILE_BYTES + 1)
+                if len(data) > MAX_FILE_BYTES:
+                    raise SizeCapExceeded(
+                        f"{nd.path}: more than {MAX_FILE_BYTES} bytes")
+                text = data.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise BadInput(f"{nd.path}: not UTF-8 text ({e.reason})") from None
             except ValueError as e:  # a NUL in the path
                 raise BadInput(f"{nd.path!r}: {e}") from None
-            return Lattice.from_json(text, name=f"file({json.dumps(nd.path)})")
+            return Lattice.from_json(text, name=nd.render())
         if isinstance(nd, OSum):
             return construct.ordinal_sum(ev(nd.lower), ev(nd.upper))[0]
         if isinstance(nd, HSum):

@@ -34,6 +34,11 @@ with a prime quotient) through `Lattice.from_covers`. So are the ordinal
 and horizontal sums, whose old builds name every summand element by its
 result label and close the label covers the same way. They return the
 provenance as the raw label -> sources dict.
+
+`parse`, which scans one token at a time as the parser asks for it, is
+checked against `parse_eagerly`, the parser it replaced, which tokenizes
+the whole text first (`tokenize_eagerly`) and then descends the token
+list.
 """
 
 from functools import reduce
@@ -41,11 +46,15 @@ from math import isqrt
 
 from latkit import Lattice, Partition, is_congruence
 from latkit.construct import _display
+from latkit.expr import (MAX_DEPTH, Dilation, FileAtom, HSum, IHSum,
+                         NamedAtom, OSum)
 from latkit.core import _chain_labels, _check_labels, bits, mask_of
 from latkit.errors import (
+    ArityError,
     BadInput,
     CycleDetected,
     EmptyFamily,
+    ExprSyntaxError,
     LatticeError,
     NoBounds,
     NotALattice,
@@ -610,3 +619,151 @@ def relabelled(lat, perm):
         labels[perm[i]] = lat.labels[i]
         up[perm[i]] = mask_of(perm[j] for j in bits(lat.up[i]))
     return Lattice(labels, up)
+
+
+class _Token:
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind, value, pos):
+        self.kind = kind
+        self.value = value
+        self.pos = pos  # 1-based offset in the source text
+
+
+def tokenize_eagerly(text):
+    """Every token of `text`, ending in an "eof" token, or the
+    `ExprSyntaxError` of its first lexical fault."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "(),":
+            out.append(_Token(c, c, i + 1))
+            i += 1
+            continue
+        if c == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ExprSyntaxError("unterminated string", i + 1)
+            out.append(_Token("string", "".join(buf), i + 1))
+            i = j + 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            out.append(_Token("int", int(text[i:j]), i + 1))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(_Token("name", text[i:j], i + 1))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", i + 1)
+    out.append(_Token("eof", None, n + 1))
+    return out
+
+
+class _EagerParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.k = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def take(self, kind):
+        tok = self.tokens[self.k]
+        if tok.kind != kind:
+            raise ExprSyntaxError(
+                f"expected {kind!r}, found {tok.value!r}" if tok.kind != "eof"
+                else f"expected {kind!r}, found end of input",
+                tok.pos,
+            )
+        self.k += 1
+        return tok
+
+    def expr(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH}",
+                                  self.peek().pos)
+        node = self._node()
+        self.depth -= 1
+        return node
+
+    def _node(self):
+        tok = self.take("name")
+        word = tok.value
+        if word in ("B2", "M3", "N5", "K"):
+            return NamedAtom(word)
+        if word in ("chain", "div"):
+            self.take("(")
+            arg = self.take("int").value
+            self.take(")")
+            return NamedAtom(word, arg)
+        if word == "file":
+            self.take("(")
+            path = self.take("string").value
+            self.take(")")
+            return FileAtom(path)
+        if word == "osum":
+            args = self._expr_list()
+            if len(args) != 2:
+                raise ArityError(f"osum takes 2 arguments, got {len(args)}")
+            return OSum(args[0], args[1])
+        if word == "hsum":
+            args = self._expr_list()
+            if len(args) < 2:
+                raise ArityError(f"hsum takes at least 2 arguments, got {len(args)}")
+            return HSum(tuple(args))
+        if word == "D":
+            args = self._expr_list()
+            if len(args) != 1:
+                raise ArityError(f"D takes 1 argument, got {len(args)}")
+            return Dilation(args[0])
+        if word == "ihsum":
+            self.take("(")
+            base = self.expr()
+            self.take(",")
+            low = self.take("string").value
+            self.take(",")
+            high = self.take("string").value
+            self.take(",")
+            insert = self.expr()
+            self.take(")")
+            return IHSum(base, low, high, insert)
+        raise ExprSyntaxError(f"unknown name {word!r}", tok.pos)
+
+    def _expr_list(self):
+        self.take("(")
+        args = [self.expr()]
+        while self.peek().kind == ",":
+            self.take(",")
+            args.append(self.expr())
+        self.take(")")
+        return args
+
+
+def parse_eagerly(text):
+    """The expression tree of `text`, from the whole token list."""
+    p = _EagerParser(tokenize_eagerly(text))
+    node = p.expr()
+    p.take("eof")
+    return node

@@ -1,10 +1,11 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
-from latkit import Lattice, cli, named, verify
+from latkit import Lattice, cli, expr, named, verify
 from latkit.cli import build_parser, main
 from latkit.verify import SUITES
 
@@ -277,6 +278,24 @@ def test_malformed_file_exit_code(capsys, tmp_path, content):
     code, out, err = run_cli(capsys, "analyze", f'file("{target}")')
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_an_over_long_int_literal_exits_2(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads int literals of any length")
+    code, out, err = run_cli(capsys, "analyze", "chain(" + "9" * (limit + 1) + ")")
+    assert (code, out) == (2, "")
+    assert err == "error: integer literal too long at offset 7\n"
+
+
+def test_a_file_past_the_byte_cap_exits_3(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "pentagon.json"
+    target.write_text(named("N5").to_json())
+    monkeypatch.setattr(expr, "MAX_FILE_BYTES", 64)
+    code, out, err = run_cli(capsys, "analyze", f'file("{target}")')
+    assert (code, out) == (3, "")
+    assert err == f"error: {target}: more than 64 bytes\n"
 
 
 def test_deep_nesting_exit_code(capsys):

@@ -2,9 +2,12 @@
 JSON input and `Lattice()` validation.
 
 Atoms stay small (chains of up to 8 elements and the named lattices) and
-no expression reads a file, so every example runs in milliseconds. JSON
-documents, arbitrary or shaped like a lattice file, either load or raise
-a `LatticeError`, whether given as text or read through `file(...)`.
+no expression that is evaluated reads a file, so every example runs in
+milliseconds. Parsing is held to the eager tokenizer and parser of
+`oracles`, and to `render` over trees nested up to `MAX_DEPTH` whose
+labels and paths are any text. JSON documents, arbitrary or shaped like
+a lattice file, either load or raise a `LatticeError`, whether given as
+text or read through `file(...)`.
 """
 
 import contextlib
@@ -17,13 +20,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latkit import Lattice, cli, evaluate, parse, render
-from latkit.errors import LatticeError
-from latkit.expr import Dilation, FileAtom, HSum, IHSum, NamedAtom, OSum
+from latkit.errors import ArityError, ExprSyntaxError, LatticeError
+from latkit.expr import (MAX_DEPTH, Dilation, FileAtom, HSum, IHSum,
+                         NamedAtom, OSum)
 
-from oracles import validated_eagerly
+from oracles import parse_eagerly, tokenize_eagerly, validated_eagerly
 
 LABELS = ("0", "1", "a", "x", "e3")
 
@@ -61,8 +65,47 @@ texts = st.one_of(token_soup, trees.map(render),
                   .map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(trees)
+def _depth(node):
+    kids = node.args if isinstance(node, HSum) else [
+        v for v in vars(node).values()
+        if not isinstance(v, (str, int, type(None)))]
+    return 1 + max(map(_depth, kids), default=0)
+
+
+text_atoms = atoms | st.builds(FileAtom, st.text())
+text_trees = st.recursive(
+    text_atoms,
+    lambda sub: st.one_of(
+        st.builds(OSum, sub, sub),
+        st.builds(HSum, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.builds(IHSum, sub, st.text(), st.text(), sub),
+        st.builds(Dilation, sub),
+    ),
+    max_leaves=4,
+).filter(lambda t: _depth(t) <= MAX_DEPTH)
+
+
+@st.composite
+def deep_trees(draw):
+    """A tree of `text_trees` under a tower of constructions, each with an
+    atom beside it, nested up to `MAX_DEPTH` in all."""
+    node = draw(text_trees)
+    room = MAX_DEPTH - _depth(node)
+    for _ in range(draw(st.integers(0, room) | st.just(room))):
+        wrap = draw(st.sampled_from((Dilation, OSum, HSum, IHSum)))
+        if wrap is Dilation:
+            node = Dilation(node)
+        elif wrap is IHSum:
+            node = IHSum(node, draw(st.text()), draw(st.text()),
+                         draw(text_atoms))
+        else:
+            pair = (node, draw(text_atoms))[::draw(st.sampled_from((1, -1)))]
+            node = OSum(*pair) if wrap is OSum else HSum(pair)
+    return node
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_trees())
 def test_parse_inverts_render(tree):
     assert parse(render(tree)) == tree
 
@@ -88,6 +131,52 @@ def test_analyze_exits_with_a_documented_code(text):
         except SystemExit as e:
             code = e.code
     assert code in (0, 1, 2, 3)
+
+
+# Grammar words, punctuation, quotes, backslashes, whitespace (a no-break
+# space among it) and characters that are no token or only part of one.
+PIECES = ("osum", "hsum", "ihsum", "D", "chain", "div", "file", "B2", "M3",
+          "N5", "K", "x_1", "(", ")", ",", '"', "\\", " ", "\t", "\n",
+          "\u00a0", "0", "12", "\u00b2", "\u0663", "\u2460", "\u00e9", "@",
+          "\x00")
+scanner_texts = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
+    texts,
+    st.tuples(text_trees.map(render), st.integers(0, 60),
+              st.sampled_from(PIECES))
+    .map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]),
+)
+
+
+def _outcome(parse_text, text):
+    try:
+        return parse_text(text)
+    except LatticeError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(scanner_texts)
+@example("osum(B2) B2 @")  # the arity fault comes first
+@example("B2) @")
+def test_parse_matches_the_eager_parser(text):
+    got = _outcome(parse, text)
+    try:
+        tokenize_eagerly(text)
+    except ExprSyntaxError as fault:
+        # The eager parser stops on the lexical fault; parse reads in order
+        # and stops there too, or on a fault of the tokens before it.
+        assert isinstance(got, tuple), got
+        if got == (ExprSyntaxError, str(fault)):
+            return
+        if got[0] is ArityError:
+            assert got == _outcome(parse_eagerly, text[:fault.position - 1])
+            return
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position < fault.position
+        return
+    assert got == _outcome(parse_eagerly, text)
 
 
 # JSON values of every kind; documents with an "elements" list and a
