@@ -5,10 +5,11 @@ bitmask per element, so comparisons, intervals and bound searches are plain
 integer bit operations. `Lattice()`, `from_covers` and `div(n)` validate
 the lattice axioms (a partial order with a unique bottom and top, and a
 unique lub for every pair, which in a bounded order gives every glb too),
-so downstream code may assume a genuine bounded lattice. Chains, duals and
-the ordinal and horizontal sums are lattices by construction: they are
-built by `Lattice._unchecked` from both order tables, unvalidated, and a
-differential test checks their tables against `Lattice()`'s.
+so downstream code may assume a genuine bounded lattice. Chains, duals,
+the ordinal and horizontal sums and the census classes are lattices by
+construction: they are built by `Lattice._unchecked` from both order
+tables, unvalidated, and a differential test checks their tables against
+`Lattice()`'s.
 
 Validation builds no table: one pass over the comparable pairs checks
 antisymmetry and transitivity and collects the downsets, and the join of

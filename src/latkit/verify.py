@@ -307,7 +307,7 @@ def corpus(seed: int, count: int, max_size: int):
     return out
 
 
-def _coatom_extensions(lat):
+def _coatom_extensions(lat, keep=None):
     """(up, down) masks of each lattice that is `lat` plus a new coatom.
 
     `lat` is labelled along a linear extension with its top last. For
@@ -322,7 +322,8 @@ def _coatom_extensions(lat):
     principal ideal). The sets D are grown in index order, each with
     the mask of its pairwise joins; a set is dropped once one of those
     joins is decided outside it, since a later element never lies below
-    an earlier one.
+    an earlier one. `keep`, if given, is a test on D that the child must
+    pass before its masks are built.
     """
     m = lat.n
     downsets = [(1, 1)]  # (D, the mask of the joins of pairs in D)
@@ -335,10 +336,12 @@ def _coatom_extensions(lat):
                     joins |= 1 << row[y]
                 grown.append((d | bit, joins | bit))
         downsets = [e for e in downsets if not e[1] & bit] + grown
-    c, keep = 1 << (m - 1), (1 << (m - 1)) - 1
+    c, below_c = 1 << (m - 1), (1 << (m - 1)) - 1
     top = c << 1
     for d, _ in downsets:
-        up = tuple((u & keep) | (c if (d >> i) & 1 else 0) | top
+        if keep is not None and not keep(d):
+            continue
+        up = tuple((u & below_c) | (c if (d >> i) & 1 else 0) | top
                    for i, u in enumerate(lat.up[:-1])) + (c | top, top)
         yield up, lat.down[:-1] + (d | c, (top << 1) - 1)
 
@@ -390,6 +393,38 @@ def _least_lows(up, down):
     return tuple(best)
 
 
+def _coatom_invariants(lat):
+    """(invariant, bit) of each coatom y of `lat`, greatest first.
+
+    The invariant is (|↓y|, the sorted |↓z| for z in ↓y), which an
+    isomorphism keeps.
+    """
+    size = [d.bit_count() for d in lat.down]
+    top = 1 << lat.top
+    coatoms = [y for y in bits(lat.down[lat.top] & ~top)
+               if lat.up[y] == top | 1 << y]
+    return sorted((((size[y], sorted(size[z] for z in bits(lat.down[y]))),
+                    1 << y) for y in coatoms), reverse=True)
+
+
+def _greatest_new_coatom(lat):
+    """The test on D that `lat` plus a coatom above D passes when the new
+    coatom's invariant is the greatest among the child's coatoms (ties
+    pass). The child's other coatoms are those of `lat` outside D, with
+    the same invariants, so the test reads only `lat`."""
+    size = [d.bit_count() for d in lat.down]
+    rivals = _coatom_invariants(lat)
+
+    def keep(d):
+        for invariant, bit in rivals:
+            if not d & bit:
+                k = d.bit_count() + 1
+                return (k, sorted([k, *(size[y] for y in bits(d))])) \
+                    >= invariant
+        return True
+    return keep
+
+
 def _up_of_lows(lows):
     """The up masks of the order whose element j lies above lows[j]."""
     n = len(lows)
@@ -406,12 +441,18 @@ def enumerate_lattices(max_n: int):
     with a coatom added (McKay, "Isomorph-free exhaustive generation",
     1998; Heitzig and Reinhold, "Counting finite lattices", 2002).
     `_coatom_extensions` tests each such child on its parent's join
-    table, as order masks, and each child that is a lattice is keyed by
+    table, as order masks. A child is kept only if its new coatom has
+    the greatest invariant among its coatoms (`_greatest_new_coatom`,
+    read off the parent before the child's masks are built). No class
+    is lost: take any class L of size n and a coatom c of L with the
+    greatest invariant; L - c is isomorphic to a class P of size n - 1,
+    and P plus a coatom above the image of ↓c - {c} is isomorphic to L,
+    with c as its new coatom, so it passes. Each kept child is keyed by
     its least lows tuple over linear extensions (`_least_lows`), which
-    is equal for two children exactly when they are isomorphic. Only
-    then is each class built, with full validation, as a `Lattice` on
-    e0..e{n-1} from that tuple; the classes of each size are listed by
-    it.
+    is equal for two children exactly when they are isomorphic, and the
+    keys in a set drop the duplicates (ties and isomorphic siblings).
+    Each class is built unvalidated on e0..e{n-1} from that tuple, as a
+    lattice by construction; the classes of each size are listed by it.
     """
     if max_n < 1:
         raise BadConfig("max_n must be at least 1")
@@ -423,8 +464,12 @@ def enumerate_lattices(max_n: int):
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
         found = {_least_lows(up, down) for parent in level
-                 for up, down in _coatom_extensions(parent)}
-        level = [Lattice(labels, _up_of_lows(lows), name=f"census({n})#{k}")
+                 for up, down in _coatom_extensions(
+                     parent, _greatest_new_coatom(parent))}
+        level = [Lattice._unchecked(
+                     labels, _up_of_lows(lows),
+                     tuple(low | 1 << j for j, low in enumerate(lows)),
+                     0, n - 1, f"census({n})#{k}")
                  for k, lows in enumerate(sorted(found))]
         out += level
     return out

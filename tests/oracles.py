@@ -7,7 +7,10 @@ irreducibility by scanning every pair of elements, and the census is
 every labelled lattice on n points, deduplicated by pairwise isomorphism
 tests. The census's coatom extensions are checked against `Lattice()`
 acceptance, and its classes against `_certificate`, an isomorphism key
-of its own. Exponential, so callers keep carriers small.
+of its own. The census that keeps only the children whose new coatom
+has the greatest invariant is checked against `census_keying_every_child`,
+the generator it replaced, which keys every child and validates every
+class. Exponential, so callers keep carriers small.
 
 The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
@@ -60,7 +63,8 @@ from latkit.errors import (
     NotALattice,
     TrivialSummand,
 )
-from latkit.verify import _invariants, _isomorphism
+from latkit.verify import (_coatom_extensions, _invariants, _isomorphism,
+                           _least_lows, _up_of_lows)
 
 
 def validated_eagerly(labels, up):
@@ -379,6 +383,23 @@ def census_by_pairwise_iso(max_n):
             bucket.append((lat, inv))
             found.append(lat)
         out.extend(found)
+    return out
+
+
+def census_keying_every_child(max_n):
+    """The census from every coatom extension of the classes one size down:
+    each child is keyed by its least lows tuple, and each class is built,
+    with full validation, as a `Lattice` from that tuple."""
+    out = [Lattice(("e0",), (1,), name="census(1)#0"),
+           Lattice(("e0", "e1"), (3, 2), name="census(2)#0")][:max_n]
+    level = out[1:]
+    for n in range(3, max_n + 1):
+        labels = tuple(f"e{i}" for i in range(n))
+        found = {_least_lows(up, down) for parent in level
+                 for up, down in _coatom_extensions(parent)}
+        level = [Lattice(labels, _up_of_lows(lows), name=f"census({n})#{k}")
+                 for k, lows in enumerate(sorted(found))]
+        out += level
     return out
 
 

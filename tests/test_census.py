@@ -1,13 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
-from latkit import Lattice, corpus, enumerate_lattices, isomorphic
-from latkit.verify import (_coatom_extensions, _invariants, _least_lows,
+from latkit import Lattice, corpus, enumerate_lattices, isomorphic, verify
+from latkit.core import bits
+from latkit.verify import (_coatom_extensions, _coatom_invariants,
+                           _greatest_new_coatom, _invariants, _least_lows,
                            _up_of_lows)
 
 from oracles import (_certificate, census_by_pairwise_iso,
-                     coatom_children_by_validation, relabelled)
+                     census_keying_every_child, coatom_children_by_validation,
+                     relabelled)
 
 # Lattices with 1..10 elements up to isomorphism, OEIS A006966.
 A006966 = (1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994)
@@ -28,8 +32,35 @@ def oracle8():
     return census_by_pairwise_iso(8)
 
 
+@pytest.fixture(scope="module")
+def every_child9():
+    return census_keying_every_child(9)
+
+
 def _fingerprint(lats):
     return [(lat.name, lat.labels, lat.up) for lat in lats]
+
+
+def _tables(lats):
+    return [(lat.name, lat.labels, lat.up, lat.down, lat.bottom, lat.top)
+            for lat in lats]
+
+
+def _new_coatom_rank(up, down):
+    """-1, 0 or 1 as the new coatom's invariant (index n - 2) is below, tied
+    with or above the greatest of the other coatoms', read off the child."""
+    n = len(up)
+    size = [d.bit_count() for d in down]
+
+    def invariant(y):
+        return size[y], sorted(size[z] for z in bits(down[y]))
+
+    own = invariant(n - 2)
+    others = [invariant(y) for y in range(n - 2)
+              if up[y] == 1 << y | 1 << (n - 1)]
+    if not others or own > max(others):
+        return 1
+    return 0 if own == max(others) else -1
 
 
 def _random_linear_extension(rng, lat):
@@ -120,3 +151,49 @@ def test_certificate_separates_non_isomorphic_lattices(oracle8):
     # The oracle's classes are pairwise non-isomorphic by isomorphism tests.
     classes = [lat for lat in oracle8 if lat.n <= 7]
     assert len({_key(lat) for lat in classes}) == len(classes)
+
+
+@pytest.mark.parametrize("max_n", range(1, 10))
+def test_census_matches_the_generator_keying_every_child(max_n, every_child9):
+    expected = [lat for lat in every_child9 if lat.n <= max_n]
+    assert _tables(enumerate_lattices(max_n)) == _tables(expected)
+
+
+def test_census_to_ten_keeps_the_tables_of_the_generator_keying_every_child(
+        census10):
+    # digest of _tables(census_keying_every_child(10)), which takes seconds
+    digest = hashlib.sha256(repr(_tables(census10)).encode()).hexdigest()
+    assert digest == ("4da168522dce599b41b5f408d13ce92b"
+                      "934683410a22ddfa331c1266b254abc6")
+
+
+def test_greatest_new_coatom_keeps_the_children_the_child_side_rule_keeps(
+        census8):
+    kept = 0
+    for lat in census8[1:]:
+        got = list(_coatom_extensions(lat, _greatest_new_coatom(lat)))
+        assert got == [child for child in _coatom_extensions(lat)
+                       if _new_coatom_rank(*child) >= 0]
+        kept += len(got)
+    assert kept == 2039  # of 3,555 children with 3 to 9 elements
+
+
+def test_a_census_keeping_only_a_unique_greatest_new_coatom_loses_classes(
+        monkeypatch):
+    def unique_greatest(lat):
+        return lambda d: _new_coatom_rank(
+            *next(_coatom_extensions(lat, lambda e: e == d))) > 0
+
+    monkeypatch.setattr(verify, "_greatest_new_coatom", unique_greatest)
+    # B2's two coatoms tie, so it is never kept, and a chain's children
+    # other than the longer chain tie or lose: only the chains are left
+    assert _counts(enumerate_lattices(7), 7) == (1,) * 7 != A006966[:7]
+
+
+def test_coatom_invariants_survive_linear_extension_relabelling():
+    rng = random.Random(20)
+    for lat in enumerate_lattices(7):
+        invariants = [inv for inv, _ in _coatom_invariants(lat)]
+        for _ in range(4):
+            moved = relabelled(lat, _random_linear_extension(rng, lat))
+            assert [inv for inv, _ in _coatom_invariants(moved)] == invariants

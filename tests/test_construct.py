@@ -418,8 +418,8 @@ def _assert_validated(lat):
 
 
 def test_unvalidated_builds_match_the_validated_tables():
-    # chains and the ordinal and horizontal sums skip Lattice(); their
-    # order tables must be the ones it computes
+    # chains, the ordinal and horizontal sums and the census classes skip
+    # Lattice(); their order tables must be the ones it computes
     census = [lat for lat in enumerate_lattices(7) if lat.n >= 2]
     for a in census:
         for b in census:
@@ -446,6 +446,9 @@ def test_unvalidated_builds_match_the_validated_tables():
     # sample up to the cap
     for k in [*range(1, 121), *range(140, 500, 40), 499, 500]:
         _assert_validated(named("chain", k))
+    # the census classes are built from their least lows tuples
+    for lat in enumerate_lattices(9):
+        _assert_validated(lat)
 
 
 def _constructions(pool):
