@@ -10,6 +10,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 from functools import cache
+from itertools import compress
 
 from .congruence import all_congruences, con_summary
 from .errors import LatticeError, SizeCapExceeded
@@ -23,28 +24,33 @@ def _eval_arg(text):
     return evaluate(parse(text))
 
 
-def _set_text(lat, indices):
-    return "{" + ",".join(lat.labels[i] for i in sorted(indices)) + "}"
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_text(labels, mask):
+    """The set of `mask` in braces, its labels in ascending index order:
+    the binary digits of `mask`, least first, select the labels."""
+    picks = bin(mask)[:1:-1].encode().translate(_BIT)
+    return "{" + ",".join(compress(labels, picks)) + "}"
+
+
+def _by_label(lat, family):
+    """(generator label, mask, prime flag) of each member, by label."""
+    return sorted(zip(map(lat.labels.__getitem__, family.generators),
+                      family.masks, family.prime_flags))
 
 
 def _family_lines(lat, family):
-    members = sorted(family.members, key=lambda m: lat.labels[m.generator])
-    out = []
-    for m in members:
-        line = f"{lat.labels[m.generator]}: {_set_text(lat, m.elements)}"
-        if m.prime:
-            line += "  P"
-        out.append(line)
-    return out
+    return [f"{g}: {_set_text(lat.labels, m)}{'  P' if p else ''}"
+            for g, m, p in _by_label(lat, family)]
 
 
 def _spectra_lines(lat, filters, ideals):
     out = []
     for title, family in (("Spec_Filt:", filters), ("Spec_Id:", ideals)):
         out.append(title)
-        for m in sorted(family.prime_members(),
-                        key=lambda m: lat.labels[m.generator]):
-            out.append("  " + _set_text(lat, m.elements))
+        out += ["  " + _set_text(lat.labels, m)
+                for _, m, p in _by_label(lat, family) if p]
     return out
 
 
@@ -89,15 +95,13 @@ def _cmd_congruences(args) -> int:
 
 def _cmd_family(args, family) -> int:
     lat = _eval_arg(args.expr)
-    for line in _family_lines(lat, family(lat)):
-        print(line)
+    print("\n".join(_family_lines(lat, family(lat))))
     return 0
 
 
 def _cmd_spectra(args) -> int:
     lat = _eval_arg(args.expr)
-    for line in _spectra_lines(lat, all_filters(lat), all_ideals(lat)):
-        print(line)
+    print("\n".join(_spectra_lines(lat, all_filters(lat), all_ideals(lat))))
     return 0
 
 

@@ -56,8 +56,8 @@ an AND of lanes over a few join-irreducibles. `ConLattice.line_chunks()`
 renders the rows in block notation in the same way, a chunk of members
 at a time; smaller listings are keyed and rendered one member at a time.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
-carries into the next. A ConLattice reads the masks, the block maps and
-the tuple of Partitions off the rows only when they are first asked for.
+carries into the next. A ConLattice keys its rows, and reads the masks,
+the block maps and the Partitions off them, only when first asked for.
 It answers what needs the members or their order (con01, covers,
 coatoms); |Con|, μ, the monolith, simplicity and the primes have one
 reader each among the functions below, which read the closures.
@@ -237,21 +237,29 @@ class ConLattice:
     `masks[i]` is the closed set of join-irreducibles of the i-th member
     (see the module docstring), so member i refines member j iff masks[i]
     is a subset of masks[j]. `closure[t]` is the D*-closure of the t-th
-    join-irreducible. `masks`, `block_maps` (the least-member block maps)
-    and `members` (the members as Partitions) are read off the rows on
-    first use; `line_chunks()` renders the rows without any of them.
+    join-irreducible. The rows are keyed from the closed sets on first
+    read, and `masks`, `block_maps` (the least-member block maps) and
+    `members` (the members as Partitions) are read off them on first use;
+    `line_chunks()` renders the rows without any of them.
     """
 
-    def __init__(self, base: Lattice, jbelow, closure, rows):
+    def __init__(self, base: Lattice, jbelow, closure, closed):
         self.base = base
         self.closure = tuple(closure)
         self._jbelow = jbelow
-        self.rows = tuple(rows)
+        self._closed, self._size = closed, len(closed)
         # delta alone has |L| blocks and nabla alone one
-        self.delta_ix, self.nabla_ix = 0, len(self.rows) - 1
+        self.delta_ix, self.nabla_ix = 0, self._size - 1
 
     def __len__(self):
-        return len(self.rows)
+        return self._size
+
+    @cached_property
+    def rows(self):
+        closed, self._closed = self._closed, None  # the rows hold the masks
+        key = _rows_by_lanes if _by_lanes(len(closed), self.base.n) \
+            else _rows_by_member
+        return tuple(sorted(key(self._jbelow, self.closure, closed)))
 
     @cached_property
     def masks(self):
@@ -374,10 +382,7 @@ def all_congruences(lat) -> ConLattice:
     masks = {0}
     for g in gens:
         masks |= {m | g for m in masks}
-    key = _rows_by_lanes if _by_lanes(len(masks), lat.n) else _rows_by_member
-    rows = key(jbelow, closure, list(masks))
-    rows.sort()
-    return ConLattice(lat, jbelow, closure, rows)
+    return ConLattice(lat, jbelow, closure, list(masks))
 
 
 def _by_lanes(members: int, n: int) -> bool:

@@ -2,12 +2,12 @@
 
 Elements are dense indices into `labels`. The order is stored as one upset
 bitmask per element, so comparisons, intervals and bound searches are plain
-integer bit operations. `Lattice()`, `from_covers` and `div(n)` validate
-the lattice axioms (a partial order with a unique bottom and top, and a
+integer bit operations. `Lattice()` and `from_covers` validate the
+lattice axioms (a partial order with a unique bottom and top, and a
 unique lub for every pair, which in a bounded order gives every glb too),
-so downstream code may assume a genuine bounded lattice. Chains, duals,
-the ordinal and horizontal sums and the census classes are lattices by
-construction: they are built by `Lattice._unchecked` from both order
+so downstream code may assume a genuine bounded lattice. Chains, `div(n)`,
+duals, the ordinal and horizontal sums and the census classes are lattices
+by construction: they are built by `Lattice._unchecked` from both order
 tables, unvalidated, and a differential test checks their tables against
 `Lattice()`'s.
 
@@ -355,6 +355,29 @@ class Lattice:
         return cls(labels, up, name=name)
 
 
+def _divisor_lattice(k, divisors):
+    """div(k) from its ascending divisors, unvalidated: divisibility is a
+    lattice order (meet gcd, join lcm). The multiples of d are d and the
+    multiples of each d·p for a prime p, so one descending pass builds the
+    up masks. d ↦ k/d reverses the order and the list of divisors, so the
+    down mask of d is the up mask of k/d mirrored."""
+    primes = []
+    for d in divisors[1:]:  # prime when no smaller prime divides it
+        if all(d % p for p in primes):
+            primes.append(d)
+    n, at = len(divisors), {d: i for i, d in enumerate(divisors)}
+    up = [0] * n
+    for i in range(n - 1, -1, -1):
+        m = 1 << i
+        for e in (divisors[i] * p for p in primes):
+            if e in at:
+                m |= up[at[e]]
+        up[i] = m
+    down = [int(f"{m:0{n}b}"[::-1], 2) for m in reversed(up)]
+    return Lattice._unchecked([str(d) for d in divisors], up, down, 0, n - 1,
+                              name=f"div({k})")
+
+
 def _chain_labels(k: int):
     if k == 1:
         return ("0",)
@@ -413,7 +436,5 @@ def named(name: str, *params: int) -> Lattice:
         small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
         divisors = small + [k // d for d in reversed(small) if d * d != k]
         _check_size(len(divisors))
-        up = [mask_of(j for j, e in enumerate(divisors) if e % d == 0)
-              for d in divisors]
-        return Lattice([str(d) for d in divisors], up, name=f"div({k})")
+        return _divisor_lattice(k, divisors)
     raise UnknownName(f"no lattice named {name!r}")

@@ -1,10 +1,12 @@
 """Filters, ideals, their prime members, and the induced congruences.
 
 Every filter of a finite lattice is principal, so the full families are
-exactly the upsets [x) and downsets (x]. Members are tagged with their
-generator and primality when the family is built; the spectra are the
-prime sublists. A proper filter is prime exactly when its complement is
-an ideal, that is some downset (y], so primality is one lookup of the
+exactly the upsets [x) and downsets (x]. A family is held as masks: the
+generators, their `up` masks (the dual's for ideals) and their prime
+flags. Its length is the number of masks, and its members, tagged with
+generator and primality, are built only on first read; the spectra build
+only the prime sets. A proper filter is prime exactly when its complement
+is an ideal, that is some downset (y], so primality is one lookup of the
 complement among the `down` masks. The tests check it against the join
 condition. The ideals of a lattice are the filters of its dual, so each
 ideal-side function is its filter twin applied to `lat.dual()`.
@@ -13,6 +15,8 @@ ideal-side function is its filter twin applied to `lat.dual()`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .core import bits, mask_of
@@ -23,6 +27,7 @@ from .errors import (
     NotAFilter,
     NotAnIdeal,
     NotPrime,
+    UnknownLabel,
 )
 
 
@@ -34,30 +39,37 @@ class FamilyMember(NamedTuple):
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """The filters or ideals of `base`; its length is the member count."""
+    """The filters or ideals of `base`: member i is the set of `masks[i]`,
+    generated by `generators[i]` and prime when `prime_flags[i]`. Its
+    length is the member count; `members` is built on first read."""
 
     base: object
     kind: str  # "filter" | "ideal"
-    members: tuple
+    generators: tuple
+    masks: tuple
+    prime_flags: tuple
+
+    @cached_property
+    def members(self):
+        sets = map(frozenset, map(bits, self.masks))
+        return tuple(map(FamilyMember, sets, self.generators, self.prime_flags))
 
     def prime_members(self):
-        return [m for m in self.members if m.prime]
+        return list(_primes(self).members)
 
     def prime_sets(self):
-        return [m.elements for m in self.members if m.prime]
+        return [frozenset(bits(m)) for m in _primes(self).masks]
 
     def __len__(self):
-        return len(self.members)
+        return len(self.masks)
 
 
 def is_filter(lat, subset) -> bool:
     """Non-empty, upward closed, closed under meet: the upset of its meet."""
     s = set(subset)
-    if not s:
+    if not s or min(s) < 0 or max(s) >= lat.n:
         return False
     m = mask_of(s)
-    if m & ~((1 << lat.n) - 1):
-        return False
     g = s.pop()
     for x in s:
         g = lat.meet_t[g][x]
@@ -74,6 +86,9 @@ def generated_filter(lat, gens) -> frozenset:
     gens = list(gens)
     if not gens:
         raise EmptyGeneratorSet("need at least one generator")
+    for x in gens:
+        if not 0 <= x < lat.n:
+            raise UnknownLabel(f"element index {x} out of range")
     g = gens[0]
     for x in gens[1:]:
         g = lat.meet(g, x)
@@ -107,27 +122,31 @@ def is_prime_ideal(lat, subset) -> bool:
         raise NotAnIdeal(f"{sorted(subset)} is not an ideal") from None
 
 
-def _upsets(lat):
-    """The upsets [x), prime when their complement is a downset; the
-    whole carrier's complement is empty, never one."""
+def _upsets(base, kind, lat):
+    """The upsets [x) of lat, prime when their complement is a downset;
+    the whole carrier's complement is empty, never one."""
     full = (1 << lat.n) - 1
     downsets = set(lat.down)
-    return tuple(FamilyMember(frozenset(bits(m)), x, full ^ m in downsets)
-                 for x, m in enumerate(lat.up))
+    return SubsetFamily(base, kind, tuple(range(lat.n)), lat.up,
+                        tuple([full ^ m in downsets for m in lat.up]))
 
 
 def all_filters(lat) -> SubsetFamily:
     """Every filter, as the upsets [x); generators and primality recorded."""
-    return SubsetFamily(lat, "filter", _upsets(lat))
+    return _upsets(lat, "filter", lat)
 
 
 def all_ideals(lat) -> SubsetFamily:
     """Every ideal, as the downsets (x]: the filters of the dual."""
-    return SubsetFamily(lat, "ideal", _upsets(lat.dual()))
+    return _upsets(lat, "ideal", lat.dual())
 
 
 def _primes(family) -> SubsetFamily:
-    return SubsetFamily(family.base, family.kind, tuple(family.prime_members()))
+    flags = family.prime_flags
+    return SubsetFamily(family.base, family.kind,
+                        tuple(compress(family.generators, flags)),
+                        tuple(compress(family.masks, flags)),
+                        tuple(compress(flags, flags)))
 
 
 def prime_filters(lat) -> SubsetFamily:
@@ -143,10 +162,7 @@ def prime_filter_congruence(lat, subset) -> Partition:
     subset = set(subset)
     if not is_prime_filter(lat, subset):
         raise NotPrime(f"{sorted(subset)} is not a prime filter")
-    m = mask_of(subset)
-    inside = [x for x in range(lat.n) if (m >> x) & 1]
-    outside = [x for x in range(lat.n) if not (m >> x) & 1]
-    return Partition.from_blocks(lat.n, [inside, outside])
+    return Partition.from_blocks(lat.n, [subset, set(range(lat.n)) - subset])
 
 
 def prime_family_congruence(lat, family) -> Partition:

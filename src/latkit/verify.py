@@ -554,8 +554,7 @@ def check_prime_equivalences(lat: Lattice) -> CheckReport:
                     or frozenset(zero_class) not in pid_sets):
             problems.append({"congruence": m.render(lat.labels),
                              "reason": "classes not prime filter/ideal"})
-    return lat, problems, {"filters": len(fam.members),
-                           "congruences": len(con.members)}
+    return lat, problems, {"filters": len(fam), "congruences": len(con)}
 
 
 @_check("bound-irreducibility", 1)
@@ -719,7 +718,7 @@ def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
             problems.append({"tau_not_above_con01": tau.render(H.labels)})
     if len(taus) == 2 and (taus[0].leq(taus[1]) or taus[1].leq(taus[0])):
         problems.append({"taus_comparable": True})
-    return H, problems, {"case": len(taus), "con": len(conH.members),
+    return H, problems, {"case": len(taus), "con": len(conH),
                          "con01": len(con01H)}
 
 
@@ -744,10 +743,9 @@ def check_multi_hsum(lats) -> CheckReport:
             "extra": [m.render(H.labels) for m in computed - predicted][:4],
             "missing": [m.render(H.labels) for m in predicted - computed][:4],
         })
-    if len(conH.members) != expected_size + 1:
-        problems.append({"con_size": len(conH.members),
-                         "expected": expected_size + 1})
-    return H, problems, {"con": len(conH.members)}
+    if len(conH) != expected_size + 1:
+        problems.append({"con_size": len(conH), "expected": expected_size + 1})
+    return H, problems, {"con": len(conH)}
 
 
 @_check("dilation-simplicity", 1)
@@ -793,14 +791,14 @@ def check_b2_hsum_simple(S: Lattice) -> CheckReport:
     H, _ = horizontal_sum([S, named("B2")])
     conH = all_congruences(H)
     problems = []
-    if len(conH.members) != len(con01S) + 1:
-        problems.append({"con_size": len(conH.members),
+    if len(conH) != len(con01S) + 1:
+        problems.append({"con_size": len(conH),
                          "con01_of_summand": len(con01S)})
     for side, lat, con in (("summand", S, conS), ("sum", H, conH)):
         simple = is_simple(lat)
-        if simple != (len(con.members) == 2):
+        if simple != (len(con) == 2):
             problems.append({"is_simple": simple, "of": side,
-                             "congruences": len(con.members)})
+                             "congruences": len(con)})
     trivial01 = len(con01S) == 1
     if trivial01 and not simple:
         problems.append({"expected_simple": True})

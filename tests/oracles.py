@@ -52,6 +52,7 @@ from latkit.construct import _display
 from latkit.expr import (MAX_DEPTH, Dilation, FileAtom, HSum, IHSum,
                          NamedAtom, OSum)
 from latkit.core import _chain_labels, _check_labels, bits, mask_of
+from latkit.filters import FamilyMember
 from latkit.errors import (
     ArityError,
     BadInput,
@@ -191,6 +192,18 @@ def prime_ideal_by_meet_condition(lat, elements):
     """True iff the ideal is proper and x ^ y in it forces x or y in it:
     the join condition on the dual."""
     return prime_filter_by_join_condition(lat.dual(), elements)
+
+
+def family_eagerly(lat, kind):
+    """The members of all_filters(lat) ("filter") or all_ideals(lat)
+    ("ideal"), each built at once: the upsets (downsets) by generator,
+    primality by the pair scans."""
+    if kind == "filter":
+        masks, prime = lat.up, prime_filter_by_join_condition
+    else:
+        masks, prime = lat.down, prime_ideal_by_meet_condition
+    return tuple(FamilyMember(frozenset(bits(m)), x, prime(lat, bits(m)))
+                 for x, m in enumerate(masks))
 
 
 def divisor_lattice_by_trial_division(n):

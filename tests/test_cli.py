@@ -89,6 +89,55 @@ def test_filters_listing(capsys):
     ]
 
 
+# sha256 over the exit code and stdout of analyze, filters, ideals and
+# spectra of each expression, recorded when each set was rendered from a
+# sorted frozenset of indices
+FAMILY_GOLDEN = {
+    "N5": "bfc4976c978a46615747179d460ee58188856320f352c95687254f5f4bfdc47b",
+    "K": "df480cd73ed7598328170823becd7083ee451642c32f836f3a8693eb48d1c17f",
+    "M3": "3737ba9ff2c9d4b00bd352e35a6c6272ecff8a6aeb1635a6ec8dee503aee2710",
+    # label order is not index order
+    "div(720720)":
+        "5c91a576df83fc4b921fa80e8a71ea945b3b96edf3ddeeacc46a730d21e4e8ab",
+    "div(1234800)":
+        "0065c37d2c3f88dab0c27a1917431c9925c78427db3988abaf4af28b80bc204f",
+    "chain(61)":
+        "e1e9bb6b0384a825fcf733f9e92341278da2498582b40e125fc2d5f36bcd9c51",
+    "hsum(osum(chain(112),chain(89)),osum(chain(63),chain(38)))":
+        "66f911e7992fa3e33b1fd374f17a1d57e7f31096b4305bb22b0ef7d070057ec4",
+    "hsum(osum(chain(120),chain(130)),chain(250))":
+        "fb82162c63304ec6d921d3411e907b66e6d06e8f1d626182f6ab25980ecd0da8",
+    'ihsum(chain(5),"m1","m3",M3)':
+        "8eb28324e14ea313f23ccfd642bd21bf476f5ee1bfbd16bb2302ad9507c5ff4a",
+    "D(hsum(N5,M3,K))":
+        "4168d68a8c04e1cc62fae0337f911e42f2242e9b14e76b0636550b11bfb830b5",
+    "hsum(N5,N5,N5)":
+        "6202f9d692c692b81ac0656d88b74c67f6e37df3c3b3dd2f6498dc9f0971af92",
+    "osum(B2,M3)":
+        "2037de90efd53889f407604d6a78a5415305b7eb8c5920862f769a1c5af7472c",
+    # a pentagon whose elements are listed top first
+    "FILE": "334d84a2e90b5a4e8f463cb39a743ff545151330f81a928254379917a3a45d83",
+    "chain(501)":
+        "e5c830e2c953ff9bdaeaec481cd37fd928d54016886e0afc844e288044696dcc",
+}
+
+
+@pytest.mark.parametrize("expr", FAMILY_GOLDEN)
+def test_family_and_spectra_outputs_are_pinned(capsys, tmp_path, expr):
+    path = str(tmp_path / "pentagon.json")
+    with open(path, "w") as fh:
+        json.dump({"elements": ["top", "c", "b", "a", "bot"],
+                   "covers": [["bot", "a"], ["a", "top"], ["bot", "b"],
+                              ["b", "c"], ["c", "top"]]}, fh)
+    text = expr.replace("FILE", f'file("{path}")')
+    digest = hashlib.sha256()
+    for command in ("analyze", "filters", "ideals", "spectra"):
+        code, out, _ = run_cli(capsys, command, text)
+        out = out.replace(path, "<path>")
+        digest.update(f"{command} {code}\n{out}".encode())
+    assert digest.hexdigest() == FAMILY_GOLDEN[expr]
+
+
 def test_spectra_listing(capsys):
     code, out, _ = run_cli(capsys, "spectra", "K")
     assert code == 0

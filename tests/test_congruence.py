@@ -507,9 +507,12 @@ def test_the_listing_is_refused_on_the_count(monkeypatch):
 
 
 def test_members_are_built_on_first_use():
-    # Listing Con(L), its DOT and its rendered block maps build no Partition.
+    # Counting Con(L) keys no row; listing it, its DOT and its rendered
+    # block maps build no Partition.
     lat = named("chain", 10)
     con = all_congruences(lat)
+    assert len(con) == 512 and con.nabla_ix == 511
+    assert "rows" not in con.__dict__
     assert "members" not in con.__dict__
     con_dot(con)
     assert "members" not in con.__dict__

@@ -418,8 +418,8 @@ def _assert_validated(lat):
 
 
 def test_unvalidated_builds_match_the_validated_tables():
-    # chains, the ordinal and horizontal sums and the census classes skip
-    # Lattice(); their order tables must be the ones it computes
+    # chains, div(n), the ordinal and horizontal sums and the census
+    # classes skip Lattice(); their order tables must be the ones it computes
     census = [lat for lat in enumerate_lattices(7) if lat.n >= 2]
     for a in census:
         for b in census:
@@ -449,6 +449,9 @@ def test_unvalidated_builds_match_the_validated_tables():
     # the census classes are built from their least lows tuples
     for lat in enumerate_lattices(9):
         _assert_validated(lat)
+    # div(n) from its prime steps: every n up to 400, then large ones
+    for k in [*range(1, 401), 720720, 1234800, 10**12]:
+        _assert_validated(named("div", k))
 
 
 def _constructions(pool):

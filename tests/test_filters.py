@@ -31,8 +31,10 @@ from latkit.errors import (
     NotAFilter,
     NotAnIdeal,
     NotPrime,
+    UnknownLabel,
 )
 from oracles import (
+    family_eagerly,
     filters_by_exhaustion,
     ideals_by_exhaustion,
     prime_filter_by_join_condition,
@@ -55,6 +57,20 @@ def test_generated_filter():
         generated_ideal(n5, [])
 
 
+def test_generated_filter_refuses_an_index_out_of_range():
+    n5 = named("N5")
+    for bad in (9, 5, -1):
+        with pytest.raises(UnknownLabel, match=f"element index {bad} out of range"):
+            generated_filter(n5, [n5.top, bad])
+
+
+def test_generated_ideal_refuses_an_index_out_of_range():
+    n5 = named("N5")
+    for bad in (9, 5, -1):
+        with pytest.raises(UnknownLabel, match=f"element index {bad} out of range"):
+            generated_ideal(n5, [bad])
+
+
 def test_generated_filter_from_two_interiors_is_everything():
     h, _ = horizontal_sum([named("N5"), named("K")])
     a = h.index("0.x")
@@ -73,6 +89,35 @@ def test_is_filter():
     assert is_ideal(c3, [c3.index("0"), c3.index("m")])
 
 
+def test_is_filter_is_false_on_an_index_out_of_range():
+    n5 = named("N5")
+    everything = list(range(n5.n))
+    for bad in (7, 5, -1):
+        assert not is_filter(n5, [bad])
+        assert not is_filter(n5, everything + [bad])
+
+
+def test_is_ideal_is_false_on_an_index_out_of_range():
+    n5 = named("N5")
+    for bad in (7, 5, -1):
+        assert not is_ideal(n5, [bad])
+        assert not is_ideal(n5, [n5.bottom, bad])
+
+
+def test_is_prime_filter_refuses_an_index_out_of_range():
+    n5 = named("N5")
+    for bad in (7, 5, -1):
+        with pytest.raises(NotAFilter):
+            is_prime_filter(n5, [n5.top, bad])
+
+
+def test_is_prime_ideal_refuses_an_index_out_of_range():
+    n5 = named("N5")
+    for bad in (7, 5, -1):
+        with pytest.raises(NotAnIdeal):
+            is_prime_ideal(n5, [n5.bottom, bad])
+
+
 def test_all_filters_are_the_principal_upsets():
     for lat in (named("N5"), named("div", 12), named("K")):
         fam = all_filters(lat)
@@ -88,6 +133,33 @@ def test_a_family_with_a_field_replaced_keeps_its_members():
     assert fam.kind == "x"
     assert len(fam.members) == 4
     assert len(fam) == 4
+
+
+def test_the_families_equal_the_eager_ones(engine_pool):
+    # built from the masks, members on first read; every field as the
+    # eager build of each member has it
+    for lat in engine_pool:
+        for kind, family, primes in (("filter", all_filters, prime_filters),
+                                     ("ideal", all_ideals, prime_ideals)):
+            want = family_eagerly(lat, kind)
+            fam = family(lat)
+            assert (fam.base, fam.kind) == (lat, kind)
+            assert len(fam) == len(want) == lat.n
+            assert fam.prime_members() == [m for m in want if m.prime]
+            assert fam.prime_sets() == [m.elements for m in want if m.prime]
+            assert fam.members == want
+            assert primes(lat).members == tuple(fam.prime_members())
+
+
+def test_count_and_spectra_build_no_member():
+    # distributive: one prime filter and one prime ideal per prime power
+    # dividing 720720 = 2^4 * 3^2 * 5 * 7 * 11 * 13
+    lat = named("div", 720720)
+    for fam in (all_filters(lat), all_ideals(lat)):
+        assert len(fam) == lat.n == 240
+        assert len(fam.prime_sets()) == len(fam.prime_members()) == 10
+        assert "members" not in fam.__dict__
+        assert len(fam.members) == 240
 
 
 def test_filter_count_of_a_double_pentagon():
