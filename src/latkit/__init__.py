@@ -15,7 +15,6 @@ from .equiv import (
     eq_from_blocks,
     is_congruence,
     nabla,
-    restrict,
 )
 from .congruence import (
     ConLattice,

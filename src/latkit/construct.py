@@ -8,18 +8,21 @@ and one embedding per summand: a tuple `e` with `e[x]` the result index
 of summand element x, so the glue points lie in the image of every
 summand, and a summand's labels carry over as
 `{lab: result.labels[e[x]] for x, lab in enumerate(summand.labels)}`.
-Each construction checks the size cap and assembles its masks from its
-summands', a big-int shift per run of consecutive indices. Ordinal and
-horizontal sums of lattices are lattices, so they are built from their
-up and down masks unvalidated; `interval_hsum` and `dilate` pass their up
-masks to the full lattice validation of `Lattice()`.
+
+Every construction is one rule: the union of its summands' orders,
+closed through its glue points, built unvalidated. It checks the size
+cap, lays out labels and embeddings, and `_union_up` assembles the up
+and down masks, a big-int shift per run of consecutive indices, then
+closes them through the glue points: the ordinal sum's shared point, the
+interval sum's a and b, the ends of each interval the dilation fills.
+The horizontal sum shares only its bounds and needs no glue.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Lattice, _check_size, bits, mask_of
+from .core import Lattice, _check_size, bits, named
 from .equiv import Partition, _join_pairs
 from .errors import (
     CarrierMismatch,
@@ -31,6 +34,9 @@ from .errors import (
     TrivialInput,
     TrivialSummand,
 )
+
+
+_SQUARE = named("B2")  # the summand of each pair that `dilate` inserts
 
 
 class FatInterval(NamedTuple):
@@ -63,16 +69,32 @@ def _image(mask: int, runs) -> int:
     return out
 
 
-def _union_up(n: int, parts):
+def _union_up(n: int, parts, glue=()):
     """Up and down masks of the union of the orders of (summand,
-    embedding) parts."""
+    embedding) parts, closed through each glue point g: everything at or
+    below g comes to lie below everything at or above it. This is
+    Warshall's closure with the glue points as the only pivots, which is
+    exact when every path between summands passes through a glue point."""
     up, down = [0] * n, [0] * n
     for lat, e in parts:
         runs = _runs(e)
         for x, y in enumerate(e):
             up[y] |= _image(lat.up[x], runs)
             down[y] |= _image(lat.down[x], runs)
+    for g in glue:
+        above, below = up[g], down[g]
+        for x in bits(below):
+            up[x] |= above
+        for y in bits(above):
+            down[y] |= below
     return up, down
+
+
+def _embedding(lat, glued, fresh: int):
+    """The embedding of `lat` that sends each x in `glued` to glued[x] and
+    the other elements, in index order, to fresh, fresh + 1, ..."""
+    rest = iter(range(fresh, fresh + lat.n))
+    return tuple(glued[x] if x in glued else next(rest) for x in range(lat.n))
 
 
 def ordinal_sum(lower: Lattice, upper: Lattice):
@@ -81,25 +103,16 @@ def ordinal_sum(lower: Lattice, upper: Lattice):
     The glue point keeps the lower summand's label (namespaced "0.<label>").
     """
     _check_size(lower.n + upper.n - 1)
-    labels = [f"0.{x}" for x in lower.labels]
     e0 = tuple(range(lower.n))
-    e1 = []
-    for y, lab in enumerate(upper.labels):
-        if y == upper.bottom:
-            e1.append(lower.top)
-        else:
-            e1.append(len(labels))
-            labels.append(f"1.{lab}")
-    up, down = _union_up(len(labels), ((lower, e0), (upper, e1)))
-    # everything of `lower` lies below the glue point, so below all of `upper`
-    for x in e0:
-        up[x] |= up[lower.top]
-    for y in e1:
-        down[y] |= down[lower.top]
+    e1 = _embedding(upper, {upper.bottom: lower.top}, lower.n)
+    labels = [f"0.{x}" for x in lower.labels] + [
+        f"1.{lab}" for y, lab in enumerate(upper.labels) if y != upper.bottom]
+    up, down = _union_up(len(labels), ((lower, e0), (upper, e1)),
+                         (lower.top,))
     name = f"osum({_display(lower)},{_display(upper)})"
     return (Lattice._unchecked(labels, up, down, lower.bottom, e1[upper.top],
                                name),
-            (e0, tuple(e1)))
+            (e0, e1))
 
 
 def _hsum_embeddings(family):
@@ -113,16 +126,8 @@ def _hsum_embeddings(family):
     _check_size(top + 1)
     embeddings, fresh = [], 1
     for lat in family:
-        e = []
-        for x in range(lat.n):
-            if x == lat.bottom:
-                e.append(0)
-            elif x == lat.top:
-                e.append(top)
-            else:
-                e.append(fresh)
-                fresh += 1
-        embeddings.append(tuple(e))
+        embeddings.append(_embedding(lat, {lat.bottom: 0, lat.top: top}, fresh))
+        fresh += lat.n - 2
     return tuple(embeddings)
 
 
@@ -179,10 +184,15 @@ def fat_intervals(lat: Lattice):
     return out
 
 
-def _fresh(label: str, taken) -> str:
-    while label in taken:
-        label += "'"
-    return label
+def _extended(labels, stems):
+    """`labels` followed by each stem, primed until it is fresh."""
+    out, taken = list(labels), set(labels)
+    for label in stems:
+        while label in taken:
+            label += "'"
+        out.append(label)
+        taken.add(label)
+    return out
 
 
 def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
@@ -200,30 +210,15 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
     if insert.n <= 2:
         raise SummandTooSmall("the inserted lattice must have more than two elements")
     _check_size(lat.n + insert.n - 2)
-    n0 = lat.n
-    labels = list(lat.labels)
-    taken = set(labels)
-    e1 = []
-    for x, lab in enumerate(insert.labels):
-        if x == insert.bottom:
-            e1.append(a)
-        elif x == insert.top:
-            e1.append(b)
-        else:
-            e1.append(len(labels))
-            labels.append(_fresh(f"1.{lab}", taken))
-            taken.add(labels[-1])
-    up = list(lat.up)
-    # original element i sits below every inserted element iff i <= a
-    block = mask_of(range(n0, len(labels)))
-    for i in bits(lat.down[a]):
-        up[i] |= block
-    runs = _runs(e1)
-    up += [_image(insert.up[x], runs) | lat.up[b]
-           for x in range(insert.n) if e1[x] >= n0]
+    e0 = tuple(range(lat.n))
+    e1 = _embedding(insert, {insert.bottom: a, insert.top: b}, lat.n)
+    labels = _extended(lat.labels, [f"1.{lab}" for x, lab in
+                                    enumerate(insert.labels) if e1[x] >= lat.n])
+    up, down = _union_up(len(labels), ((lat, e0), (insert, e1)), (a, b))
     name = (f"ihsum({_display(lat)},{lat.labels[a]},{lat.labels[b]},"
             f"{_display(insert)})")
-    return Lattice(labels, up, name=name), (tuple(range(n0)), tuple(e1))
+    return (Lattice._unchecked(labels, up, down, lat.bottom, lat.top, name),
+            (e0, e1))
 
 
 def dilate(lat: Lattice):
@@ -238,27 +233,19 @@ def dilate(lat: Lattice):
         raise TrivialInput("cannot dilate the one-element lattice")
     fats = fat_intervals(lat)
     n0 = lat.n
+    e0 = tuple(range(n0))
+    name = f"D({_display(lat)})"
     if not fats:
-        return lat.renamed(f"D({_display(lat)})"), (tuple(range(n0)),)
+        return lat.renamed(name), (e0,)
     _check_size(n0 + 2 * len(fats))
-    labels = list(lat.labels)
-    taken = set(labels)
-    for a, b in fats:
-        for side in "lr":
-            labels.append(
-                _fresh(f"{side}[{lat.labels[a]},{lat.labels[b]}]", taken))
-            taken.add(labels[-1])
-    # the k-th fat interval gains the pair at n0 + 2k and n0 + 2k + 1
-    up = list(lat.up)
-    for k, (a, b) in enumerate(fats):
-        for i in bits(lat.down[a]):
-            up[i] |= 3 << (n0 + 2 * k)
-    # up[b] now also holds the pairs of the fat intervals above b
-    for k, (a, b) in enumerate(fats):
-        up += [up[b] | 1 << (n0 + 2 * k), up[b] | 1 << (n0 + 2 * k + 1)]
-    # summand k+1 is named("B2"), its elements 0, a, b, 1 sent into the
-    # k-th fat interval
+    labels = _extended(lat.labels, [
+        f"{side}[{lat.labels[a]},{lat.labels[b]}]"
+        for a, b in fats for side in "lr"])
+    # summand k+1 is B2, its elements 0, a, b, 1 sent into the k-th fat
+    # interval, whose pair sits at n0 + 2k and n0 + 2k + 1
     squares = tuple((a, n0 + 2 * k, n0 + 2 * k + 1, b)
                     for k, (a, b) in enumerate(fats))
-    return (Lattice(labels, up, name=f"D({_display(lat)})"),
-            (tuple(range(n0)),) + squares)
+    parts = ((lat, e0), *((_SQUARE, s) for s in squares))
+    up, down = _union_up(len(labels), parts, {g for fat in fats for g in fat})
+    return (Lattice._unchecked(labels, up, down, lat.bottom, lat.top, name),
+            (e0,) + squares)

@@ -5,11 +5,13 @@ bitmask per element, so comparisons, intervals and bound searches are plain
 integer bit operations. `Lattice()` and `from_covers` validate the
 lattice axioms (a partial order with a unique bottom and top, and a
 unique lub for every pair, which in a bounded order gives every glb too),
-so downstream code may assume a genuine bounded lattice. Chains, `div(n)`,
-duals, the ordinal and horizontal sums and the census classes are lattices
-by construction: they are built by `Lattice._unchecked` from both order
-tables, unvalidated, and a differential test checks their tables against
-`Lattice()`'s.
+so downstream code may assume a genuine bounded lattice. They see what
+comes from outside the program, the named small lattices, quotients and
+the corpus generators. Chains, `div(n)`, duals, the census classes and
+every sum construction are lattices by construction (a sum is the union
+of its summands' orders, closed through its glue points): they are built
+by `Lattice._unchecked` from both order tables, unvalidated, and a
+differential test checks their tables against `Lattice()`'s.
 
 Validation builds no table: one pass over the comparable pairs checks
 antisymmetry and transitivity and collects the downsets, and the join of

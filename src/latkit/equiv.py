@@ -217,11 +217,6 @@ def eq_join(p: Partition, q: Partition) -> Partition:
     return p.join(q)
 
 
-def restrict(p: Partition, subset) -> Partition:
-    """Partition induced on a subset of the carrier, reindexed ascending."""
-    return p.restrict(sorted(set(subset)))
-
-
 def is_congruence(lat, p: Partition) -> bool:
     """Compatibility with meet and join, checked by substitution.
 

@@ -8,7 +8,8 @@ generator and primality, are built only on first read; the spectra build
 only the prime sets. A proper filter is prime exactly when its complement
 is an ideal, that is some downset (y], so primality is one lookup of the
 complement among the `down` masks. The tests check it against the join
-condition. The ideals of a lattice are the filters of its dual, so each
+condition. The single-set tests read the masks too and build no meet
+table. The ideals of a lattice are the filters of its dual, so each
 ideal-side function is its filter twin applied to `lat.dual()`.
 """
 
@@ -65,15 +66,13 @@ class SubsetFamily:
 
 
 def is_filter(lat, subset) -> bool:
-    """Non-empty, upward closed, closed under meet: the upset of its meet."""
+    """Non-empty, upward closed, closed under meet: since every filter is
+    principal, the upset [x) of one of its elements x."""
     s = set(subset)
     if not s or min(s) < 0 or max(s) >= lat.n:
         return False
     m = mask_of(s)
-    g = s.pop()
-    for x in s:
-        g = lat.meet_t[g][x]
-    return lat.up[g] == m
+    return any(lat.up[x] == m for x in s)
 
 
 def is_ideal(lat, subset) -> bool:
@@ -82,17 +81,19 @@ def is_ideal(lat, subset) -> bool:
 
 
 def generated_filter(lat, gens) -> frozenset:
-    """Least filter containing gens: the upset of the meet of gens."""
+    """Least filter containing gens: the upset of their meet, the
+    element of the common downset D whose own downset is D."""
     gens = list(gens)
     if not gens:
         raise EmptyGeneratorSet("need at least one generator")
     for x in gens:
         if not 0 <= x < lat.n:
             raise UnknownLabel(f"element index {x} out of range")
-    g = gens[0]
-    for x in gens[1:]:
-        g = lat.meet(g, x)
-    return frozenset(bits(lat.up[g]))
+    common = -1
+    for x in gens:
+        common &= lat.down[x]
+    meet = next(x for x in bits(common) if lat.down[x] == common)
+    return frozenset(bits(lat.up[meet]))
 
 
 def generated_ideal(lat, gens) -> frozenset:

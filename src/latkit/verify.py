@@ -32,6 +32,7 @@ DEFAULT_DILATE_INPUT_CAP = 8
 DEFAULT_SUMMAND_CAP = 10
 CENSUS_CAP = 10
 COUNT_CAP = 10_000
+ISO_NODE_CAP = 1_000_000  # a few seconds of search
 
 
 class CheckReport:
@@ -157,7 +158,11 @@ def isomorphic(a: Lattice, b: Lattice):
 
     Backtracking over invariant-compatible candidates, trying elements in
     index order and candidates ascending, so the witness returned is the
-    lexicographically least isomorphism.
+    lexicographically least isomorphism. Colour refinement cannot tell
+    some pairs apart (a crown whose atom-coatom covers form one cycle
+    against one whose covers form two), and their search grows
+    exponentially, so it raises SizeCapExceeded past ISO_NODE_CAP
+    partial maps.
     """
     if a.n != b.n:
         return None
@@ -173,6 +178,7 @@ def _isomorphism(a, b, ia, ib):
     f = [-1] * n
     used = [False] * n
     aup, bup = a.up, b.up
+    nodes = 0
 
     def consistent(i, j):
         for k in range(i):
@@ -184,10 +190,15 @@ def _isomorphism(a, b, ia, ib):
         return True
 
     def backtrack(i):
+        nonlocal nodes
         if i == n:
             return True
         for j in cand[i]:
             if not used[j] and consistent(i, j):
+                nodes += 1
+                if nodes > ISO_NODE_CAP:
+                    raise SizeCapExceeded(
+                        f"isomorphism search past {ISO_NODE_CAP} nodes")
                 f[i] = j
                 used[j] = True
                 if backtrack(i + 1):
@@ -490,10 +501,6 @@ def _pair_images(embeddings, A, B):
     }
 
 
-def _two_block(H, left, right) -> Partition:
-    return Partition.from_blocks(H.n, [sorted(left), sorted(right)])
-
-
 def _con01_product(lats):
     """(Con of each summand, its con01 members, the predicted con01 of
     their horizontal sum): one assembled member per choice of con01
@@ -637,7 +644,7 @@ def check_spechsum(A: Lattice, B: Lattice) -> CheckReport:
         (A, B, "A0", "B1"),
         (B, A, "B0", "A1"),
     ):
-        part = _two_block(H, img[f_key], img[i_key])
+        part = Partition.from_blocks(H.n, [img[f_key], img[i_key]])
         flags = [
             first.is_meet_irreducible(first.bottom)
             and second.is_join_irreducible(second.top),
@@ -662,9 +669,9 @@ def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
     img = _pair_images(embeddings, A, B)
     taus = []
     if A.is_meet_irreducible(A.bottom) and B.is_join_irreducible(B.top):
-        taus.append(_two_block(H, img["A0"], img["B1"]))
+        taus.append(Partition.from_blocks(H.n, [img["A0"], img["B1"]]))
     if B.is_meet_irreducible(B.bottom) and A.is_join_irreducible(A.top):
-        taus.append(_two_block(H, img["B0"], img["A1"]))
+        taus.append(Partition.from_blocks(H.n, [img["B0"], img["A1"]]))
     predicted = predicted01 | set(taus) | {Partition.nabla(H.n)}
     computed = set(conH.members)
     problems = []

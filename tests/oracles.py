@@ -23,6 +23,11 @@ against the join condition, pair by pair. The ideal-side oracles (ideals,
 prime ideals, join irreducibility) are the filter-side ones applied to
 `lat.dual()`, which is itself checked against `Lattice()` validation.
 
+`is_filter` and `generated_filter`, which read the order masks, are
+checked against the meet folds they replaced (`is_filter_by_meet_fold`,
+`generated_filter_by_meet_fold`), which fold the meet of a set through
+`meet_t`; their ideal twins against the same folds on `lat.dual()`.
+
 `Lattice()` validation, which makes one join lookup per incomparable pair
 and builds the meet and join tables on first read, is checked against
 `validated_eagerly`, the eager build it replaced: the same exception for
@@ -192,6 +197,20 @@ def prime_ideal_by_meet_condition(lat, elements):
     """True iff the ideal is proper and x ^ y in it forces x or y in it:
     the join condition on the dual."""
     return prime_filter_by_join_condition(lat.dual(), elements)
+
+
+def is_filter_by_meet_fold(lat, subset):
+    """Whether the in-range non-empty `subset` is the upset of its meet,
+    folded through `meet_t`."""
+    s = set(subset)
+    if not s or min(s) < 0 or max(s) >= lat.n:
+        return False
+    return lat.up[reduce(lat.meet, s)] == mask_of(s)
+
+
+def generated_filter_by_meet_fold(lat, gens):
+    """The upset of the meet of `gens`, folded through `meet_t`."""
+    return frozenset(bits(lat.up[reduce(lat.meet, gens)]))
 
 
 def family_eagerly(lat, kind):

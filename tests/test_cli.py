@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -154,6 +155,35 @@ def test_iso_prints_bijection(capsys):
     code, out, _ = run_cli(capsys, "iso", "chain(4)", "B2")
     assert code == 1
     assert "not isomorphic" in out
+
+
+def crown(cycles):
+    """0 < atoms < coatoms < 1, the atom-coatom covers forming one cycle of
+    m atoms and m coatoms per entry m of `cycles`."""
+    atoms, coatoms, covers = [], [], []
+    for c, m in enumerate(cycles):
+        for i in range(m):
+            atoms.append(f"a{c}.{i}")
+            coatoms.append(f"c{c}.{i}")
+            covers += [["0", atoms[-1]], [coatoms[-1], "1"],
+                       [atoms[-1], coatoms[-1]],
+                       [atoms[-1], f"c{c}.{(i + 1) % m}"]]
+    return {"elements": ["0", *atoms, *coatoms, "1"], "covers": covers}
+
+
+def test_an_iso_search_past_the_node_cap_exits_3(capsys, tmp_path):
+    # colour refinement cannot tell one 20-cycle crown from two 10-cycle
+    # ones; the search would take about 40 s without the cap
+    paths = []
+    for name, cycles in (("one", [10]), ("two", [5, 5])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(crown(cycles)))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "iso", *(f'file("{p}")' for p in paths))
+    assert time.perf_counter() - started < 30
+    assert (code, out) == (3, "")
+    assert err == (f"error: isomorphism search past {verify.ISO_NODE_CAP} "
+                   "nodes\n")
 
 
 def test_export_json_round_trips_via_file(capsys, tmp_path):

@@ -417,15 +417,41 @@ def _assert_validated(lat):
         assert getattr(lat, table) == getattr(want, table), (lat, table)
 
 
+def test_no_construction_validates(monkeypatch):
+    n5, k, m3 = named("N5"), named("K"), named("M3")
+
+    def no_validation(*args, **kwargs):
+        raise AssertionError("validated a lattice")
+
+    monkeypatch.setattr(Lattice, "__init__", no_validation)
+    s, _ = ordinal_sum(n5, k)
+    h, _ = horizontal_sum([n5, k, s])
+    d, _ = dilate(s)
+    assert (d.n, dilate(h)[0].n) == (s.n + 2 * len(fat_intervals(s)),
+                                     h.n + 2 * len(fat_intervals(h)))
+    assert interval_hsum(d, d.bottom, d.top, m3)[0].n == d.n + 3
+    assert interval_hsum(h, *fat_intervals(h)[-1], s)[0].n == h.n + s.n - 2
+
+
 def test_unvalidated_builds_match_the_validated_tables():
-    # chains, div(n), the ordinal and horizontal sums and the census
-    # classes skip Lattice(); their order tables must be the ones it computes
+    # chains, div(n), every construction and the census classes skip
+    # Lattice(); their order tables must be the ones it computes
     census = [lat for lat in enumerate_lattices(7) if lat.n >= 2]
     for a in census:
         for b in census:
             _assert_validated(ordinal_sum(a, b)[0])
             if a.n >= 3 and b.n >= 3:
                 _assert_validated(horizontal_sum([a, b])[0])
+    for lat in census:
+        d = dilate(lat)[0]
+        _assert_validated(d)
+        _assert_validated(dilate(d)[0])
+    inserts = [lat for lat in census if 3 <= lat.n <= 5]
+    for lat in census:
+        if lat.n <= 6:
+            for a, b in fat_intervals(lat):
+                for insert in inserts:
+                    _assert_validated(interval_hsum(lat, a, b, insert)[0])
     rng = random.Random(18)
 
     def shuffled(lat):

@@ -10,7 +10,6 @@ from latkit import (
     is_congruence,
     nabla,
     named,
-    restrict,
 )
 from latkit.errors import (
     CarrierMismatch,
@@ -91,12 +90,12 @@ def test_is_congruence():
 def test_restrict():
     n5 = named("N5")
     h = nabla(n5)
-    assert restrict(h, [0, 1, 4]) == Partition.nabla(3)
-    assert restrict(delta(n5), [1, 2, 3]) == Partition.delta(3)
+    assert h.restrict([0, 1, 4]) == Partition.nabla(3)
+    assert delta(n5).restrict([1, 2, 3]) == Partition.delta(3)
     zeta = eq_from_blocks(n5, [{"y", "z"}])
-    assert restrict(zeta, [n5.index("y"), n5.index("z")]) == Partition.nabla(2)
+    assert zeta.restrict([n5.index("y"), n5.index("z")]) == Partition.nabla(2)
     with pytest.raises(EmptySubset):
-        restrict(h, [])
+        h.restrict([])
 
 
 def test_blocks_convex():

@@ -23,6 +23,7 @@ from latkit import (
     prime_filters,
     prime_ideals,
 )
+from latkit import core
 from latkit.construct import horizontal_sum
 from latkit.core import bits
 from latkit.errors import (
@@ -36,7 +37,9 @@ from latkit.errors import (
 from oracles import (
     family_eagerly,
     filters_by_exhaustion,
+    generated_filter_by_meet_fold,
     ideals_by_exhaustion,
+    is_filter_by_meet_fold,
     prime_filter_by_join_condition,
     prime_ideal_by_meet_condition,
 )
@@ -160,6 +163,52 @@ def test_count_and_spectra_build_no_member():
         assert len(fam.prime_sets()) == len(fam.prime_members()) == 10
         assert "members" not in fam.__dict__
         assert len(fam.members) == 240
+
+
+def test_the_filter_and_ideal_tests_build_no_operation_table(monkeypatch):
+    def no_table(masks):
+        raise AssertionError("built an operation table")
+
+    monkeypatch.setattr(core, "_op_table", no_table)
+    lat = named("div", 720720)
+    ix = lat.index
+    multiples_of_16 = frozenset(bits(lat.up[ix("16")]))
+    not_multiples_of_16 = frozenset(bits(lat.down[ix("360360")]))
+    assert is_filter(lat, multiples_of_16)
+    assert is_prime_filter(lat, multiples_of_16)
+    assert not is_filter(lat, not_multiples_of_16)
+    assert is_ideal(lat, not_multiples_of_16)
+    assert is_prime_ideal(lat, not_multiples_of_16)
+    assert not is_ideal(lat, multiples_of_16)
+    assert generated_filter(lat, [ix("48"), ix("80")]) == multiples_of_16
+    assert generated_ideal(lat, [ix("16"), ix("9")]) == \
+        frozenset(bits(lat.down[ix("144")]))
+    assert "meet_t" not in lat.__dict__ and "join_t" not in lat.__dict__
+
+
+def test_the_filter_tests_match_the_meet_folds():
+    for lat in enumerate_lattices(7):
+        dual = lat.dual()
+        for m in range(1, 1 << lat.n):
+            s = list(bits(m))
+            for side, is_member in ((lat, is_filter), (dual, is_ideal)):
+                assert is_member(lat, s) == is_filter_by_meet_fold(side, s)
+            assert generated_filter(lat, s) == \
+                generated_filter_by_meet_fold(lat, s)
+            assert generated_ideal(lat, s) == \
+                generated_filter_by_meet_fold(dual, s)
+            if is_filter_by_meet_fold(lat, s):
+                assert is_prime_filter(lat, s) == \
+                    prime_filter_by_join_condition(lat, s)
+            else:
+                with pytest.raises(NotAFilter):
+                    is_prime_filter(lat, s)
+            if is_filter_by_meet_fold(dual, s):
+                assert is_prime_ideal(lat, s) == \
+                    prime_ideal_by_meet_condition(lat, s)
+            else:
+                with pytest.raises(NotAnIdeal):
+                    is_prime_ideal(lat, s)
 
 
 def test_filter_count_of_a_double_pentagon():
