@@ -38,8 +38,9 @@ Con(L) (`con_summary`):
   the AND of the closures, non-empty exactly when L is subdirectly
   irreducible; L is simple exactly when every closure is all of J(L).
 
-The closure readers take no size cap: they cost O(n²) table reads and
-O(|J|²) mask operations, so they answer on any lattice that can be built.
+The closure readers take no size cap: they cost O(|J|·n) joins, read
+off the up masks, and O(|J|²) mask operations, so they answer on any
+lattice that can be built, and build no operation table.
 
 Listing Con(L) is `all_congruences`'s job alone, and its caps bind only
 the listings. It refuses a lattice above DEFAULT_CON_CAP elements before
@@ -110,19 +111,24 @@ def _dependency(lat):
 
 def _closures(lat):
     """(jbelow, closure) of lat, computed afresh."""
-    n, up, down, jt = lat.n, lat.up, lat.down, lat.join_t
+    n, up, down = lat.n, lat.up, lat.down
     down_id = {d: x for x, d in enumerate(down)}
     # k is join-irreducible iff what lies strictly below k is a principal
     # down-set, that of k's one lower cover k₋ (never so for the bottom)
     joins = [k for k in range(n) if down[k] ^ (1 << k) in down_id]
+    lower = [down_id[down[k] ^ (1 << k)] for k in joins]
     jbelow = [0] * n
     for t, j in enumerate(joins):
         for x in bits(up[j]):
             jbelow[x] |= 1 << t
+    # the join rows of the join-irreducibles and their lower covers, each
+    # built once, and no others
+    up_id = {u: x for x, u in enumerate(up)}
+    rows = {x: [up_id[up[x] & u] for u in up] for x in {*joins, *lower}}
     closure = []
-    for t, k in enumerate(joins):
-        row, row_minus = jt[k], jt[down_id[down[k] ^ (1 << k)]]
-        dep = 0  # x = bottom puts t itself in, making the closure reflexive
+    for k, k_minus in zip(joins, lower):
+        row, row_minus = rows[k], rows[k_minus]
+        dep = 0  # x = bottom puts k itself in, making the closure reflexive
         for x in range(n):
             dep |= jbelow[row[x]] & ~jbelow[row_minus[x]]
         closure.append(dep)

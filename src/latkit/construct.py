@@ -33,6 +33,7 @@ from .errors import (
     SummandTooSmall,
     TrivialInput,
     TrivialSummand,
+    UnknownLabel,
 )
 
 
@@ -201,6 +202,9 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
     The interior of `insert` lands strictly between everything below a and
     everything above b, incomparable to the rest.
     """
+    for x in (a, b):
+        if not 0 <= x < lat.n:
+            raise UnknownLabel(f"element index {x} out of range")
     if not lat.leq(a, b):
         raise NotComparable(
             f"{lat.labels[a]!r} does not lie below {lat.labels[b]!r}"

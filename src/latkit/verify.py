@@ -488,30 +488,81 @@ def enumerate_lattices(max_n: int):
 
 # -- shared helpers for the horizontal-sum checks --------------------------------
 
-def _pair_images(embeddings, A, B):
-    """Index sets of A minus bottom/top and B minus bottom/top in their sum."""
-    e_a, e_b = embeddings
-    def image(lat, e, exclude):
-        return frozenset(e[i] for i in range(lat.n) if i != exclude)
-    return {
-        "A0": image(A, e_a, A.bottom),  # A minus its bottom
-        "A1": image(A, e_a, A.top),
-        "B0": image(B, e_b, B.bottom),
-        "B1": image(B, e_b, B.top),
-    }
+def _sides(A, B, embeddings):
+    """(side, allowed, filter, ideal) per side of the sum of A and B: on
+    "A0", A's image less the bottom and B's less the top, the classes of a
+    congruence iff A's bottom is meet- and B's top join-irreducible."""
+    top = embeddings[0][A.top]
+    pairs = list(zip((A, B), embeddings))
+    for side, (X, eX), (Y, eY) in (("A0", *pairs), ("B0", *pairs[::-1])):
+        yield (side, X.is_meet_irreducible(X.bottom)
+               and Y.is_join_irreducible(Y.top),
+               frozenset(eX) - {0}, frozenset(eY) - {top})
 
 
-def _con01_product(lats):
-    """(Con of each summand, its con01 members, the predicted con01 of
-    their horizontal sum): one assembled member per choice of con01
-    members, skipped when there would be too many."""
+def _product_problems(lats, H, embeddings, conH, taus):
+    """Con(H), H the horizontal sum of `lats`, against the theorem: Con(H)
+    is nabla, the two-class `taus`, and one member assembled per choice of
+    Con01 members of the summands; Con01(H) is the assembled set, of
+    product size. Each choice is assembled once, keyed by its place in the
+    product, so assembly is a bijection onto Con01(H), and an order
+    isomorphism when (1) restriction to each summand gives back the
+    members assembled, (2) each summand's `ConLattice.leq` agrees with
+    refinement on its Con01, and (3) assembly is monotone along each cover
+    of each Con01, the other places fixed (restriction is monotone, and
+    the covers generate the product order). Refinement is the arbiter."""
     cons = [all_congruences(lat) for lat in lats]
     con01s = [con.con01_members() for con in cons]
-    if math.prod(map(len, con01s)) > DEFAULT_MEMBER_CAP:
+    size = math.prod(map(len, con01s))
+    if size > DEFAULT_MEMBER_CAP:
         raise _Skip("predicted congruence product too large")
-    predicted = {hsum_congruences(zip(lats, combo))
-                 for combo in itertools.product(*con01s)}
-    return cons, con01s, predicted
+    assembled = {key: hsum_congruences(zip(lats, [c[k] for c, k in
+                                                  zip(con01s, key)]))
+                 for key in itertools.product(*map(range, map(len, con01s)))}
+    predicted01 = set(assembled.values())
+    predicted = predicted01 | set(taus) | {Partition.nabla(H.n)}
+    computed, problems = set(conH.members), []
+
+    def rendered(parts):
+        return [p.render(H.labels) for p in sorted(parts,
+                                                   key=lambda p: p.block_of)]
+
+    if computed != predicted:
+        problems.append({"extra": rendered(computed - predicted),
+                         "missing": rendered(predicted - computed)})
+    two_class = {m for m in conH.members if m.num_blocks == 2}
+    if two_class != set(taus):
+        problems.append({"case_index": len(taus),
+                         "two_class_found": rendered(two_class)})
+    con01H = conH.con01_members()
+    if set(con01H) != predicted01 or len(con01H) != size:
+        problems.append({"con01": len(con01H), "expected": size})
+    uppers = []  # uppers[i][k]: the places of Con01(A_i) covering place k
+    for lat, con, con01 in zip(lats, cons, con01s):
+        uppers.append([[] for _ in con01])
+        if len(con01) == 1:
+            continue  # delta alone, with nothing to order
+        place = {con.index_of(m): k for k, m in enumerate(con01)}
+        mismatch = next(([p, q] for a, p in zip(place, con01)
+                         for b, q in zip(place, con01)
+                         if con.leq(a, b) != p.leq(q)), None)
+        if mismatch:
+            problems.append({"order_mismatch": [
+                p.render(lat.labels) for p in mismatch]})
+        for a, b in con.covers():
+            if a in place and b in place:
+                uppers[-1][place[a]].append(place[b])
+    for key, theta in assembled.items():
+        if any(theta.restrict(e) != con01[k]
+               for e, con01, k in zip(embeddings, con01s, key)):
+            problems.append({"restriction_differs": theta.render(H.labels)})
+        for i, k in enumerate(key):
+            for q in uppers[i][k]:
+                upper = assembled[key[:i] + (q,) + key[i + 1:]]
+                if not theta.leq(upper):
+                    problems.append({"assembly_not_monotone": [
+                        theta.render(H.labels), upper.render(H.labels)]})
+    return problems
 
 
 # -- checks ----------------------------------------------------------------------
@@ -611,12 +662,10 @@ def check_hsum_counts(A: Lattice, B: Lattice) -> CheckReport:
     problems = []
     if H.n != A.n + B.n - 2:
         problems.append({"size": [H.n, A.n, B.n]})
-    fa, fb, fh = len(all_filters(A)), len(all_filters(B)), len(all_filters(H))
-    if fh != fa + fb - 2:
-        problems.append({"filters": [fh, fa, fb]})
-    ia, ib, ih = len(all_ideals(A)), len(all_ideals(B)), len(all_ideals(H))
-    if ih != ia + ib - 2:
-        problems.append({"ideals": [ih, ia, ib]})
+    for kind, family in (("filters", all_filters), ("ideals", all_ideals)):
+        counts = [len(family(H)), len(family(A)), len(family(B))]
+        if counts[0] != counts[1] + counts[2] - 2:
+            problems.append({kind: counts})
     return H, problems, {}
 
 
@@ -626,100 +675,40 @@ def check_spechsum(A: Lattice, B: Lattice) -> CheckReport:
     if A.n <= 2 or B.n <= 2:
         raise _Skip("summands must have more than two elements")
     H, embeddings = horizontal_sum([A, B])
-    img = _pair_images(embeddings, A, B)
+    sides = list(_sides(A, B, embeddings))
     pf = set(prime_filters(H).prime_sets())
     pid = set(prime_ideals(H).prime_sets())
     problems = []
-    if not pf <= {img["A0"], img["B0"]}:
-        problems.append({"unexpected_prime_filters": sorted(
-            sorted(H.labels[i] for i in s)
-            for s in pf - {img["A0"], img["B0"]})})
-    if not pid <= {img["A1"], img["B1"]}:
-        problems.append({"unexpected_prime_ideals": sorted(
-            sorted(H.labels[i] for i in s)
-            for s in pid - {img["A1"], img["B1"]})})
+    for key, found, candidates in (
+            ("unexpected_prime_filters", pf, {f for _, _, f, _ in sides}),
+            ("unexpected_prime_ideals", pid, {i for _, _, _, i in sides})):
+        if not found <= candidates:
+            problems.append({key: sorted(sorted(H.labels[x] for x in s)
+                                         for s in found - candidates)})
     con = all_congruences(H)
     coatoms = {con.members[i] for i in con.coatoms()}
-    for first, second, f_key, i_key in (
-        (A, B, "A0", "B1"),
-        (B, A, "B0", "A1"),
-    ):
-        part = Partition.from_blocks(H.n, [img[f_key], img[i_key]])
-        flags = [
-            first.is_meet_irreducible(first.bottom)
-            and second.is_join_irreducible(second.top),
-            img[f_key] in pf,
-            img[i_key] in pid,
-            is_congruence(H, part),
-            part in coatoms,
-        ]
+    for side, allowed, f, i in sides:
+        part = Partition.from_blocks(H.n, [f, i])
+        flags = [allowed, f in pf, i in pid, is_congruence(H, part),
+                 part in coatoms]
         if len(set(flags)) != 1:
-            problems.append({"side": f_key, "flags": flags})
+            problems.append({"side": side, "flags": flags})
     return H, problems, {"prime_filters": len(pf), "prime_ideals": len(pid)}
 
 
 @_check("hsum-congruence-trichotomy", 2)
 def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
-    """Two-summand congruence trichotomy, product decomposition, order iso."""
+    """Two-summand congruence trichotomy, with the product decomposition,
+    restriction and Con01 order isomorphism of `_product_problems`."""
     if A.n <= 2 or B.n <= 2:
         raise _Skip("summands must have more than two elements")
     H, embeddings = horizontal_sum([A, B])
     conH = all_congruences(H)
-    (conA, conB), (con01A, con01B), predicted01 = _con01_product([A, B])
-    img = _pair_images(embeddings, A, B)
-    taus = []
-    if A.is_meet_irreducible(A.bottom) and B.is_join_irreducible(B.top):
-        taus.append(Partition.from_blocks(H.n, [img["A0"], img["B1"]]))
-    if B.is_meet_irreducible(B.bottom) and A.is_join_irreducible(A.top):
-        taus.append(Partition.from_blocks(H.n, [img["B0"], img["A1"]]))
-    predicted = predicted01 | set(taus) | {Partition.nabla(H.n)}
-    computed = set(conH.members)
-    problems = []
-    if computed != predicted:
-        extra = [m.render(H.labels) for m in sorted(
-            computed - predicted, key=lambda p: p.block_of)]
-        missing = [m.render(H.labels) for m in sorted(
-            predicted - computed, key=lambda p: p.block_of)]
-        problems.append({"extra": extra, "missing": missing})
-    two_class = {m for m in conH.members if m.num_blocks == 2}
-    if two_class != set(taus):
-        problems.append({
-            "case_index": len(taus),
-            "two_class_found": [m.render(H.labels) for m in two_class],
-        })
+    taus = [Partition.from_blocks(H.n, [f, i])
+            for _, allowed, f, i in _sides(A, B, embeddings) if allowed]
+    problems = _product_problems([A, B], H, embeddings, conH, taus)
+    # the two-class members sit above all of con01, pairwise incomparable
     con01H = conH.con01_members()
-    if set(con01H) != predicted01 or \
-            len(con01H) != len(con01A) * len(con01B):
-        problems.append({
-            "con01": len(con01H),
-            "expected": len(con01A) * len(con01B),
-        })
-    # order isomorphism with the componentwise order, via restriction
-    idx_a, idx_b = embeddings
-    set_a, set_b = set(con01A), set(con01B)
-    trips = []
-    for theta in con01H:
-        ra = theta.restrict(idx_a)
-        rb = theta.restrict(idx_b)
-        if ra not in set_a or rb not in set_b:
-            problems.append({"restriction_escapes": theta.render(H.labels)})
-            continue
-        if hsum_congruences([(A, ra), (B, rb)]) != theta:
-            problems.append({"reassembly_differs": theta.render(H.labels)})
-        trips.append((theta, conA.index_of(ra), conB.index_of(rb)))
-    for theta, a1, b1 in trips:
-        for theta2, a2, b2 in trips:
-            if theta.leq(theta2) != (conA.leq(a1, a2) and conB.leq(b1, b2)):
-                problems.append({
-                    "order_mismatch": [theta.render(H.labels),
-                                       theta2.render(H.labels)],
-                })
-                break
-        else:
-            continue
-        break
-    # ordinal-sum shape: two-class members sit above all of con01, pairwise
-    # incomparable, with nabla strictly on top
     for tau in taus:
         if not all(th.leq(tau) for th in con01H):
             problems.append({"tau_not_above_con01": tau.render(H.labels)})
@@ -731,27 +720,15 @@ def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
 
 @_check("multi-hsum-collapse", 0)
 def check_multi_hsum(lats) -> CheckReport:
-    """Three or more summands: empty spectra and pure product congruences."""
+    """Three or more summands: empty spectra, no two-class members, and
+    the product checks of `_product_problems`."""
     if len(lats) < 3 or any(lat.n <= 2 for lat in lats):
         raise _Skip("needs three or more summands, each above two elements")
-    H, _ = horizontal_sum(lats)
+    H, embeddings = horizontal_sum(lats)
     conH = all_congruences(H)
-    _, con01s, predicted = _con01_product(lats)
-    expected_size = math.prod(map(len, con01s))
-    problems = []
+    problems = _product_problems(lats, H, embeddings, conH, [])
     if prime_filters(H).prime_sets() or prime_ideals(H).prime_sets():
         problems.append({"spectra_not_empty": True})
-    if any(m.num_blocks == 2 for m in conH.members):
-        problems.append({"two_class_congruence_found": True})
-    predicted |= {Partition.nabla(H.n)}
-    computed = set(conH.members)
-    if computed != predicted:
-        problems.append({
-            "extra": [m.render(H.labels) for m in computed - predicted][:4],
-            "missing": [m.render(H.labels) for m in predicted - computed][:4],
-        })
-    if len(conH) != expected_size + 1:
-        problems.append({"con_size": len(conH), "expected": expected_size + 1})
     return H, problems, {"con": len(conH)}
 
 
@@ -774,12 +751,10 @@ def check_dilate(lat: Lattice) -> CheckReport:
         problems.append({"not_simple": True})
     if simple != (listed == 2):
         problems.append({"is_simple": simple, "congruences": listed})
-    if len(all_filters(D)) != len(all_filters(lat)) + 2 * len(fats):
-        problems.append({"filters": [len(all_filters(D)),
-                                     len(all_filters(lat)), len(fats)]})
-    if len(all_ideals(D)) != len(all_ideals(lat)) + 2 * len(fats):
-        problems.append({"ideals": [len(all_ideals(D)),
-                                    len(all_ideals(lat)), len(fats)]})
+    for kind, family in (("filters", all_filters), ("ideals", all_ideals)):
+        counts = [len(family(D)), len(family(lat)), len(fats)]
+        if counts[0] != counts[1] + 2 * len(fats):
+            problems.append({kind: counts})
     return D, problems, {"dilated_size": D.n, "fat_intervals": len(fats)}
 
 

@@ -33,6 +33,13 @@ and builds the meet and join tables on first read, is checked against
 `validated_eagerly`, the eager build it replaced: the same exception for
 every input, and the same tables for every lattice.
 
+`congruence._closures`, which builds only the join rows it reads, is
+checked against `closures_by_join_table`, its reading of the whole join
+table. The product pass of the horizontal-sum checks, which checks the
+Con01 order isomorphism along covers, is checked against
+`con01_order_problems_by_pairs`, the comparison of every pair of Con01
+members that it replaced.
+
 `cover_pairs`, which drops the upset of each element it tests, is checked
 against the scan it replaced, which tests every comparable pair.
 
@@ -52,8 +59,8 @@ list.
 from functools import reduce
 from math import isqrt
 
-from latkit import Lattice, Partition, is_congruence
-from latkit.construct import _display
+from latkit import Lattice, Partition, all_congruences, is_congruence
+from latkit.construct import _display, hsum_congruences
 from latkit.expr import (MAX_DEPTH, Dilation, FileAtom, HSum, IHSum,
                          NamedAtom, OSum)
 from latkit.core import _chain_labels, _check_labels, bits, mask_of
@@ -510,6 +517,32 @@ def con_lattice_by_partitions(lat):
     }
 
 
+def closures_by_join_table(lat):
+    """(jbelow, closure) of `congruence._closures`, computed as it was
+    before it built only the join rows it reads: D read off the whole
+    join table, `lat.join_t`."""
+    n, up, down, jt = lat.n, lat.up, lat.down, lat.join_t
+    down_id = {d: x for x, d in enumerate(down)}
+    joins = [k for k in range(n) if down[k] ^ (1 << k) in down_id]
+    jbelow = [0] * n
+    for t, j in enumerate(joins):
+        for x in bits(up[j]):
+            jbelow[x] |= 1 << t
+    closure = []
+    for k in joins:
+        row, row_minus = jt[k], jt[down_id[down[k] ^ (1 << k)]]
+        dep = 0
+        for x in range(n):
+            dep |= jbelow[row[x]] & ~jbelow[row_minus[x]]
+        closure.append(dep)
+    for t, ct in enumerate(closure):
+        bit = 1 << t
+        for s, cs in enumerate(closure):
+            if cs & bit:
+                closure[s] = cs | ct
+    return tuple(jbelow), tuple(closure)
+
+
 def closed_sets_by_definition(lat):
     """Number of subsets S of J(lat) closed under D: k in S and j D k give
     j in S, where j D k iff j != k and some x has j <= k v x but not
@@ -552,6 +585,33 @@ def closed_sets_by_definition(lat):
                 + count(inside, spread(outside, t, forcing)))
 
     return count(0, 0)
+
+
+def con01_order_problems_by_pairs(lats, H, embeddings):
+    """The Con01 order isomorphism of the horizontal sum H of `lats`,
+    checked as `check_cghsum` did before its product pass: each member of
+    Con01(H) restricts into Con01 of every summand and reassembles to
+    itself, and every pair of members compares by refinement as their
+    restrictions do componentwise, by each summand's `ConLattice.leq`.
+    Quadratic in |Con01(H)|. Returns the problems found."""
+    cons = [all_congruences(lat) for lat in lats]
+    con01s = [set(con.con01_members()) for con in cons]
+    problems, images = [], []
+    for theta in all_congruences(H).con01_members():
+        parts = [theta.restrict(e) for e in embeddings]
+        if any(p not in c for p, c in zip(parts, con01s)):
+            problems.append({"restriction_escapes": theta.render(H.labels)})
+            continue
+        if hsum_congruences(zip(lats, parts)) != theta:
+            problems.append({"reassembly_differs": theta.render(H.labels)})
+        images.append((theta, [c.index_of(p) for c, p in zip(cons, parts)]))
+    for theta, ix in images:
+        for theta2, ix2 in images:
+            if theta.leq(theta2) != all(
+                    c.leq(a, b) for c, a, b in zip(cons, ix, ix2)):
+                return problems + [{"order_mismatch": [
+                    theta.render(H.labels), theta2.render(H.labels)]}]
+    return problems
 
 
 def covers_by_order(con):

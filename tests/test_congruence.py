@@ -25,7 +25,7 @@ from latkit import (
     quotient,
 )
 from latkit.construct import dilate, horizontal_sum
-from latkit import congruence
+from latkit import congruence, core
 from latkit.congruence import DEFAULT_MEMBER_CAP
 from latkit.expr import evaluate, parse
 from latkit.errors import NotACongruence, SizeCapExceeded
@@ -33,6 +33,7 @@ from latkit.dot import con_dot
 from latkit.equiv import block_renderer
 from oracles import (
     closed_sets_by_definition,
+    closures_by_join_table,
     coatoms_by_order,
     con_lattice_by_partitions,
     cover_principals,
@@ -592,6 +593,30 @@ def test_the_listing_cap_fits_its_lanes():
     # join-irreducibles in _WIDTH bytes.
     assert congruence.DEFAULT_CON_CAP < 128
     assert congruence.DEFAULT_CON_CAP - 1 <= 8 * congruence._WIDTH
+
+
+def test_the_closure_readers_build_no_operation_table(monkeypatch):
+    def no_table(masks):
+        raise AssertionError("built an operation table")
+
+    monkeypatch.setattr(core, "_op_table", no_table)
+    lat = named("div", 720720)
+    # distributive, with one D*-class per prime power dividing
+    # 720720 = 2^4 * 3^2 * 5 * 7 * 11 * 13; μ collapses 4 and 8 with their
+    # lower covers, since a prime would join the 0-class and 16 or 9 the
+    # 1-class
+    assert con_summary(lat) == (1 << 10, 1 << 2, False, None)
+    assert not is_simple(lat)
+    assert len(prime_congruences(lat)) == 10
+    with pytest.raises(SizeCapExceeded):
+        all_congruences(lat)
+    assert len(all_congruences(named("div", 720))) == 1 << 7
+    assert "meet_t" not in lat.__dict__ and "join_t" not in lat.__dict__
+
+
+def test_the_closures_match_the_join_table_reading():
+    for lat in enumerate_lattices(8):
+        assert congruence._closures(lat) == closures_by_join_table(lat)
 
 
 def test_the_dependency_is_computed_once_per_lattice(monkeypatch):

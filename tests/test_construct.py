@@ -36,6 +36,7 @@ from latkit.errors import (
     SummandTooSmall,
     TrivialInput,
     TrivialSummand,
+    UnknownLabel,
 )
 
 from oracles import horizontal_sum_by_covers, ordinal_sum_by_covers, relabelled
@@ -235,6 +236,18 @@ def test_interval_hsum_rejections():
         interval_hsum(n5, n5.index("y"), n5.top, named("chain", 2))
     with pytest.raises(IntervalTooSmall):
         interval_hsum(n5, n5.index("y"), n5.index("z"), named("B2"))
+
+
+def test_interval_hsum_refuses_an_index_out_of_range(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("assembled a sum at a bad index")
+
+    monkeypatch.setattr(construct, "_union_up", no_work)
+    c4 = named("chain", 4)
+    for a, b, bad in ((-1, 3, -1), (0, -1, -1), (9, 3, 9), (0, 9, 9)):
+        with pytest.raises(UnknownLabel,
+                           match=rf"^element index {bad} out of range$"):
+            interval_hsum(c4, a, b, named("B2"))
 
 
 def test_dilate_two_element_chain_is_unchanged():

@@ -1,15 +1,19 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from latkit import (
     CheckReport,
+    ConLattice,
+    Partition,
     corpus,
     dilate,
     enumerate_lattices,
     horizontal_sum,
     isomorphic,
+    mu_con01,
     named,
     run_suite,
 )
@@ -26,6 +30,9 @@ from latkit.verify import (
     _corrupted_pentagon,
     reports_to_json,
 )
+import latkit.verify as verify
+
+from oracles import con01_order_problems_by_pairs
 
 
 def test_isomorphic_finds_known_isomorphisms():
@@ -244,6 +251,53 @@ def test_check_multi_hsum():
     assert r.passed and r.details["con"] == 9
     r = check_multi_hsum([c3, c3])
     assert r.skipped
+
+
+def test_the_product_pass_agrees_with_the_all_pairs_order_check():
+    census = [lat for lat in enumerate_lattices(6) if lat.n >= 3]
+    for A, B in itertools.combinations_with_replacement(census, 2):
+        H, embeddings = horizontal_sum([A, B])
+        assert check_cghsum(A, B).passed == \
+            (not con01_order_problems_by_pairs([A, B], H, embeddings))
+    small = [lat for lat in census if lat.n <= 5]
+    for lats in itertools.combinations_with_replacement(small, 3):
+        H, embeddings = horizontal_sum(lats)
+        assert check_multi_hsum(lats).passed == \
+            (not con01_order_problems_by_pairs(lats, H, embeddings))
+
+
+def _swapping_two_choices(real):
+    """`hsum_congruences` with the outputs of two Con01 choices swapped:
+    every summand at delta, and the first at its mu with the rest at
+    delta."""
+    def mutant(pairs):
+        lats, parts = zip(*pairs)
+        low = tuple(Partition.delta(lat.n) for lat in lats)
+        high = (mu_con01(lats[0]),) + low[1:]
+        return real(zip(lats, {low: high, high: low}.get(parts, parts)))
+    return mutant
+
+
+PRODUCT_MUTANTS = {
+    "hsum_congruences swaps two choices": (
+        verify, "hsum_congruences",
+        _swapping_two_choices(verify.hsum_congruences),
+        "restriction_differs"),
+    "ConLattice.leq holds everywhere": (
+        ConLattice, "leq", lambda self, i, j: True, "order_mismatch"),
+}
+
+
+@pytest.mark.parametrize("mutant", PRODUCT_MUTANTS)
+def test_a_product_pass_mutant_fails_both_sum_checks(monkeypatch, mutant):
+    owner, name, value, key = PRODUCT_MUTANTS[mutant]
+    c4 = named("chain", 4)  # Con01 holds delta and a mu above it
+    assert check_cghsum(c4, c4).passed
+    assert check_multi_hsum([c4] * 3).passed
+    monkeypatch.setattr(owner, name, value)
+    for r in (check_cghsum(c4, c4), check_multi_hsum([c4] * 3)):
+        assert r.status == "FAIL"
+        assert any(key in p for p in r.details["witness"])
 
 
 def test_check_dilate():
