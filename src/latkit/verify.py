@@ -363,44 +363,71 @@ def _least_lows(up, down):
     The order is a lattice given by its up and down masks. lows[j] is
     the mask of the positions strictly below the element placed at
     position j. The tuple fixes the lattice up to isomorphism.
-    Backtracking fills positions in order with elements whose lower
-    elements are all placed. It follows only the candidates of least
-    code, drops a prefix that already exceeds the best, and of two
-    candidates with the same strict upset and downset (swapped by an
-    automorphism) tries one.
+    Backtracking fills positions in order. Each element x keeps its
+    code, the mask of the positions of its placed lower elements, and
+    its wait, the count of its lower elements not yet placed; placing x
+    at position j adds bit j to the code of each element strictly above
+    x and takes one from its wait, and the elements whose wait reaches
+    0 join the mask of candidates handed down (undone on return). Only
+    the candidates of least code are followed. A frame is tight while
+    its prefix equals the best tuple's prefix; otherwise the prefix is
+    below it (or there is no best yet), and nothing is pruned. A tight
+    frame whose least code exceeds the best's at its position is
+    dropped, and one whose least code is below it is no longer tight.
+    Each frame returns whether it replaced the best; the new best shares
+    the frame's prefix, so the frame is tight again for its later
+    children. Of the candidates with the same strict upset and downset
+    (swapped by an automorphism), only the one of least index is tried.
     """
     n = len(up)
-    below = [down[x] & ~(1 << x) for x in range(n)]
-    twin = [(below[x], up[x] & ~(1 << x)) for x in range(n)]
-    pos = [0] * n
+    above = [tuple(bits(up[x] & ~(1 << x))) for x in range(n)]
+    wait = [(down[x] & ~(1 << x)).bit_count() for x in range(n)]
+    seen, earlier_twins = {}, []  # the mask of x's twins of smaller index
+    for x in range(n):
+        twin = (down[x] & ~(1 << x), up[x] & ~(1 << x))
+        earlier_twins.append(seen.get(twin, 0))
+        seen[twin] = earlier_twins[x] | 1 << x
+    code = [0] * n
     lows = [0] * n
     best = None
 
-    def rec(j, placed):
+    def rec(j, avail, tight):
         nonlocal best
         if j == n:
             best = lows[:]
-            return
-        codes = {}
-        for x in bits(~placed & ((1 << n) - 1)):
-            if below[x] & ~placed:
-                continue
-            c = 0
-            for y in bits(below[x]):
-                c |= 1 << pos[y]
-            codes.setdefault(c, []).append(x)
-        least = min(codes)
+            return True
+        group, least, a = [], -1, avail  # the candidates of least code
+        while a:
+            low = a & -a
+            a ^= low
+            x = low.bit_length() - 1
+            if code[x] == least:
+                group.append(x)
+            elif code[x] < least or least < 0:
+                group, least = [x], code[x]
+        if tight:
+            if least > best[j]:
+                return False
+            tight = least == best[j]
         lows[j] = least
-        if best is not None and lows[:j + 1] > best[:j + 1]:
-            return
-        seen = set()
-        for x in codes[least]:
-            if twin[x] not in seen:
-                seen.add(twin[x])
-                pos[x] = j
-                rec(j + 1, placed | (1 << x))
+        bit, replaced = 1 << j, False
+        for x in group:
+            if avail & earlier_twins[x]:
+                continue
+            rest = avail ^ 1 << x
+            for y in above[x]:
+                code[y] |= bit
+                wait[y] -= 1
+                if not wait[y]:
+                    rest |= 1 << y
+            if rec(j + 1, rest, tight):
+                replaced = tight = True
+            for y in above[x]:
+                code[y] ^= bit
+                wait[y] += 1
+        return replaced
 
-    rec(0, 0)
+    rec(0, mask_of(x for x in range(n) if not wait[x]), False)
     return tuple(best)
 
 
@@ -438,10 +465,11 @@ def _greatest_new_coatom(lat):
 
 def _up_of_lows(lows):
     """The up masks of the order whose element j lies above lows[j]."""
-    n = len(lows)
-    return tuple(1 << i | mask_of(k for k in range(i + 1, n)
-                                  if lows[k] >> i & 1)
-                 for i in range(n))
+    up = [1 << i for i in range(len(lows))]
+    for k, low in enumerate(lows):
+        for i in bits(low):
+            up[i] |= 1 << k
+    return tuple(up)
 
 
 def enumerate_lattices(max_n: int):
@@ -507,10 +535,13 @@ def _product_problems(lats, H, embeddings, conH, taus):
     product size. Each choice is assembled once, keyed by its place in the
     product, so assembly is a bijection onto Con01(H), and an order
     isomorphism when (1) restriction to each summand gives back the
-    members assembled, (2) each summand's `ConLattice.leq` agrees with
-    refinement on its Con01, and (3) assembly is monotone along each cover
-    of each Con01, the other places fixed (restriction is monotone, and
-    the covers generate the product order). Refinement is the arbiter."""
+    members assembled and (2) each summand's `ConLattice.leq` agrees with
+    refinement on its Con01. No class of a member of Con01(H) meets two
+    summands' interiors: x and y from two of them have x ∧ y = 0, so
+    x ≡ y would give x = x ∧ x ≡ x ∧ y = 0, while the class of 0 is {0}.
+    So a member is the union of its restrictions, θ refines φ iff each
+    restriction of θ refines that of φ, and by (1) and (2) that is the
+    product order. Refinement is the arbiter."""
     cons = [all_congruences(lat) for lat in lats]
     con01s = [con.con01_members() for con in cons]
     size = math.prod(map(len, con01s))
@@ -537,31 +568,20 @@ def _product_problems(lats, H, embeddings, conH, taus):
     con01H = conH.con01_members()
     if set(con01H) != predicted01 or len(con01H) != size:
         problems.append({"con01": len(con01H), "expected": size})
-    uppers = []  # uppers[i][k]: the places of Con01(A_i) covering place k
     for lat, con, con01 in zip(lats, cons, con01s):
-        uppers.append([[] for _ in con01])
         if len(con01) == 1:
             continue  # delta alone, with nothing to order
-        place = {con.index_of(m): k for k, m in enumerate(con01)}
-        mismatch = next(([p, q] for a, p in zip(place, con01)
-                         for b, q in zip(place, con01)
+        indices = [con.index_of(m) for m in con01]
+        mismatch = next(([p, q] for a, p in zip(indices, con01)
+                         for b, q in zip(indices, con01)
                          if con.leq(a, b) != p.leq(q)), None)
         if mismatch:
             problems.append({"order_mismatch": [
                 p.render(lat.labels) for p in mismatch]})
-        for a, b in con.covers():
-            if a in place and b in place:
-                uppers[-1][place[a]].append(place[b])
     for key, theta in assembled.items():
         if any(theta.restrict(e) != con01[k]
                for e, con01, k in zip(embeddings, con01s, key)):
             problems.append({"restriction_differs": theta.render(H.labels)})
-        for i, k in enumerate(key):
-            for q in uppers[i][k]:
-                upper = assembled[key[:i] + (q,) + key[i + 1:]]
-                if not theta.leq(upper):
-                    problems.append({"assembly_not_monotone": [
-                        theta.render(H.labels), upper.render(H.labels)]})
     return problems
 
 

@@ -10,7 +10,11 @@ acceptance, and its classes against `_certificate`, an isomorphism key
 of its own. The census that keeps only the children whose new coatom
 has the greatest invariant is checked against `census_keying_every_child`,
 the generator it replaced, which keys every child and validates every
-class. Exponential, so callers keep carriers small.
+class. Its keying is `least_lows_by_rebuilt_codes`, the search that
+`_least_lows` replaced, which rebuilds each candidate's code at every
+node, and its up masks come from `up_of_lows`, which gathers each
+element's upper positions in turn. Exponential, so callers keep carriers
+small.
 
 The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
@@ -76,8 +80,7 @@ from latkit.errors import (
     NotALattice,
     TrivialSummand,
 )
-from latkit.verify import (_coatom_extensions, _invariants, _isomorphism,
-                           _least_lows, _up_of_lows)
+from latkit.verify import _coatom_extensions, _invariants, _isomorphism
 
 
 def validated_eagerly(labels, up):
@@ -425,18 +428,66 @@ def census_by_pairwise_iso(max_n):
     return out
 
 
+def least_lows_by_rebuilt_codes(up, down):
+    """The least lows tuple over linear extensions, each search node
+    rebuilding every candidate's code from its lower elements' positions
+    and pruning by comparing the prefix with the best's."""
+    n = len(up)
+    below = [down[x] & ~(1 << x) for x in range(n)]
+    twin = [(below[x], up[x] & ~(1 << x)) for x in range(n)]
+    pos = [0] * n
+    lows = [0] * n
+    best = None
+
+    def rec(j, placed):
+        nonlocal best
+        if j == n:
+            best = lows[:]
+            return
+        codes = {}
+        for x in bits(~placed & ((1 << n) - 1)):
+            if below[x] & ~placed:
+                continue
+            c = 0
+            for y in bits(below[x]):
+                c |= 1 << pos[y]
+            codes.setdefault(c, []).append(x)
+        least = min(codes)
+        lows[j] = least
+        if best is not None and lows[:j + 1] > best[:j + 1]:
+            return
+        seen = set()
+        for x in codes[least]:
+            if twin[x] not in seen:
+                seen.add(twin[x])
+                pos[x] = j
+                rec(j + 1, placed | (1 << x))
+
+    rec(0, 0)
+    return tuple(best)
+
+
+def up_of_lows(lows):
+    """The up masks of the order whose element j lies above lows[j], one
+    element's upper positions gathered at a time."""
+    n = len(lows)
+    return tuple(1 << i | mask_of(k for k in range(i + 1, n)
+                                  if lows[k] >> i & 1)
+                 for i in range(n))
+
+
 def census_keying_every_child(max_n):
     """The census from every coatom extension of the classes one size down:
-    each child is keyed by its least lows tuple, and each class is built,
-    with full validation, as a `Lattice` from that tuple."""
+    each child is keyed by `least_lows_by_rebuilt_codes`, and each class is
+    built, with full validation, as a `Lattice` from that tuple."""
     out = [Lattice(("e0",), (1,), name="census(1)#0"),
            Lattice(("e0", "e1"), (3, 2), name="census(2)#0")][:max_n]
     level = out[1:]
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
-        found = {_least_lows(up, down) for parent in level
+        found = {least_lows_by_rebuilt_codes(up, down) for parent in level
                  for up, down in _coatom_extensions(parent)}
-        level = [Lattice(labels, _up_of_lows(lows), name=f"census({n})#{k}")
+        level = [Lattice(labels, up_of_lows(lows), name=f"census({n})#{k}")
                  for k, lows in enumerate(sorted(found))]
         out += level
     return out

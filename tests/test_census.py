@@ -11,7 +11,7 @@ from latkit.verify import (_coatom_extensions, _coatom_invariants,
 
 from oracles import (_certificate, census_by_pairwise_iso,
                      census_keying_every_child, coatom_children_by_validation,
-                     relabelled)
+                     least_lows_by_rebuilt_codes, relabelled, up_of_lows)
 
 # Lattices with 1..10 elements up to isomorphism, OEIS A006966.
 A006966 = (1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994)
@@ -107,6 +107,23 @@ def test_least_lows_gives_the_census_representative():
         for _ in range(4):
             moved = relabelled(lat, _random_linear_extension(rng, lat))
             assert _up_of_lows(_least_lows(moved.up, moved.down)) == lat.up
+
+
+def test_least_lows_matches_the_search_rebuilding_every_code(census8):
+    keyed = 0
+    for lat in census8[1:]:
+        for up, down in _coatom_extensions(lat):
+            lows = _least_lows(up, down)
+            assert lows == least_lows_by_rebuilt_codes(up, down)
+            assert _up_of_lows(lows) == up_of_lows(lows)
+            keyed += 1
+    assert keyed == 3555  # every child with 3 to 9 elements
+    rng = random.Random(24)
+    for lat in census8:
+        for _ in range(3):
+            moved = relabelled(lat, _random_linear_extension(rng, lat))
+            assert _least_lows(moved.up, moved.down) == \
+                least_lows_by_rebuilt_codes(moved.up, moved.down)
 
 
 def test_coatom_extensions_are_the_children_lattice_accepts(census8):

@@ -278,6 +278,15 @@ def _swapping_two_choices(real):
     return mutant
 
 
+def _dropping_the_last_on_sums(real):
+    """`ConLattice.con01_members` with its last member dropped on a
+    horizontal sum, and kept on every other lattice, so on the summands."""
+    def mutant(self):
+        members = real(self)
+        return members[:-1] if self.base.name.startswith("hsum(") else members
+    return mutant
+
+
 PRODUCT_MUTANTS = {
     "hsum_congruences swaps two choices": (
         verify, "hsum_congruences",
@@ -285,6 +294,9 @@ PRODUCT_MUTANTS = {
         "restriction_differs"),
     "ConLattice.leq holds everywhere": (
         ConLattice, "leq", lambda self, i, j: True, "order_mismatch"),
+    "ConLattice.con01_members drops its last member on the sum": (
+        ConLattice, "con01_members",
+        _dropping_the_last_on_sums(ConLattice.con01_members), "con01"),
 }
 
 
