@@ -55,7 +55,13 @@ once, bit-sliced: each big int holds one 8-bit lane per member, and x's
 block id is the least y whose jbelow[y] ^ jbelow[x] the member holds,
 an AND of lanes over a few join-irreducibles. `ConLattice.line_chunks()`
 renders the rows in block notation in the same way, a chunk of members
-at a time; smaller listings are keyed and rendered one member at a time.
+at a time, as one byte code per printed piece. It writes the text by
+byte planes: each piece is encoded as UTF-8 with `surrogatepass` and
+padded with 0xFF, which UTF-8 never produces, to the widest piece's
+width W, and byte k of every piece is one `bytes.translate` of the
+codes, written to every W-th byte from k; deleting the pad and decoding
+gives the text. Smaller listings are keyed and rendered one member at a
+time.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
 carries into the next. A ConLattice keys its rows, and reads the masks,
 the block maps and the Partitions off them, only when first asked for.
@@ -288,21 +294,40 @@ class ConLattice:
         lane-wise (`_render_codes`) as one text that is split at a
         character no label holds. A smaller listing, of fewer than
         _LANES_PER_ELEMENT * DEFAULT_CON_CAP members, comes as one list
-        from `block_renderer`."""
+        from `block_renderer`.
+
+        The lane-wise text is built by byte planes. Each code's piece is
+        encoded as UTF-8 with `surrogatepass`, so that a label holding a
+        lone surrogate is kept, and padded with 0xFF, a byte UTF-8 never
+        produces, to the widest piece's W bytes. Byte k of every piece is
+        then one `bytes.translate` of the codes, written to every W-th
+        byte from k; deleting the 0xFF pad and decoding gives the text."""
         labels = self.base.labels
-        if not _by_lanes(len(self.rows), len(labels)):
+        n = len(labels)
+        if not _by_lanes(len(self.rows), n):
             yield list(map(block_renderer(labels), self.block_maps))
             return
         used = set("".join(labels))
         sep = next(c for c in map(chr, count(10)) if c not in used)
-        pieces = [""] * 256  # indexed by the codes of `_render_codes`
-        for x, lab in enumerate(labels):
-            pieces[x], pieces[128 + x] = "," + lab, "}{" + lab
-        pieces[128], pieces[255] = "{" + labels[0], "}" + sep
-        get = pieces.__getitem__
+        # the pieces of codes 0..n-1, 128..127+n and 255, in that order;
+        # element 0 opens the first block of every member
+        pieces = [*("," + lab for lab in labels), "{" + labels[0],
+                  *("}{" + lab for lab in labels[1:]), "}" + sep]
+        pieces = [p.encode("utf-8", "surrogatepass") for p in pieces]
+        width = max(map(len, pieces))
+        padded = b"".join(p.ljust(width, b"\xff") for p in pieces)
+        in_use = bytes([*range(n), *range(128, 128 + n), 255])
+        # tables[k][code]: byte k of the code's padded piece
+        tables = [bytes.maketrans(in_use, padded[k::width])
+                  for k in range(width)]
         for start in range(0, len(self.rows), _CHUNK):
-            codes = _render_codes(self.rows[start:start + _CHUNK], len(labels))
-            lines = "".join(map(get, codes)).split(sep)
+            codes = _render_codes(self.rows[start:start + _CHUNK], n)
+            buf = bytearray(len(codes) * width)
+            for k, table in enumerate(tables):
+                buf[k::width] = codes.translate(table)
+            lines = buf.translate(None, b"\xff").decode(
+                "utf-8", "surrogatepass").split(sep)
+            del codes, buf  # released before the next chunk is rendered
             lines.pop()  # the empty text after the last separator
             yield lines
 

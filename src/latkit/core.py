@@ -284,8 +284,9 @@ class Lattice:
     def from_dict(cls, data: dict, name: str = "") -> "Lattice":
         """Lattice from {"elements": [label, ..], "covers": [[low, high], ..]}.
 
-        Labels are strings. Fails with BadInput when `data` does not have
-        that shape.
+        Labels are strings that strict UTF-8 can encode. Fails with
+        BadInput when `data` does not have that shape, or names a label
+        or cover endpoint holding a lone surrogate (JSON "\\ud800").
         """
         if not isinstance(data, dict):
             raise BadInput("lattice document must be a JSON object")
@@ -297,6 +298,14 @@ class Lattice:
                 isinstance(c, list) and len(c) == 2
                 and all(isinstance(x, str) for x in c) for c in covers):
             raise BadInput('"covers" must be a list of [low, high] label pairs')
+        for what, xs in (("label", elements),
+                         ("cover endpoint", [x for c in covers for x in c])):
+            for x in xs:
+                try:
+                    x.encode()
+                except UnicodeEncodeError:
+                    raise BadInput(
+                        f"{what} {x!r} cannot be encoded as UTF-8") from None
         return cls.from_covers(elements, covers, name=name)
 
     @classmethod

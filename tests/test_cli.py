@@ -49,6 +49,41 @@ def test_a_listing_of_two_to_the_sixteen_congruences_is_unchanged(capsys):
         "67b55507fc2c9c92be33f971384a029530cd050481e7d306b7b3cf79cb90ab8d"
 
 
+# A lattice whose labels are of unequal byte width in UTF-8, one of them
+# empty and one holding a newline: osum(chain(4), B2, chain(2)), 64
+# members, listed lane-wise.
+ODD_LABELS = {"elements": ["0", "é", "a\nb", "😀", "ÿ", "{,}", "", "1"],
+              "covers": [["0", "é"], ["é", "a\nb"], ["a\nb", "😀"],
+                         ["😀", "ÿ"], ["😀", "{,}"], ["ÿ", ""], ["{,}", ""],
+                         ["", "1"]]}
+
+# sha256 over the exit code and stdout of each listing, recorded when the
+# lane-wise listing joined one piece of text a code at a time
+LISTING_GOLDEN = {
+    # lane-wise, 259 members in one chunk
+    ("congruences", "hsum(chain(7),chain(7))"):
+        "1ad74bad0dca994ff28aea7e5d678b84b20fd26bc681615b161d090dcd3e69db",
+    ("congruences", "--dot", "chain(12)"):
+        "45bf10e5f835b34a203752f2db0a371d0c595841d0811e93ab13cff05435e061",
+    # 131,072 members in 32 chunks
+    ("congruences", "chain(18)"):
+        "8f36986f1af5ed94d4ddb8675bcada250d57de3b782d700fd5074b4586fe7a61",
+    ("congruences", "FILE"):
+        "5d193b950384b30bb71c57cb9a19d27f615b77c2386c1579d7419d97d0c291b6",
+}
+
+
+@pytest.mark.parametrize("argv", LISTING_GOLDEN)
+def test_congruence_listings_are_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(ODD_LABELS))
+    code, out, err = run_cli(
+        capsys, *[a.replace("FILE", f'file("{path}")') for a in argv])
+    assert err == ""
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == \
+        LISTING_GOLDEN[argv]
+
+
 def test_congruences_listing(capsys):
     code, out, _ = run_cli(capsys, "congruences", "K")
     assert code == 0
@@ -209,6 +244,26 @@ def test_a_bowtie_file_names_its_first_pair_without_a_join(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", f'file("{target}")')
     assert (code, out) == (2, "")
     assert err == "error: no unique least upper bound for pair ('a', 'b')\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("congruences", "F"), ("congruences", "--dot", "F"), ("analyze", "F"),
+    ("filters", "F"), ("ideals", "F"), ("spectra", "F"), ("iso", "F", "F"),
+])
+@pytest.mark.parametrize("doc", [
+    # a lone surrogate as a label, and as a cover endpoint only
+    '{"elements": ["0", "\\ud800", "1"], '
+    '"covers": [["0", "\\ud800"], ["\\ud800", "1"]]}',
+    '{"elements": ["0", "1"], "covers": [["0", "1"], ["\\udfff", "1"]]}',
+])
+def test_a_lone_surrogate_label_in_a_file_exits_2(capsys, tmp_path, argv, doc):
+    target = tmp_path / "surrogate.json"
+    target.write_text(doc)
+    argv = [a.replace("F", f'file("{target}")') for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err and "\\ud" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -587,6 +587,32 @@ def test_lines_keep_labels_that_hold_braces_commas_and_newlines(monkeypatch):
     assert by_member[1][0] == "{0}{a\nb}{{,}}{1\n}"
 
 
+# Labels of unequal byte width in UTF-8: an empty one, a NUL, a newline,
+# two-byte, four-byte and U+00FF characters, one of 30 characters, and a
+# lone surrogate, which `Lattice` takes though a lattice file may not.
+ODD_LABELS = ["", "\0", "x\ny", "é", "😀", "ÿ", "ab😀cde" * 5, "\ud800"]
+
+
+def _odd_labels(n, shift):
+    """n distinct labels cycling through ODD_LABELS from `shift`, a prime
+    added each time round."""
+    k = len(ODD_LABELS)
+    return [ODD_LABELS[(i + shift) % k] + "′" * (i // k) for i in range(n)]
+
+
+def test_the_lane_wise_listing_keeps_labels_of_any_byte_width(monkeypatch):
+    lats = list(enumerate_lattices(7))
+    lats.append(named("chain", 14))  # 8,192 members, two render chunks
+    for shift, lat in enumerate(lats):
+        copy = Lattice(_odd_labels(lat.n, shift), lat.up)
+        by_member, by_lanes = _both_ways(monkeypatch, copy)
+        assert by_lanes == by_member, copy.labels
+    lines = by_member[1]
+    assert len(lines) == 2 * congruence._CHUNK
+    assert lines[0] == "".join("{%s}" % lab for lab in copy.labels)
+    assert lines[-1] == "{" + ",".join(copy.labels) + "}"
+
+
 def test_the_listing_cap_fits_its_lanes():
     # The listing's 8-bit lanes and bytes rows hold element indices, block
     # counts and positions below 128, and a mask over at most n - 1
