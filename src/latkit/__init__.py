@@ -11,10 +11,8 @@ from .core import Lattice, named
 from .equiv import (
     Partition,
     are_blocks_convex,
-    delta,
     eq_from_blocks,
     is_congruence,
-    nabla,
 )
 from .congruence import (
     ConLattice,
@@ -44,7 +42,6 @@ from .filters import (
     prime_ideals,
 )
 from .construct import (
-    FatInterval,
     dilate,
     fat_intervals,
     horizontal_sum,

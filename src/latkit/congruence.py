@@ -80,7 +80,7 @@ from math import prod
 from operator import and_, or_
 from typing import NamedTuple, Optional
 
-from .core import Lattice, bits, mask_of
+from .core import Lattice, _check_indices, bits, mask_of
 from .equiv import Partition, block_renderer, is_congruence
 from .errors import NotACongruence, SizeCapExceeded
 
@@ -94,11 +94,12 @@ DEFAULT_MEMBER_CAP = 200_000
 _WIDTH = 8
 # A listing keys and renders its members lane-wise from this many members
 # per element of the lattice on; below it, one member at a time costs less.
-# Keying crossed over near 30 members at 8 to 17 elements and near 150 at
-# 55; rendering between 1.5 and 2.5 members per element, two-member
-# listings of 17 to 37 elements rendering 5 to 10 times slower in lanes.
-# One threshold serves both: a second one at 2 saved 0.04 ms in a `cli`
-# benchmark batch's 0.85 s.
+# Keying plus byte-plane render, member-wise vs lane-wise (best of 15 x
+# 1,000 calls, Python 3.11.7): 36 vs 46 us at 2 members per element
+# (chain(4)), 92 vs 88 at 2.5 (osum(N5,B2)), 140 vs 112 at 2.86
+# (osum(N5,chain(3))), 62 vs 48 at 3.2 (chain(5)), 168 vs 104 at 3.56
+# (osum(M3,chain(5))); at 25 elements the two tie near 2.6. Keying and
+# render each cross between 2 and 2.6, a little below this threshold.
 _LANES_PER_ELEMENT = 3
 _CHUNK = 4096  # members rendered per pass of `ConLattice.line_chunks`
 
@@ -230,6 +231,8 @@ def congruence_generated(lat, pairs) -> Partition:
     con(a, b) = con(a ^ b, a v b) collapses exactly the closures of the
     join-irreducibles below a v b and not below a ^ b.
     """
+    pairs = list(pairs)
+    _check_indices(lat.n, [x for pair in pairs for x in pair])
     jbelow, closure = _dependency(lat)
     mt, jt = lat.meet_t, lat.join_t
     s = 0
@@ -260,8 +263,6 @@ class ConLattice:
         self.closure = tuple(closure)
         self._jbelow = jbelow
         self._closed, self._size = closed, len(closed)
-        # delta alone has |L| blocks and nabla alone one
-        self.delta_ix, self.nabla_ix = 0, self._size - 1
 
     def __len__(self):
         return self._size
@@ -539,13 +540,11 @@ def con_summary(lat) -> ConSummary:
     Refuses a count past DEFAULT_MEMBER_CAP states, but not a large
     Con(lat)."""
     jbelow, closure = _dependency(lat)
-    full = (1 << len(closure)) - 1
-    mono = _monolith(closure)
     return ConSummary(
-        _count_closed(closure, full),
+        _count_closed(closure, (1 << len(closure)) - 1),
         _count_closed(closure, _mu(lat, jbelow, closure)),
-        lat.n >= 2 and all(c == full for c in closure),
-        _partition(jbelow, mono) if mono else None,
+        is_simple(lat),
+        is_subdirectly_irreducible(lat)[1],
     )
 
 

@@ -20,9 +20,7 @@ The horizontal sum shares only its bounds and needs no glue.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .core import Lattice, _check_size, bits, named
+from .core import Lattice, _check_indices, _check_size, bits, named
 from .equiv import Partition, _join_pairs
 from .errors import (
     CarrierMismatch,
@@ -33,18 +31,10 @@ from .errors import (
     SummandTooSmall,
     TrivialInput,
     TrivialSummand,
-    UnknownLabel,
 )
 
 
 _SQUARE = named("B2")  # the summand of each pair that `dilate` inserts
-
-
-class FatInterval(NamedTuple):
-    """Interval [a, b] with at least three elements: a < b and not a -< b."""
-
-    a: int
-    b: int
 
 
 def _display(lat: Lattice) -> str:
@@ -181,7 +171,7 @@ def fat_intervals(lat: Lattice):
     for a in range(lat.n):
         for b in bits(lat.up[a] & ~(1 << a)):
             if (a, b) not in cover:
-                out.append(FatInterval(a, b))
+                out.append((a, b))
     return out
 
 
@@ -202,9 +192,7 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
     The interior of `insert` lands strictly between everything below a and
     everything above b, incomparable to the rest.
     """
-    for x in (a, b):
-        if not 0 <= x < lat.n:
-            raise UnknownLabel(f"element index {x} out of range")
+    _check_indices(lat.n, (a, b))
     if not lat.leq(a, b):
         raise NotComparable(
             f"{lat.labels[a]!r} does not lie below {lat.labels[b]!r}"
@@ -239,8 +227,6 @@ def dilate(lat: Lattice):
     n0 = lat.n
     e0 = tuple(range(n0))
     name = f"D({_display(lat)})"
-    if not fats:
-        return lat.renamed(name), (e0,)
     _check_size(n0 + 2 * len(fats))
     labels = _extended(lat.labels, [
         f"{side}[{lat.labels[a]},{lat.labels[b]}]"

@@ -63,6 +63,12 @@ def _check_size(n: int):
         raise SizeCapExceeded(f"{n} elements exceeds construction cap {SIZE_CAP}")
 
 
+def _check_indices(n: int, indices):
+    for x in indices:
+        if not 0 <= x < n:
+            raise UnknownLabel(f"element index {x} out of range")
+
+
 def _check_labels(labels):
     _check_size(len(labels))
     if len(set(labels)) != len(labels):
@@ -199,6 +205,7 @@ class Lattice:
 
     def interval(self, a: int, b: int):
         """Elements x with a <= x <= b; `a` must lie below `b`."""
+        _check_indices(self.n, (a, b))
         if not self.leq(a, b):
             raise NotComparable(
                 f"{self.labels[a]!r} does not lie below {self.labels[b]!r}"

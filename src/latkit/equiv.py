@@ -198,14 +198,6 @@ def eq_from_blocks(lat, blocks) -> Partition:
     return Partition.from_blocks(lat.n, index_blocks)
 
 
-def delta(lat) -> Partition:
-    return Partition.delta(lat.n)
-
-
-def nabla(lat) -> Partition:
-    return Partition.nabla(lat.n)
-
-
 # `Partition.leq` and `Partition.join` under the names the benchmark's
 # tracer (`perfbench/tracer.py`, GROUPS) times them by; nothing in latkit
 # calls these, and they go once that tracer no longer names them.

@@ -1,16 +1,16 @@
 """Filters, ideals, their prime members, and the induced congruences.
 
 Every filter of a finite lattice is principal, so the full families are
-exactly the upsets [x) and downsets (x]. A family is held as masks: the
-generators, their `up` masks (the dual's for ideals) and their prime
-flags. Its length is the number of masks, and its members, tagged with
-generator and primality, are built only on first read; the spectra build
-only the prime sets. A proper filter is prime exactly when its complement
-is an ideal, that is some downset (y], so primality is one lookup of the
-complement among the `down` masks. The tests check it against the join
-condition. The single-set tests read the masks too and build no meet
-table. The ideals of a lattice are the filters of its dual, so each
-ideal-side function is its filter twin applied to `lat.dual()`.
+exactly the upsets [x) and downsets (x]. A family holds only the
+`generators`, their `up` masks (`masks`, the dual's for ideals) and the
+`prime_flags`. Its length is the number of masks; its members, tagged with
+generator and primality, are built only on first read, and the spectra
+build only the prime sets. A proper filter is prime exactly when its
+complement is an ideal, that is some downset (y], so primality is one
+lookup of the complement among the `down` masks. The tests check it
+against the join condition. The single-set tests read the masks too and
+build no meet table. The ideals of a lattice are the filters of its dual,
+so each ideal-side function is its filter twin applied to `lat.dual()`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from .core import bits, mask_of
+from .core import _check_indices, bits, mask_of
 from .equiv import Partition
 from .errors import (
     EmptyFamily,
@@ -28,7 +28,6 @@ from .errors import (
     NotAFilter,
     NotAnIdeal,
     NotPrime,
-    UnknownLabel,
 )
 
 
@@ -40,12 +39,11 @@ class FamilyMember(NamedTuple):
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """The filters or ideals of `base`: member i is the set of `masks[i]`,
-    generated by `generators[i]` and prime when `prime_flags[i]`. Its
-    length is the member count; `members` is built on first read."""
+    """The filters or ideals of a lattice: member i is the set of
+    `masks[i]`, generated by `generators[i]` and prime when
+    `prime_flags[i]`. Its length is the member count; `members` is built
+    on first read."""
 
-    base: object
-    kind: str  # "filter" | "ideal"
     generators: tuple
     masks: tuple
     prime_flags: tuple
@@ -54,9 +52,6 @@ class SubsetFamily:
     def members(self):
         sets = map(frozenset, map(bits, self.masks))
         return tuple(map(FamilyMember, sets, self.generators, self.prime_flags))
-
-    def prime_members(self):
-        return list(_primes(self).members)
 
     def prime_sets(self):
         return [frozenset(bits(m)) for m in _primes(self).masks]
@@ -86,9 +81,7 @@ def generated_filter(lat, gens) -> frozenset:
     gens = list(gens)
     if not gens:
         raise EmptyGeneratorSet("need at least one generator")
-    for x in gens:
-        if not 0 <= x < lat.n:
-            raise UnknownLabel(f"element index {x} out of range")
+    _check_indices(lat.n, gens)
     common = -1
     for x in gens:
         common &= lat.down[x]
@@ -123,29 +116,28 @@ def is_prime_ideal(lat, subset) -> bool:
         raise NotAnIdeal(f"{sorted(subset)} is not an ideal") from None
 
 
-def _upsets(base, kind, lat):
+def _upsets(lat):
     """The upsets [x) of lat, prime when their complement is a downset;
     the whole carrier's complement is empty, never one."""
     full = (1 << lat.n) - 1
     downsets = set(lat.down)
-    return SubsetFamily(base, kind, tuple(range(lat.n)), lat.up,
+    return SubsetFamily(tuple(range(lat.n)), lat.up,
                         tuple([full ^ m in downsets for m in lat.up]))
 
 
 def all_filters(lat) -> SubsetFamily:
     """Every filter, as the upsets [x); generators and primality recorded."""
-    return _upsets(lat, "filter", lat)
+    return _upsets(lat)
 
 
 def all_ideals(lat) -> SubsetFamily:
     """Every ideal, as the downsets (x]: the filters of the dual."""
-    return _upsets(lat, "ideal", lat.dual())
+    return _upsets(lat.dual())
 
 
 def _primes(family) -> SubsetFamily:
     flags = family.prime_flags
-    return SubsetFamily(family.base, family.kind,
-                        tuple(compress(family.generators, flags)),
+    return SubsetFamily(tuple(compress(family.generators, flags)),
                         tuple(compress(family.masks, flags)),
                         tuple(compress(flags, flags)))
 

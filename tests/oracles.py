@@ -678,7 +678,7 @@ def covers_by_order(con):
 
 def coatoms_by_order(con):
     """Members whose order row holds only themselves and nabla."""
-    nab = con.nabla_ix
+    nab = len(con) - 1
     return [i for i, row in enumerate(con.order)
             if i != nab and row & ~(1 << i) == 1 << nab]
 
@@ -697,7 +697,7 @@ def prime_congruences_by_scan(con):
             meet_ix[i][j] = meet_ix[j][i] = k
     out = []
     for t in range(m):
-        if t == con.nabla_ix:
+        if t == m - 1:
             continue
         below_t = [(order[i] >> t) & 1 for i in range(m)]
         above = [i for i in range(m) if not below_t[i]]

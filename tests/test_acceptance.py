@@ -9,11 +9,11 @@ from contextlib import contextmanager
 
 from latkit import (
     Lattice,
+    Partition,
     all_congruences,
     all_filters,
     all_ideals,
     corpus,
-    delta,
     dilate,
     eq_from_blocks,
     evaluate,
@@ -58,7 +58,7 @@ def test_criterion_01_named_example_exactness():
     with criterion(1, "exact congruence lattices and spectra"):
         b2 = named("B2")
         assert set(all_congruences(b2).members) == {
-            delta(b2),
+            Partition.delta(b2.n),
             eq_from_blocks(b2, [{"0", "a"}, {"b", "1"}]),
             eq_from_blocks(b2, [{"0", "b"}, {"a", "1"}]),
             eq_from_blocks(b2, [{"0", "a", "b", "1"}]),
@@ -70,13 +70,13 @@ def test_criterion_01_named_example_exactness():
 
         m3 = named("M3")
         assert set(all_congruences(m3).members) == {
-            delta(m3), eq_from_blocks(m3, [{"0", "u", "v", "w", "1"}])}
+            Partition.delta(m3.n), eq_from_blocks(m3, [{"0", "u", "v", "w", "1"}])}
         assert spectra_labels(m3, prime_filters(m3)) == set()
         assert spectra_labels(m3, prime_ideals(m3)) == set()
 
         n5 = named("N5")
         assert set(all_congruences(n5).members) == {
-            delta(n5),
+            Partition.delta(n5.n),
             eq_from_blocks(n5, [{"y", "z"}]),
             eq_from_blocks(n5, [{"0", "x"}, {"y", "z", "1"}]),
             eq_from_blocks(n5, [{"0", "y", "z"}, {"x", "1"}]),
@@ -89,7 +89,7 @@ def test_criterion_01_named_example_exactness():
 
         k = named("K")
         assert set(all_congruences(k).members) == {
-            delta(k),
+            Partition.delta(k.n),
             eq_from_blocks(k, [{"m", "1"}, {"0", "n", "p", "q"}]),
             eq_from_blocks(k, [{"0", "m", "n", "p", "q", "1"}]),
         }

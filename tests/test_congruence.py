@@ -11,7 +11,6 @@ from latkit import (
     con_summary,
     congruence_generated,
     corpus,
-    delta,
     enumerate_lattices,
     eq_from_blocks,
     is_simple,
@@ -19,7 +18,6 @@ from latkit import (
     isomorphic,
     mu_con01,
     named,
-    nabla,
     prime_congruences,
     principal_congruence,
     quotient,
@@ -28,7 +26,7 @@ from latkit.construct import dilate, horizontal_sum
 from latkit import congruence, core
 from latkit.congruence import DEFAULT_MEMBER_CAP
 from latkit.expr import evaluate, parse
-from latkit.errors import NotACongruence, SizeCapExceeded
+from latkit.errors import NotACongruence, SizeCapExceeded, UnknownLabel
 from latkit.dot import con_dot
 from latkit.equiv import block_renderer
 from oracles import (
@@ -52,14 +50,23 @@ def test_principal_congruence_pentagon():
     assert principal_congruence(n5, n5.index("y"), n5.index("z")) == zeta
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (5, 0), (0, 5), (0, -5)])
+def test_a_principal_congruence_of_an_index_out_of_range_is_refused(a, b):
+    n5 = named("N5")
+    with pytest.raises(UnknownLabel, match="out of range"):
+        principal_congruence(n5, a, b)
+    with pytest.raises(UnknownLabel, match="out of range"):
+        congruence_generated(n5, iter([(0, 4), (a, b)]))
+
+
 def test_principal_congruence_bounds_collapse_everything():
     for lat in (named("B2"), named("N5"), named("div", 12)):
-        assert principal_congruence(lat, lat.bottom, lat.top) == nabla(lat)
+        assert principal_congruence(lat, lat.bottom, lat.top) == Partition.nabla(lat.n)
 
 
 def test_principal_congruence_diamond():
     m3 = named("M3")
-    assert principal_congruence(m3, m3.index("u"), m3.index("v")) == nabla(m3)
+    assert principal_congruence(m3, m3.index("u"), m3.index("v")) == Partition.nabla(m3.n)
 
 
 def test_principal_congruence_is_minimal():
@@ -76,7 +83,7 @@ def test_principal_congruence_is_minimal():
 
 def test_congruence_generated():
     n5 = named("N5")
-    assert congruence_generated(n5, []) == delta(n5)
+    assert congruence_generated(n5, []) == Partition.delta(n5.n)
     xi = eq_from_blocks(n5, [{"0", "x"}, {"y", "z", "1"}])
     assert congruence_generated(n5, [(n5.index("0"), n5.index("x"))]) == xi
     b2 = named("B2")
@@ -90,7 +97,7 @@ def test_congruence_generated_matches_join_of_principals():
         pairs = [
             (rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(3)
         ]
-        joined = delta(lat)
+        joined = Partition.delta(lat.n)
         for a, b in pairs:
             joined = joined.join(principal_congruence(lat, a, b))
         assert congruence_generated(lat, pairs) == joined
@@ -155,12 +162,12 @@ def maximal_primes(lat):
 
 def test_con01():
     b2 = named("B2")
-    assert all_congruences(b2).con01_members() == [delta(b2)]
+    assert all_congruences(b2).con01_members() == [Partition.delta(b2.n)]
     n5 = named("N5")
     zeta = eq_from_blocks(n5, [{"y", "z"}])
-    assert set(all_congruences(n5).con01_members()) == {delta(n5), zeta}
+    assert set(all_congruences(n5).con01_members()) == {Partition.delta(n5.n), zeta}
     k = named("K")
-    assert mu_con01(k) == delta(k)
+    assert mu_con01(k) == Partition.delta(k.n)
     assert mu_con01(n5) == zeta
 
 
@@ -206,7 +213,7 @@ def test_identity_not_prime_on_the_three_chain():
     c3 = named("chain", 3)
     lower = eq_from_blocks(c3, [{"0", "m"}])
     upper = eq_from_blocks(c3, [{"m", "1"}])
-    d = delta(c3)
+    d = Partition.delta(c3.n)
     assert d == lower.meet(upper)
     assert not lower.leq(d) and not upper.leq(d)
     assert d not in prime_congruences(c3)
@@ -248,7 +255,7 @@ def test_quotient():
     assert q.n == 2
     assert proj[n5.index("0")] == proj[n5.index("x")]
 
-    q, proj = quotient(n5, delta(n5))
+    q, proj = quotient(n5, Partition.delta(n5.n))
     assert isomorphic(q, n5) is not None
 
     zeta = eq_from_blocks(n5, [{"y", "z"}])
@@ -305,12 +312,12 @@ def test_subdirect_irreducibility():
     for name in ("M3", "N5", "K"):
         flag, monolith = is_subdirectly_irreducible(named(name))
         assert flag
-        assert monolith is not None and monolith != delta(named(name))
+        assert monolith is not None and monolith != Partition.delta(named(name).n)
     flag, monolith = is_subdirectly_irreducible(named("B2"))
     assert not flag and monolith is None
     # simple lattices are subdirectly irreducible with the full monolith
     m3 = named("M3")
-    assert is_subdirectly_irreducible(m3) == (True, nabla(m3))
+    assert is_subdirectly_irreducible(m3) == (True, Partition.nabla(m3.n))
     n5 = named("N5")
     assert is_subdirectly_irreducible(n5)[1] == eq_from_blocks(n5, [{"y", "z"}])
 
@@ -320,8 +327,8 @@ def test_members_canonical_order():
         con = all_congruences(lat)
         keys = [(-m.num_blocks, m.block_of) for m in con.members]
         assert keys == sorted(keys)
-        assert con.members[con.delta_ix] == delta(lat)
-        assert con.members[con.nabla_ix] == nabla(lat)
+        assert con.members[0] == Partition.delta(lat.n)
+        assert con.members[len(con) - 1] == Partition.nabla(lat.n)
 
 
 def test_member_count_guard():
@@ -332,7 +339,7 @@ def test_member_count_guard():
 def test_every_member_is_a_join_of_its_principal_congruences():
     for lat in (named("N5"), named("K"), named("B2"), named("div", 12)):
         for theta in all_congruences(lat).members:
-            rebuilt = delta(lat)
+            rebuilt = Partition.delta(lat.n)
             for a in range(lat.n):
                 for b in range(a + 1, lat.n):
                     if theta.same(a, b):
@@ -399,7 +406,7 @@ def test_closure_reads_match_the_listing(engine_pool):
         con = all_congruences(lat)
         ms = list(con.members)
         sel = [m for m in ms if m.singleton(lat.bottom) and m.singleton(lat.top)]
-        delta_, nabla_ = delta(lat), nabla(lat)
+        delta_, nabla_ = Partition.delta(lat.n), Partition.nabla(lat.n)
         proper = [m for m in ms if m != delta_]
         mono = reduce(Partition.meet, proper) if proper else delta_
         got = con_summary(lat)
@@ -475,10 +482,10 @@ def test_a_482_element_sum_of_boolean_squares_is_simple():
     H, _ = horizontal_sum([named("B2")] * 240)
     assert H.n == 482
     assert is_simple(H)
-    assert con_summary(H) == (2, 1, True, nabla(H))
-    assert is_subdirectly_irreducible(H) == (True, nabla(H))
-    assert mu_con01(H) == delta(H)
-    assert prime_congruences(H) == [delta(H)]
+    assert con_summary(H) == (2, 1, True, Partition.nabla(H.n))
+    assert is_subdirectly_irreducible(H) == (True, Partition.nabla(H.n))
+    assert mu_con01(H) == Partition.delta(H.n)
+    assert prime_congruences(H) == [Partition.delta(H.n)]
 
 
 def test_the_closed_set_count_is_bounded(monkeypatch):
@@ -512,7 +519,7 @@ def test_members_are_built_on_first_use():
     # block maps build no Partition.
     lat = named("chain", 10)
     con = all_congruences(lat)
-    assert len(con) == 512 and con.nabla_ix == 511
+    assert len(con) == 512
     assert "rows" not in con.__dict__
     assert "members" not in con.__dict__
     con_dot(con)
@@ -521,7 +528,7 @@ def test_members_are_built_on_first_use():
     assert "members" not in con.__dict__
     assert type(con.members) is tuple and len(con.members) == len(con) == 512
     assert [p.block_of for p in con.members] == list(con.block_maps)
-    assert con.members[-1] == nabla(lat)
+    assert con.members[-1] == Partition.nabla(lat.n)
     assert con.index_of(con.members[7]) == 7
 
 

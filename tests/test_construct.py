@@ -9,7 +9,6 @@ from latkit import (
     all_filters,
     all_ideals,
     corpus,
-    delta,
     dilate,
     enumerate_lattices,
     eq_from_blocks,
@@ -22,11 +21,9 @@ from latkit import (
     is_simple,
     isomorphic,
     named,
-    nabla,
     ordinal_sum,
 )
 from latkit import construct
-from latkit.construct import FatInterval
 from latkit.errors import (
     CarrierMismatch,
     EmptyFamily,
@@ -134,18 +131,18 @@ def test_horizontal_sum_count_identities():
 def test_hsum_congruences_examples():
     b2 = named("B2")
     beta = eq_from_blocks(b2, [{"0", "b"}, {"a", "1"}])
-    out = hsum_congruences([(named("chain", 2), delta(named("chain", 2))), (b2, beta)])
+    out = hsum_congruences([(named("chain", 2), Partition.delta(2)), (b2, beta)])
     h, _ = horizontal_sum([named("chain", 2), b2])
     assert out.num_blocks == 2
     assert is_congruence(h, out)
 
     c3 = named("chain", 3)
-    out = hsum_congruences([(c3, delta(c3)), (c3, delta(c3))])
+    out = hsum_congruences([(c3, Partition.delta(c3.n)), (c3, Partition.delta(c3.n))])
     assert out == Partition.delta(4)
 
     c4 = named("chain", 4)
     mid = eq_from_blocks(c4, [{"a", "b"}])
-    out = hsum_congruences([(c3, delta(c3)), (c4, mid)])
+    out = hsum_congruences([(c3, Partition.delta(c3.n)), (c4, mid)])
     h, _ = horizontal_sum([c3, c4])
     zeta = eq_from_blocks(h, [{"1.a", "1.b"}])
     assert out == zeta
@@ -154,7 +151,7 @@ def test_hsum_congruences_examples():
 def test_hsum_congruences_rejects_full_collapse():
     c3 = named("chain", 3)
     with pytest.raises(NablaSummandCongruence):
-        hsum_congruences([(c3, nabla(c3)), (c3, delta(c3))])
+        hsum_congruences([(c3, Partition.nabla(c3.n)), (c3, Partition.delta(c3.n))])
 
 
 def test_hsum_congruences_error_order_without_building_a_sum(monkeypatch):
@@ -166,16 +163,16 @@ def test_hsum_congruences_error_order_without_building_a_sum(monkeypatch):
     with pytest.raises(EmptyFamily):
         hsum_congruences([])
     with pytest.raises(TrivialSummand):
-        hsum_congruences([(c1, delta(c1)), (c3, delta(c3))])
+        hsum_congruences([(c1, Partition.delta(c1.n)), (c3, Partition.delta(c3.n))])
     with pytest.raises(CarrierMismatch):
-        hsum_congruences([(c1, delta(c1)), (c3, Partition.delta(4))])
+        hsum_congruences([(c1, Partition.delta(c1.n)), (c3, Partition.delta(4))])
     with pytest.raises(NablaSummandCongruence):
-        hsum_congruences([(c1, delta(c1)), (c3, nabla(c3))])
-    assert hsum_congruences([(c3, delta(c3)), (c3, delta(c3))]) == \
+        hsum_congruences([(c1, Partition.delta(c1.n)), (c3, Partition.nabla(c3.n))])
+    assert hsum_congruences([(c3, Partition.delta(c3.n)), (c3, Partition.delta(c3.n))]) == \
         Partition.delta(4)
     c200 = named("chain", 200)
     with pytest.raises(SizeCapExceeded):
-        hsum_congruences([(c200, delta(c200))] * 3)
+        hsum_congruences([(c200, Partition.delta(c200.n))] * 3)
 
 
 def test_oversized_results_are_refused_before_assembly(monkeypatch):
@@ -203,13 +200,13 @@ def test_congruence_restriction_round_trip():
         rb = theta.restrict(idx_b)
         assert is_congruence(a, ra)
         assert is_congruence(b, rb)
-        if theta != nabla(h):
+        if theta != Partition.nabla(h.n):
             assert hsum_congruences([(a, ra), (b, rb)]) == theta
 
 
 def test_fat_intervals():
     c3 = named("chain", 3)
-    assert fat_intervals(c3) == [FatInterval(c3.bottom, c3.top)]
+    assert fat_intervals(c3) == [(c3.bottom, c3.top)]
     c4 = named("chain", 4)
     fats = {(c4.labels[a], c4.labels[b]) for a, b in fat_intervals(c4)}
     assert fats == {("0", "b"), ("a", "1"), ("0", "1")}
@@ -341,8 +338,8 @@ def test_restrict_full_relation_to_middle_summand():
     h, embeddings = horizontal_sum([c3, c3, c3])
     assert isomorphic(h, named("M3")) is not None
     middle = embeddings[1]
-    assert nabla(h).restrict(middle) == Partition.nabla(3)
-    assert delta(h).restrict(middle) == Partition.delta(3)
+    assert Partition.nabla(h.n).restrict(middle) == Partition.nabla(3)
+    assert Partition.delta(h.n).restrict(middle) == Partition.delta(3)
 
 
 def test_filter_family_decomposition_of_horizontal_sum():

@@ -156,6 +156,12 @@ def test_interval():
         n5.interval(n5.index("x"), n5.index("z"))
 
 
+@pytest.mark.parametrize("a, b", [(-5, -1), (-1, 4), (0, 5), (5, 0)])
+def test_an_interval_endpoint_out_of_range_is_an_unknown_label(a, b):
+    with pytest.raises(UnknownLabel, match="out of range"):
+        named("N5").interval(a, b)
+
+
 def test_irreducibility():
     c3 = named("chain", 3)
     assert c3.is_meet_irreducible(c3.bottom)

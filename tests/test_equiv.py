@@ -5,10 +5,8 @@ import pytest
 from latkit import (
     Partition,
     are_blocks_convex,
-    delta,
     eq_from_blocks,
     is_congruence,
-    nabla,
     named,
 )
 from latkit.errors import (
@@ -29,7 +27,7 @@ def test_eq_from_blocks_square():
 
 def test_eq_from_blocks_defaults_to_singletons():
     n5 = named("N5")
-    assert eq_from_blocks(n5, []) == delta(n5)
+    assert eq_from_blocks(n5, []) == Partition.delta(n5.n)
     zeta = eq_from_blocks(n5, [{"y", "z"}])
     assert zeta.render(n5.labels) == "{0}{x}{y,z}{1}"
 
@@ -44,21 +42,21 @@ def test_eq_from_blocks_errors():
 
 def test_bounds_of_eq():
     c3 = named("chain", 3)
-    assert delta(c3).num_blocks == 3
-    assert nabla(c3).num_blocks == 1
+    assert Partition.delta(c3.n).num_blocks == 3
+    assert Partition.nabla(c3.n).num_blocks == 1
     for p in iter_partitions(3):
-        assert delta(c3).leq(p)
-        assert p.leq(nabla(c3))
-        assert p.join(delta(c3)) == p
-        assert p.meet(nabla(c3)) == p
+        assert Partition.delta(c3.n).leq(p)
+        assert p.leq(Partition.nabla(c3.n))
+        assert p.join(Partition.delta(c3.n)) == p
+        assert p.meet(Partition.nabla(c3.n)) == p
 
 
 def test_meet_join_on_square_congruences():
     b2 = named("B2")
     alpha = eq_from_blocks(b2, [{"0", "a"}, {"b", "1"}])
     beta = eq_from_blocks(b2, [{"0", "b"}, {"a", "1"}])
-    assert alpha.meet(beta) == delta(b2)
-    assert alpha.join(beta) == nabla(b2)
+    assert alpha.meet(beta) == Partition.delta(b2.n)
+    assert alpha.join(beta) == Partition.nabla(b2.n)
 
 
 def test_meet_of_pentagon_congruences():
@@ -83,15 +81,15 @@ def test_is_congruence():
     # closure forces more identifications than just x ~ y
     assert not is_congruence(n5, eq_from_blocks(n5, [{"x", "y"}]))
     for lat in (named("B2"), named("M3"), n5):
-        assert is_congruence(lat, delta(lat))
-        assert is_congruence(lat, nabla(lat))
+        assert is_congruence(lat, Partition.delta(lat.n))
+        assert is_congruence(lat, Partition.nabla(lat.n))
 
 
 def test_restrict():
     n5 = named("N5")
-    h = nabla(n5)
+    h = Partition.nabla(n5.n)
     assert h.restrict([0, 1, 4]) == Partition.nabla(3)
-    assert delta(n5).restrict([1, 2, 3]) == Partition.delta(3)
+    assert Partition.delta(n5.n).restrict([1, 2, 3]) == Partition.delta(3)
     zeta = eq_from_blocks(n5, [{"y", "z"}])
     assert zeta.restrict([n5.index("y"), n5.index("z")]) == Partition.nabla(2)
     with pytest.raises(EmptySubset):
