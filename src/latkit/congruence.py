@@ -210,11 +210,6 @@ def _mu(lat, jbelow, closure) -> int:
     return mu
 
 
-def _monolith(closure) -> int:
-    """Closed set of the monolith: 0 when there is none."""
-    return reduce(and_, closure, (1 << len(closure)) - 1)
-
-
 def _partition(jbelow, s: int) -> Partition:
     """The congruence of the closed set `s`."""
     return Partition([jb & ~s for jb in jbelow])
@@ -602,5 +597,5 @@ def is_simple(lat) -> bool:
 def is_subdirectly_irreducible(lat):
     """(flag, monolith): monolith is the least congruence above the identity."""
     jbelow, closure = _dependency(lat)
-    mono = _monolith(closure)
+    mono = reduce(and_, closure, (1 << len(closure)) - 1)  # 0: none
     return (True, _partition(jbelow, mono)) if mono else (False, None)

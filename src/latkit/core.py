@@ -16,8 +16,11 @@ differential test checks their tables against `Lattice()`'s.
 Validation builds no table: one pass over the comparable pairs checks
 antisymmetry and transitivity and collects the downsets, and the join of
 a comparable pair is its larger element, so only each incomparable pair
-needs a lookup of its join among the upsets. The meet and join tables
-`meet_t` and `join_t` are built whole on first read.
+needs a lookup of its join among the upsets. The join table `join_t` is
+built whole on first read. The meet side is read through `dual()`, by the
+duality principle: the meet table is the dual's join table, and x is
+meet-irreducible when it is join-irreducible in the dual. A dual carries
+no table and builds its own on first read.
 """
 
 from __future__ import annotations
@@ -77,21 +80,10 @@ def _check_labels(labels):
 
 
 def _op_table(masks):
-    """Table of the lattice operation whose (i, j) entry is the element
-    with mask masks[i] & masks[j]: the join on up masks, the meet on down
-    masks."""
+    """The join table of the order with these up masks: its (i, j) entry
+    is the element with up mask masks[i] & masks[j]."""
     of = {m: i for i, m in enumerate(masks)}
     return tuple(tuple([of[m & o] for o in masks]) for m in masks)
-
-
-def _at_most_one_cover(strict: int, back) -> bool:
-    """Whether x has at most one cover in `strict`.
-
-    `strict` holds the elements strictly above (below) x and `back[y]`
-    those below (above) y; a cover of x is a y in `strict` whose
-    `back[y]` meets `strict` in y alone.
-    """
-    return sum(back[y] & strict == 1 << y for y in bits(strict)) <= 1
 
 
 class Lattice:
@@ -162,22 +154,20 @@ class Lattice:
 
     @cached_property
     def meet_t(self):
-        """meet_t[i][j] is the meet of i and j: the element whose downset is
-        the intersection of theirs. Built on first read."""
-        return _op_table(self.down)
+        """meet_t[i][j] is the meet of i and j: the dual's join table.
+        Built on first read."""
+        return self.dual().join_t
 
     @cached_property
     def join_t(self):
-        """join_t[i][j] is the join of i and j, dually. Built on first read."""
+        """join_t[i][j] is the join of i and j: the element whose upset is
+        the intersection of theirs. Built on first read."""
         return _op_table(self.up)
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self.labels)
-
-    def __len__(self) -> int:
         return len(self.labels)
 
     @property
@@ -233,12 +223,15 @@ class Lattice:
         return tuple(out)
 
     def is_meet_irreducible(self, x: int) -> bool:
-        """True iff x has at most one upper cover; the top has none."""
-        return _at_most_one_cover(self.up[x] & ~(1 << x), self.down)
+        """True iff x has at most one upper cover, that is, x is
+        join-irreducible in the dual; the top has none."""
+        return self.dual().is_join_irreducible(x)
 
     def is_join_irreducible(self, x: int) -> bool:
-        """True iff x has at most one lower cover; the bottom has none."""
-        return _at_most_one_cover(self.down[x] & ~(1 << x), self.up)
+        """True iff x has at most one lower cover, a y < x whose upset meets
+        {z : z < x} in y alone; the bottom has none."""
+        below = self.down[x] & ~(1 << x)
+        return sum(self.up[y] & below == 1 << y for y in bits(below)) <= 1
 
     # -- value semantics ----------------------------------------------------
 
@@ -263,18 +256,11 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """The same carrier under the reversed order, unvalidated since the
-        dual of a lattice is a lattice. Only the order and the operation
-        tables already built are carried over, swapped; the others are
-        built on first read. Cached values such as `cover_pairs` do not
-        hold in the dual."""
-        out = Lattice._unchecked(self.labels, self.down, self.up,
-                                 self.top, self.bottom, self.name)
-        built = self.__dict__
-        if "meet_t" in built:
-            out.join_t = built["meet_t"]
-        if "join_t" in built:
-            out.meet_t = built["join_t"]
-        return out
+        dual of a lattice is a lattice. Only the order is carried over,
+        swapped: the dual builds its own tables and cached values such as
+        `cover_pairs` on first read."""
+        return Lattice._unchecked(self.labels, self.down, self.up,
+                                  self.top, self.bottom, self.name)
 
     # -- interchange --------------------------------------------------------
 

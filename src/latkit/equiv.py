@@ -92,7 +92,7 @@ class Partition:
 
     @classmethod
     def nabla(cls, n: int) -> "Partition":
-        return cls([0] * n) if n else cls(())
+        return cls([0] * n)
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":

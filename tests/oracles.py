@@ -46,6 +46,8 @@ members that it replaced.
 
 `cover_pairs`, which drops the upset of each element it tests, is checked
 against the scan it replaced, which tests every comparable pair.
+`fat_intervals`, which reads an interval's size from the order masks, is
+checked against `fat_intervals_by_covers`, the cover-set rule it replaced.
 
 `named` chains and divisor lattices are checked against the build they
 replaced, which closes label covers (consecutive chain labels, divisors
@@ -273,6 +275,17 @@ def cover_pairs_by_scan(lat):
             if not between:
                 out.append((i, j))
     return tuple(out)
+
+
+def fat_intervals_by_covers(lat):
+    """`fat_intervals` as the comparable pairs a < b that are not covers."""
+    cover = set(lat.cover_pairs)
+    out = []
+    for a in range(lat.n):
+        for b in bits(lat.up[a] & ~(1 << a)):
+            if (a, b) not in cover:
+                out.append((a, b))
+    return out
 
 
 def meet_irreducible_by_pairs(lat, x):

@@ -24,6 +24,7 @@ from latkit import (
     ordinal_sum,
 )
 from latkit import construct
+from latkit.core import bits
 from latkit.errors import (
     CarrierMismatch,
     EmptyFamily,
@@ -36,7 +37,12 @@ from latkit.errors import (
     UnknownLabel,
 )
 
-from oracles import horizontal_sum_by_covers, ordinal_sum_by_covers, relabelled
+from oracles import (
+    fat_intervals_by_covers,
+    horizontal_sum_by_covers,
+    ordinal_sum_by_covers,
+    relabelled,
+)
 
 
 def test_ordinal_sum_of_chains_is_a_chain():
@@ -211,6 +217,28 @@ def test_fat_intervals():
     fats = {(c4.labels[a], c4.labels[b]) for a, b in fat_intervals(c4)}
     assert fats == {("0", "b"), ("a", "1"), ("0", "1")}
     assert fat_intervals(named("chain", 2)) == []
+
+
+def test_fat_intervals_match_the_cover_set_rule(engine_pool):
+    # engine_pool holds the census up to 8 and corpus(7, 100, 12)
+    pool = engine_pool + [result for result, *_ in _constructions(engine_pool)]
+    for lat in pool:
+        assert fat_intervals(lat) == fat_intervals_by_covers(lat), lat
+
+
+def test_interval_hsum_refuses_exactly_the_points_and_covers():
+    square = named("B2")
+    for lat in enumerate_lattices(6):
+        covers = set(lat.cover_pairs)
+        for a in range(lat.n):
+            for b in bits(lat.up[a]):
+                small = a == b or (a, b) in covers
+                try:
+                    interval_hsum(lat, a, b, square)
+                except IntervalTooSmall:
+                    assert small, (lat, a, b)
+                else:
+                    assert not small, (lat, a, b)
 
 
 def test_interval_hsum_diamond():

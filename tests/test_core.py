@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from latkit import Lattice, corpus, enumerate_lattices, named
+from latkit import (Lattice, corpus, enumerate_lattices, evaluate,
+                    horizontal_sum, named, parse)
 from latkit.errors import (
     BadInput,
     BadParam,
@@ -218,14 +219,16 @@ def test_validation_builds_no_operation_table():
     assert "meet_t" in lat.__dict__ and "join_t" in lat.__dict__
 
 
-def test_the_dual_takes_only_the_tables_already_built():
-    lat = named("div", 720)
-    lat.meet_t
-    dual = lat.dual()
-    assert dual.__dict__["join_t"] is lat.meet_t
-    assert "meet_t" not in dual.__dict__ and "join_t" not in lat.__dict__
-    assert dual.meet_t == Lattice(lat.labels, lat.down).meet_t
-    assert "join_t" not in lat.__dict__
+def test_equality_is_by_value_and_ignores_the_name():
+    n5 = named("N5")
+    other = n5.renamed("other")
+    assert n5 == other and hash(n5) == hash(other)
+    assert n5 != named("M3")
+    assert (n5 == 3) is False
+    h = evaluate(parse("hsum(chain(3),chain(4))"))
+    assert h == horizontal_sum([named("chain", 3), named("chain", 4)])[0]
+    for lat in (n5, h, named("div", 60)):
+        assert lat.dual().dual() == lat
 
 
 def test_dual_cover_pairs_are_reversed_after_a_cached_read(engine_pool):
