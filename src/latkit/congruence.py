@@ -61,7 +61,8 @@ padded with 0xFF, which UTF-8 never produces, to the widest piece's
 width W, and byte k of every piece is one `bytes.translate` of the
 codes, written to every W-th byte from k; deleting the pad and decoding
 gives the text. Smaller listings are keyed and rendered one member at a
-time.
+time. A lattice keeps its listing, as it keeps its closures, so it is
+listed once.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
 carries into the next. A ConLattice keys its rows, and reads the masks,
 the block maps and the Partitions off them, only when first asked for.
@@ -73,6 +74,7 @@ reader each among the functions below, which read the closures.
 from __future__ import annotations
 
 import sys
+import weakref
 from array import array
 from functools import cached_property, reduce
 from itertools import count
@@ -251,16 +253,41 @@ class ConLattice:
     read, and `masks`, `block_maps` (the least-member block maps) and
     `members` (the members as Partitions) are read off them on first use;
     `line_chunks()` renders the rows without any of them.
+
+    `all_congruences` keeps the listing on its lattice, so the listing
+    holds that lattice weakly, and keeps its order to stand in for it
+    once it is gone: `base` is the lattice listed while it lives, and
+    then an equal one.
     """
 
     def __init__(self, base: Lattice, jbelow, closure, closed):
-        self.base = base
+        self._base = weakref.ref(base)
+        self._order = (base.labels, base.up, base.down, base.bottom,
+                       base.top, base.name)
         self.closure = tuple(closure)
         self._jbelow = jbelow
         self._closed, self._size = closed, len(closed)
 
     def __len__(self):
         return self._size
+
+    @property
+    def base(self) -> Lattice:
+        lat = self._base()
+        return self._stand_in if lat is None else lat
+
+    @cached_property
+    def _stand_in(self):
+        return Lattice._unchecked(*self._order)
+
+    def __getstate__(self):
+        # pickle cannot carry the weak link: the lattice goes along as
+        # the stand-in, and the copy links to that
+        return dict(self.__dict__, _base=None, _stand_in=self.base)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._base = weakref.ref(self._stand_in)
 
     @cached_property
     def rows(self):
@@ -397,7 +424,13 @@ def all_congruences(lat) -> ConLattice:
     """Enumerate Con(lat) as the unions of the closures con(j₋, j).
 
     Refuses a lattice above DEFAULT_CON_CAP elements, or one with more
-    than DEFAULT_MEMBER_CAP congruences, before it lists any."""
+    than DEFAULT_MEMBER_CAP congruences, before it lists any. The listing
+    is memoised on lat, as `_dependency` is, and a refusal is not; a
+    `renamed` copy lists afresh, under its own name, and so does a `dual`.
+    """
+    got = lat.__dict__.get("_congruences")
+    if got is not None:
+        return got
     if lat.n > DEFAULT_CON_CAP:
         raise SizeCapExceeded(
             f"{lat.n} elements exceeds congruence cap {DEFAULT_CON_CAP}")
@@ -409,7 +442,9 @@ def all_congruences(lat) -> ConLattice:
     masks = {0}
     for g in gens:
         masks |= {m | g for m in masks}
-    return ConLattice(lat, jbelow, closure, list(masks))
+    got = lat.__dict__["_congruences"] = ConLattice(lat, jbelow, closure,
+                                                    list(masks))
+    return got
 
 
 def _by_lanes(members: int, n: int) -> bool:

@@ -19,13 +19,16 @@ a comparable pair is its larger element, so only each incomparable pair
 needs a lookup of its join among the upsets. The join table `join_t` is
 built whole on first read. The meet side is read through `dual()`, by the
 duality principle: the meet table is the dual's join table, and x is
-meet-irreducible when it is join-irreducible in the dual. A dual carries
-no table and builds its own on first read.
+meet-irreducible when it is join-irreducible in the dual. A lattice
+builds its dual once and holds it, and the dual links back weakly, so
+`lat.dual().dual() is lat`, each table is built once for the pair, and
+no reference cycle keeps either alive once the lattice is dropped.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from functools import cached_property
 from math import isqrt
 
@@ -77,6 +80,12 @@ def _check_labels(labels):
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})
         raise DuplicateLabel(f"duplicate labels: {dup}")
+
+
+# What a lattice caches that bears its name, and so what a `renamed` copy
+# does not take over: its dual, and its Con listing
+# (`congruence.all_congruences`), which `dot.con_dot` titles by the name.
+_NAMED_CACHES = ("_dual", "_congruences")
 
 
 def _op_table(masks):
@@ -154,8 +163,8 @@ class Lattice:
 
     @cached_property
     def meet_t(self):
-        """meet_t[i][j] is the meet of i and j: the dual's join table.
-        Built on first read."""
+        """meet_t[i][j] is the meet of i and j: the dual's join table, one
+        table for the pair, built on first read of either."""
         return self.dual().join_t
 
     @cached_property
@@ -247,20 +256,37 @@ class Lattice:
         tag = self.name or f"{self.n} elements"
         return f"Lattice({tag})"
 
+    def __getstate__(self):
+        """Pickled without its dual and its Con listing, whose weak links
+        back to it pickle cannot carry; the copy builds its own."""
+        return {k: v for k, v in self.__dict__.items()
+                if k not in _NAMED_CACHES}
+
     def renamed(self, name: str) -> "Lattice":
-        """Copy sharing all tables but carrying a different display name."""
+        """Copy sharing all tables but carrying a different display name;
+        it builds its own dual and Con listing, which bear the name."""
         out = object.__new__(Lattice)
-        out.__dict__.update(self.__dict__)
+        out.__dict__.update((k, v) for k, v in self.__dict__.items()
+                            if k not in _NAMED_CACHES)
         out.name = name
         return out
 
     def dual(self) -> "Lattice":
         """The same carrier under the reversed order, unvalidated since the
-        dual of a lattice is a lattice. Only the order is carried over,
-        swapped: the dual builds its own tables and cached values such as
-        `cover_pairs` on first read."""
-        return Lattice._unchecked(self.labels, self.down, self.up,
-                                  self.top, self.bottom, self.name)
+        dual of a lattice is a lattice. Built on first call and held; it
+        links back to this lattice weakly, so `lat.dual().dual() is lat`
+        while lat lives, with no reference cycle. The dual builds its own
+        cached values, such as `cover_pairs`, on first read, and its join
+        table is this lattice's meet table."""
+        got = self.__dict__.get("_dual")
+        if type(got) is weakref.ref:  # self is the dual of got
+            got = got()
+        if got is None:
+            got = self._dual = Lattice._unchecked(
+                self.labels, self.down, self.up, self.top, self.bottom,
+                self.name)
+            got._dual = weakref.ref(self)
+        return got
 
     # -- interchange --------------------------------------------------------
 

@@ -585,6 +585,17 @@ def _product_problems(lats, H, embeddings, conH, taus):
     return problems
 
 
+def _partition_of(n, *masks):
+    """The partition of 0..n-1 into these blocks, given as disjoint
+    non-empty masks that cover it, built as its least-member block map."""
+    block_of = [0] * n
+    for m in masks:
+        least = (m & -m).bit_length() - 1
+        for x in bits(m):
+            block_of[x] = least
+    return Partition._of_canonical(tuple(block_of))
+
+
 # -- checks ----------------------------------------------------------------------
 
 @_check("prime-filter-equivalences", 1)
@@ -592,25 +603,24 @@ def check_prime_equivalences(lat: Lattice) -> CheckReport:
     """Five-way prime-filter equivalence and the two-class characterization."""
     con = all_congruences(lat)
     coatoms = {con.members[i] for i in con.coatoms()}
-    carrier = frozenset(range(lat.n))
+    full = (1 << lat.n) - 1
     problems = []
     fam = all_filters(lat)
-    for member in fam.members:
-        fset = member.elements
-        if fset == carrier:
+    for prime, fmask in zip(fam.prime_flags, fam.masks):
+        if fmask == full:
             continue
-        comp = sorted(carrier - fset)
+        comp = list(bits(full ^ fmask))
         flags = [
-            member.prime,
+            prime,
             is_ideal(lat, comp),
         ]
         flags.append(bool(flags[1] and is_prime_ideal(lat, comp)))
-        part = Partition.from_blocks(lat.n, [sorted(fset), comp])
+        part = _partition_of(lat.n, fmask, full ^ fmask)
         flags.append(is_congruence(lat, part))
         flags.append(part in coatoms)
         if len(set(flags)) != 1:
             problems.append({
-                "filter": [lat.labels[i] for i in sorted(fset)],
+                "filter": [lat.labels[i] for i in bits(fmask)],
                 "flags": flags,
             })
     pf_sets = set(prime_filters(lat).prime_sets())
@@ -623,7 +633,8 @@ def check_prime_equivalences(lat: Lattice) -> CheckReport:
         alt = (
             m != nab
             and len(zero_class) + len(one_class) == lat.n
-            and m == Partition.from_blocks(lat.n, [zero_class, one_class])
+            and m == _partition_of(lat.n, mask_of(zero_class),
+                                   mask_of(one_class))
         )
         if two != alt:
             problems.append({"congruence": m.render(lat.labels),
@@ -643,17 +654,18 @@ def check_irreducibility(lat: Lattice) -> CheckReport:
     con = all_congruences(lat)
     coatoms = {con.members[i] for i in con.coatoms()}
     n = lat.n
+    full = (1 << n) - 1
     problems = []
 
     # Congruences and the coatoms of Con are self-dual, so the top is
     # checked as the bottom of the dual.
     for bound, side in (("bottom", lat), ("top", lat.dual())):
         b = side.bottom
-        rest = sorted(set(range(n)) - {b})
-        flags = [side.is_meet_irreducible(b), is_filter(side, rest)]
-        flags.append(bool(flags[1] and is_prime_filter(side, rest)))
+        rest = full & ~(1 << b)
+        flags = [side.is_meet_irreducible(b), is_filter(side, bits(rest))]
+        flags.append(bool(flags[1] and is_prime_filter(side, bits(rest))))
         flags.append(is_prime_ideal(side, [b]))
-        part = Partition.from_blocks(n, [[b], rest])
+        part = _partition_of(n, 1 << b, rest)
         flags.append(is_congruence(side, part))
         flags.append(part in coatoms)
         if len(set(flags)) != 1:
@@ -667,7 +679,8 @@ def check_irreducibility(lat: Lattice) -> CheckReport:
             lat.meet(x, y) in interior and lat.join(x, y) in interior
             for x in interior for y in interior
         )
-        part = Partition.from_blocks(n, [[lat.bottom], interior, [lat.top]])
+        part = _partition_of(n, 1 << lat.bottom, mask_of(interior),
+                             1 << lat.top)
         cong = is_congruence(lat, part)
         if not (both == closed == cong):
             problems.append({"bound": "interior",
@@ -854,9 +867,6 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
         pool.extend(enumerate_lattices(min(census, max_size)))
     rng = random.Random(seed ^ 0x5EED)
 
-    def each(keep):
-        return ((lat,) for lat in pool if keep(lat))
-
     def pairs(source):
         for _ in range(max(count, 10) if source else 0):
             yield rng.choice(source), rng.choice(source)
@@ -865,14 +875,14 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
         for _ in range(max(count // 2, 5) if source else 0):
             yield ([rng.choice(source) for _ in range(rng.choice((3, 3, 4)))],)
 
-    # One row per suite, in SUITES order: (suite, check, instances). Built
-    # per call, so that the checks are looked up now, and the instances
-    # are generators, so that the rng draws happen as each chosen suite
-    # runs.
+    # The suites that draw their instances from the rng run first, in
+    # SUITES order, each drawing as it runs. The one-lattice suites draw
+    # nothing, so they then run lattice by lattice: each lattice computes
+    # its dual and its Con listing once for all its checks, and is
+    # dropped, with them, once they are done. The checks are looked up
+    # per call of run_suite, and the reports come out in SUITES order.
     wide = [lat for lat in pool if lat.n > 2]
-    table = (
-        ("prime", check_prime_equivalences, each(lambda lat: True)),
-        ("irred", check_irreducibility, each(lambda lat: True)),
+    drawn = (
         ("counts", check_hsum_counts,
          pairs([lat for lat in pool if lat.n >= 2])),
         ("spechsum", check_spechsum, pairs(wide)),
@@ -880,12 +890,26 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
          pairs([lat for lat in wide if lat.n <= DEFAULT_SUMMAND_CAP])),
         ("multi", check_multi_hsum,
          families([lat for lat in wide if lat.n <= 6])),
-        ("dilate", check_dilate,
-         each(lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP)),
-        ("b2hsum", check_b2_hsum_simple, each(lambda lat: lat.n > 2)),
     )
-    reports = [check(*args) for suite, check, instances in table
-               if suite in chosen for args in instances]
+    out = {suite: [check(*args) for args in instances]
+           for suite, check, instances in drawn if suite in chosen}
+    del wide, drawn  # the pool holds the last reference to each lattice
+    singles = [row for row in (
+        ("prime", check_prime_equivalences, lambda lat: True),
+        ("irred", check_irreducibility, lambda lat: True),
+        ("dilate", check_dilate,
+         lambda lat: 2 <= lat.n <= DEFAULT_DILATE_INPUT_CAP),
+        ("b2hsum", check_b2_hsum_simple, lambda lat: lat.n > 2),
+    ) if row[0] in chosen]
+    for suite, _, _ in singles:
+        out[suite] = []
+    pool.reverse()
+    while pool:
+        lat = pool.pop()
+        for suite, check, keep in singles:
+            if keep(lat):
+                out[suite].append(check(lat))
+    reports = [r for suite in SUITES if suite in out for r in out[suite]]
     if inject_fault:
         reports.append(check_prime_equivalences(_corrupted_pentagon()))
     return reports

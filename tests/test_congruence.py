@@ -533,15 +533,19 @@ def test_members_are_built_on_first_use():
 
 
 def _both_ways(monkeypatch, lat):
-    """all_congruences(lat) keyed and rendered one member at a time (no
-    listing reaches DEFAULT_MEMBER_CAP members per element), then
-    lane-wise: the rows, lines and DOT of each."""
-    out = []
+    """Con(lat) keyed and rendered one member at a time (no listing
+    reaches DEFAULT_MEMBER_CAP members per element), then lane-wise: the
+    rows, lines and DOT of each. Each is listed from a fresh copy of lat,
+    since a lattice keeps its listing."""
+    out, cons = [], []
     for per_element in (DEFAULT_MEMBER_CAP, 0):
         monkeypatch.setattr(congruence, "_LANES_PER_ELEMENT", per_element)
-        con = all_congruences(lat)
+        copy = lat.renamed(lat.name)
+        con = all_congruences(copy)
         lines = [line for chunk in con.line_chunks() for line in chunk]
         out.append((con.rows, lines, con_dot(con)))
+        cons.append(con)
+    assert cons[0] is not cons[1]
     return out
 
 
@@ -672,3 +676,35 @@ def test_the_dependency_is_computed_once_per_lattice(monkeypatch):
     dual = lat.dual()
     assert congruence._dependency(dual) == closures(Lattice(lat.labels, lat.down))
     assert seen == [lat, dual]
+
+
+def test_a_lattice_keeps_its_listing():
+    lat = named("chain", 6)
+    con = all_congruences(lat)
+    assert all_congruences(lat) is con and con.base is lat
+    assert all_congruences(lat.dual()) is not con
+
+
+def test_a_refusal_is_not_kept(monkeypatch):
+    lat = named("chain", 8)  # 128 congruences
+    monkeypatch.setattr(congruence, "DEFAULT_MEMBER_CAP", 100)
+    with pytest.raises(SizeCapExceeded):
+        all_congruences(lat)
+    monkeypatch.undo()
+    assert len(all_congruences(lat)) == 128
+
+
+def test_a_renamed_copy_lists_under_its_own_name():
+    lat = named("N5")
+    assert con_dot(all_congruences(lat)).startswith('digraph "Con(N5)"')
+    copy = lat.renamed("X")
+    assert con_dot(all_congruences(copy)).startswith('digraph "Con(X)"')
+    assert all_congruences(lat).base is lat
+
+
+def test_a_listing_outliving_its_lattice_stands_in_an_equal_one():
+    con = all_congruences(named("N5").renamed("P"))
+    base = con.base
+    assert base == named("N5") and base.name == "P" and con.base is base
+    assert con_dot(con).startswith('digraph "Con(P)"')
+    assert con.members == all_congruences(named("N5")).members

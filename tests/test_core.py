@@ -1,10 +1,14 @@
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 
-from latkit import (Lattice, corpus, enumerate_lattices, evaluate,
-                    horizontal_sum, named, parse)
+from latkit import (Lattice, all_congruences, corpus, enumerate_lattices,
+                    evaluate, horizontal_sum, named, parse)
+from latkit import core
 from latkit.errors import (
     BadInput,
     BadParam,
@@ -229,6 +233,70 @@ def test_equality_is_by_value_and_ignores_the_name():
     assert h == horizontal_sum([named("chain", 3), named("chain", 4)])[0]
     for lat in (n5, h, named("div", 60)):
         assert lat.dual().dual() == lat
+
+
+def test_the_dual_is_built_once_and_links_back(monkeypatch):
+    calls = []
+    real = core._op_table
+    monkeypatch.setattr(core, "_op_table",
+                        lambda masks: calls.append(masks) or real(masks))
+    for lat in (named("N5"), named("div", 60),
+                evaluate(parse("hsum(chain(3),osum(B2,M3))"))):
+        calls.clear()
+        dual = lat.dual()
+        assert dual.dual() is lat and lat.dual() is dual
+        for side in (lat, dual, lat, dual):
+            side.meet_t, side.join_t
+        assert lat.meet_t is dual.join_t and dual.meet_t is lat.join_t
+        assert calls == [lat.up, lat.down] or calls == [lat.down, lat.up]
+        for x in range(lat.n):
+            lat.is_meet_irreducible(x)
+        assert lat.dual() is dual
+
+
+def test_a_renamed_copy_builds_its_own_dual():
+    lat = named("N5")
+    lat.dual()
+    copy = lat.renamed("X")
+    assert copy.dual().name == "X" and lat.dual().name == "N5"
+    assert copy.dual() is not lat.dual() and copy.dual().dual() is copy
+
+
+def test_a_dual_outliving_its_lattice_builds_an_equal_one():
+    dual = named("N5").dual()
+    gc.collect()
+    back = dual.dual()
+    assert back == named("N5") and back.name == "N5"
+    assert back.dual() is dual and dual.dual() is back
+
+
+def test_a_lattice_with_its_dual_and_listing_pickles():
+    lat = named("N5")
+    dual = lat.dual()
+    lat.meet_t, all_congruences(lat), all_congruences(dual)
+    for x in (lat, dual):
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and copy.name == x.name
+        assert copy.meet_t == x.meet_t and copy.dual().dual() is copy
+    con = pickle.loads(pickle.dumps(all_congruences(lat)))
+    assert con.base == lat and con.base.name == "N5"
+    assert con.members == all_congruences(lat).members
+
+
+def test_no_reference_cycle_keeps_a_dropped_lattice():
+    # A lattice holds its dual and its Con listing, and they refer back to
+    # it weakly, so dropping the lattice frees all three at once, with no
+    # collector run.
+    gc.disable()
+    try:
+        lat = named("chain", 12)
+        con = all_congruences(lat)
+        len(con.rows), lat.meet_t, all_congruences(lat.dual())
+        refs = [weakref.ref(x) for x in (lat, con, lat.dual())]
+        del lat, con
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_dual_cover_pairs_are_reversed_after_a_cached_read(engine_pool):

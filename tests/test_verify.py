@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -368,6 +369,36 @@ def test_run_suite_report_order_is_pinned():
         "d816a4c5eba24bdac592b8249dfd567b5aefde6e41a62c30c3cd50d2da51a90d"
 
 
+@pytest.mark.parametrize("config, size, digest", [
+    # the configuration of the `suite` benchmark workload
+    ({"seed": 7, "count": 100, "max_size": 12}, 788,
+     "a2bf38c76ccea027f3ed4e6a717c1af7a45475c18049af0363641d5d936a93ab"),
+    ({"census": 8}, 1445,
+     "66a246f95e5597815b93ac95fc31b40935ccfa338c8db86111222c95107aea4f"),
+])
+def test_run_suite_reports_are_pinned(config, size, digest):
+    # Digests taken while every suite still ran over the whole pool in
+    # turn, before the one-lattice suites ran lattice by lattice.
+    reports = run_suite(**config)
+    assert len(reports) == size
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() \
+        == digest
+
+
+def test_run_suite_emits_the_suites_in_suites_order():
+    # The suites come in SUITES order whatever order they are asked in,
+    # and the corrupted pentagon's report comes last.
+    reports = run_suite(suites=("b2hsum", "counts", "prime"), seed=7,
+                        count=5, max_size=8, inject_fault=True)
+    names = [name for name, _ in itertools.groupby(
+        r.check_name for r in reports[:-1])]
+    assert names == ["prime-filter-equivalences", "hsum-counts",
+                     "b2-hsum-simplicity"]
+    last = reports[-1]
+    assert (last.check_name, last.instance_descr, last.status) == (
+        "prime-filter-equivalences", "N5-corrupted", "FAIL")
+
+
 def test_run_suite_on_two_element_lattices_runs_four_checks():
     # hsum-counts draws from the lattices with at least two elements; the
     # other sum suites need more than two, so they run nothing here.
@@ -386,19 +417,34 @@ def test_a_lone_sum_suite_draws_its_own_instances():
         "div(8) (+) chain(3) (+) N5"]
 
 
+CHECK_NAMES = {
+    "check_prime_equivalences": "prime-filter-equivalences",
+    "check_irreducibility": "bound-irreducibility",
+    "check_hsum_counts": "hsum-counts",
+    "check_spechsum": "hsum-spectra",
+    "check_cghsum": "hsum-congruence-trichotomy",
+    "check_multi_hsum": "multi-hsum-collapse",
+    "check_dilate": "dilation-simplicity",
+    "check_b2_hsum_simple": "b2-hsum-simplicity",
+}
+
+
 def test_run_suite_calls_each_check_once_per_report(monkeypatch):
-    import latkit.verify as verify
-    calls = []
+    # run_suite looks each check up as a module global when it calls it,
+    # so a wrapper set in its place sees one call per report.
+    calls = collections.Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return check_dilate(*args, **kwargs)
+    def counting(name, real):
+        def check(*args):
+            calls[CHECK_NAMES[name]] += 1
+            return real(*args)
+        return check
 
-    monkeypatch.setattr(verify, "check_dilate", counting)
-    reports = run_suite(seed=7, count=5, max_size=8)
-    dilations = [r for r in reports if r.check_name == "dilation-simplicity"]
-    assert dilations
-    assert len(calls) == len(dilations)
+    for name in CHECK_NAMES:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    reports = run_suite(seed=7, count=5, max_size=8, inject_fault=True)
+    assert calls == collections.Counter(r.check_name for r in reports)
+    assert set(calls) == set(CHECK_NAMES.values())
 
 
 def test_run_suite_rejects_unknown_suite():
