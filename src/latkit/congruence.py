@@ -62,7 +62,8 @@ width W, and byte k of every piece is one `bytes.translate` of the
 codes, written to every W-th byte from k; deleting the pad and decoding
 gives the text. Smaller listings are keyed and rendered one member at a
 time. A lattice keeps its listing, as it keeps its closures, so it is
-listed once.
+listed once; the listing keeps the labels, name, up masks and top it
+reads, not the lattice.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
 carries into the next. A ConLattice keys its rows, and reads the masks,
 the block maps and the Partitions off them, only when first asked for.
@@ -74,7 +75,6 @@ reader each among the functions below, which read the closures.
 from __future__ import annotations
 
 import sys
-import weakref
 from array import array
 from functools import cached_property, reduce
 from itertools import count
@@ -194,16 +194,16 @@ def _count_closed(closure, free: int) -> int:
     return count(free)
 
 
-def _mu(lat, jbelow, closure) -> int:
+def _mu(up, top, jbelow, closure) -> int:
     """Closed set of μ, the largest congruence whose 0- and 1-classes are
-    singletons (module docstring)."""
+    singletons (module docstring), for the lattice with these up masks
+    and top."""
     full = (1 << len(closure)) - 1
-    top = lat.top
     atoms, rests = 0, []
     for x, jb in enumerate(jbelow):
         if jb and not jb & (jb - 1):  # x is an atom
             atoms |= jb
-        if x != top and lat.up[x] == 1 << x | 1 << top:  # x is a coatom
+        if x != top and up[x] == 1 << x | 1 << top:  # x is a coatom
             rests.append(full & ~jb)
     mu = 0
     for c in closure:
@@ -254,16 +254,16 @@ class ConLattice:
     `members` (the members as Partitions) are read off them on first use;
     `line_chunks()` renders the rows without any of them.
 
-    `all_congruences` keeps the listing on its lattice, so the listing
-    holds that lattice weakly, and keeps its order to stand in for it
-    once it is gone: `base` is the lattice listed while it lives, and
-    then an equal one.
+    A listing keeps what it reads of its lattice, not the lattice: its
+    `labels` and `name`, which the rendered lines and `dot.con_dot` bear,
+    and its up masks and top, from which `con01_members` reads μ. So the
+    lattice, which keeps its listing (`all_congruences`), is in no
+    reference cycle with it, and a listing pickles as a plain value.
     """
 
     def __init__(self, base: Lattice, jbelow, closure, closed):
-        self._base = weakref.ref(base)
-        self._order = (base.labels, base.up, base.down, base.bottom,
-                       base.top, base.name)
+        self.labels, self.name = base.labels, base.name
+        self._up, self._top = base.up, base.top
         self.closure = tuple(closure)
         self._jbelow = jbelow
         self._closed, self._size = closed, len(closed)
@@ -271,39 +271,21 @@ class ConLattice:
     def __len__(self):
         return self._size
 
-    @property
-    def base(self) -> Lattice:
-        lat = self._base()
-        return self._stand_in if lat is None else lat
-
-    @cached_property
-    def _stand_in(self):
-        return Lattice._unchecked(*self._order)
-
-    def __getstate__(self):
-        # pickle cannot carry the weak link: the lattice goes along as
-        # the stand-in, and the copy links to that
-        return dict(self.__dict__, _base=None, _stand_in=self.base)
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._base = weakref.ref(self._stand_in)
-
     @cached_property
     def rows(self):
         closed, self._closed = self._closed, None  # the rows hold the masks
-        key = _rows_by_lanes if _by_lanes(len(closed), self.base.n) \
+        key = _rows_by_lanes if _by_lanes(len(closed), len(self.labels)) \
             else _rows_by_member
         return tuple(sorted(key(self._jbelow, self.closure, closed)))
 
     @cached_property
     def masks(self):
-        end = self.base.n + 1  # where the block map ends and the mask starts
+        end = len(self.labels) + 1  # where the block map ends
         return tuple([int.from_bytes(r[end:], "little") for r in self.rows])
 
     @cached_property
     def block_maps(self):
-        end = self.base.n + 1
+        end = len(self.labels) + 1
         return tuple([tuple(r[1:end]) for r in self.rows])
 
     @cached_property
@@ -325,7 +307,7 @@ class ConLattice:
         produces, to the widest piece's W bytes. Byte k of every piece is
         then one `bytes.translate` of the codes, written to every W-th
         byte from k; deleting the 0xFF pad and decoding gives the text."""
-        labels = self.base.labels
+        labels = self.labels
         n = len(labels)
         if not _by_lanes(len(self.rows), n):
             yield list(map(block_renderer(labels), self.block_maps))
@@ -391,7 +373,7 @@ class ConLattice:
 
     def con01_members(self):
         """Members whose 0- and 1-classes are singletons: those below μ."""
-        mu = _mu(self.base, self._jbelow, self.closure)
+        mu = _mu(self._up, self._top, self._jbelow, self.closure)
         return [m for m, s in zip(self.members, self.masks) if not s & ~mu]
 
     def covers(self):
@@ -572,7 +554,7 @@ def con_summary(lat) -> ConSummary:
     jbelow, closure = _dependency(lat)
     return ConSummary(
         _count_closed(closure, (1 << len(closure)) - 1),
-        _count_closed(closure, _mu(lat, jbelow, closure)),
+        _count_closed(closure, _mu(lat.up, lat.top, jbelow, closure)),
         is_simple(lat),
         is_subdirectly_irreducible(lat)[1],
     )
@@ -581,7 +563,7 @@ def con_summary(lat) -> ConSummary:
 def mu_con01(lat) -> Partition:
     """Largest congruence keeping the 0- and 1-classes singletons."""
     jbelow, closure = _dependency(lat)
-    return _partition(jbelow, _mu(lat, jbelow, closure))
+    return _partition(jbelow, _mu(lat.up, lat.top, jbelow, closure))
 
 
 def prime_congruences(lat):

@@ -257,8 +257,9 @@ class Lattice:
         return f"Lattice({tag})"
 
     def __getstate__(self):
-        """Pickled without its dual and its Con listing, whose weak links
-        back to it pickle cannot carry; the copy builds its own."""
+        """Pickled without its dual, whose weak link back to it pickle
+        cannot carry, and, like a `renamed` copy, without its Con listing;
+        the copy builds its own."""
         return {k: v for k, v in self.__dict__.items()
                 if k not in _NAMED_CACHES}
 

@@ -27,5 +27,5 @@ def con_dot(con) -> str:
     """Hasse diagram of a ConLattice, nodes labelled by block notation."""
     names = [line for chunk in con.line_chunks() for line in chunk]
     pairs = [(names[i], names[j]) for i, j in con.covers()]
-    title = f"Con({con.base.name})" if con.base.name else "Con"
+    title = f"Con({con.name})" if con.name else "Con"
     return hasse_dot(names, pairs, title=title)

@@ -171,6 +171,10 @@ class Partition:
         indices = list(indices)
         if not indices:
             raise EmptySubset("cannot restrict to an empty subset")
+        low, high = min(indices), max(indices)
+        if low < 0 or high >= self.n:
+            bad = low if low < 0 else high
+            raise UnknownLabel(f"element index {bad} out of range")
         return Partition(self.block_of[i] for i in indices)
 
     # -- value semantics ----------------------------------------------------

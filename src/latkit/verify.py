@@ -721,7 +721,7 @@ def check_spechsum(A: Lattice, B: Lattice) -> CheckReport:
     con = all_congruences(H)
     coatoms = {con.members[i] for i in con.coatoms()}
     for side, allowed, f, i in sides:
-        part = Partition.from_blocks(H.n, [f, i])
+        part = _partition_of(H.n, mask_of(f), mask_of(i))
         flags = [allowed, f in pf, i in pid, is_congruence(H, part),
                  part in coatoms]
         if len(set(flags)) != 1:
@@ -737,7 +737,7 @@ def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
         raise _Skip("summands must have more than two elements")
     H, embeddings = horizontal_sum([A, B])
     conH = all_congruences(H)
-    taus = [Partition.from_blocks(H.n, [f, i])
+    taus = [_partition_of(H.n, mask_of(f), mask_of(i))
             for _, allowed, f, i in _sides(A, B, embeddings) if allowed]
     problems = _product_problems([A, B], H, embeddings, conH, taus)
     # the two-class members sit above all of con01, pairwise incomparable

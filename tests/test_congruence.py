@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import weakref
 from functools import reduce
 
 import pytest
@@ -681,7 +683,8 @@ def test_the_dependency_is_computed_once_per_lattice(monkeypatch):
 def test_a_lattice_keeps_its_listing():
     lat = named("chain", 6)
     con = all_congruences(lat)
-    assert all_congruences(lat) is con and con.base is lat
+    assert all_congruences(lat) is con
+    assert (con.labels, con.name) == (lat.labels, lat.name)
     assert all_congruences(lat.dual()) is not con
 
 
@@ -699,12 +702,48 @@ def test_a_renamed_copy_lists_under_its_own_name():
     assert con_dot(all_congruences(lat)).startswith('digraph "Con(N5)"')
     copy = lat.renamed("X")
     assert con_dot(all_congruences(copy)).startswith('digraph "Con(X)"')
-    assert all_congruences(lat).base is lat
+    assert all_congruences(copy) is not all_congruences(lat)
+    assert all_congruences(lat).name == "N5"
 
 
-def test_a_listing_outliving_its_lattice_stands_in_an_equal_one():
-    con = all_congruences(named("N5").renamed("P"))
-    base = con.base
-    assert base == named("N5") and base.name == "P" and con.base is base
-    assert con_dot(con).startswith('digraph "Con(P)"')
-    assert con.members == all_congruences(named("N5")).members
+def _outliving(lat):
+    """The listing of lat, once lat itself is gone."""
+    con = all_congruences(lat)
+    gone = weakref.ref(lat)
+    del lat
+    assert gone() is None
+    return con
+
+
+def test_a_listing_outliving_its_lattice_reads_as_a_fresh_one():
+    con = _outliving(named("N5").renamed("P"))
+    fresh = all_congruences(named("N5").renamed("P"))
+    assert con is not fresh
+    assert (con.labels, con.name) == (fresh.labels, "P")
+    assert con.members == fresh.members
+    assert con.con01_members() == fresh.con01_members()
+    assert con_dot(con) == con_dot(fresh)
+    assert con_dot(con).startswith('digraph "Con(P)" {')
+
+
+def test_no_attribute_of_a_listing_is_a_lattice():
+    for args in (("N5",), ("chain", 6)):  # keyed member- and lane-wise
+        con = _outliving(named(*args))
+        con.order, con.covers(), con.coatoms(), con.con01_members()
+        con.index_of(con.members[0]), list(con.line_chunks()), con_dot(con)
+        held = {k: type(v) for k, v in vars(con).items()}
+        assert Lattice not in held.values(), held
+
+
+def test_a_listing_whose_lattice_is_gone_pickles():
+    for lat, keyed in ((named("N5"), False), (named("chain", 6), True)):
+        fresh = all_congruences(lat.renamed("Q"))
+        con = _outliving(lat.renamed("Q"))
+        if keyed:  # pickled with its rows, not its closed sets
+            con.rows
+        copy = pickle.loads(pickle.dumps(con))
+        assert (copy.labels, copy.name) == (fresh.labels, "Q")
+        assert list(copy.line_chunks()) == list(fresh.line_chunks())
+        assert copy.covers() == fresh.covers()
+        assert copy.coatoms() == fresh.coatoms()
+        assert copy.con01_members() == fresh.con01_members()

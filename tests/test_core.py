@@ -279,14 +279,15 @@ def test_a_lattice_with_its_dual_and_listing_pickles():
         assert copy == x and copy.name == x.name
         assert copy.meet_t == x.meet_t and copy.dual().dual() is copy
     con = pickle.loads(pickle.dumps(all_congruences(lat)))
-    assert con.base == lat and con.base.name == "N5"
+    assert (con.labels, con.name) == (lat.labels, "N5")
     assert con.members == all_congruences(lat).members
+    assert con.con01_members() == all_congruences(lat).con01_members()
 
 
 def test_no_reference_cycle_keeps_a_dropped_lattice():
-    # A lattice holds its dual and its Con listing, and they refer back to
-    # it weakly, so dropping the lattice frees all three at once, with no
-    # collector run.
+    # A lattice holds its dual, which refers back to it weakly, and its Con
+    # listing, which does not refer to it, so dropping the lattice frees
+    # all three at once, with no collector run.
     gc.disable()
     try:
         lat = named("chain", 12)

@@ -96,6 +96,14 @@ def test_restrict():
         h.restrict([])
 
 
+def test_restrict_refuses_an_index_outside_the_carrier():
+    # -1 would read element 3 from the end, and 7 lies past the carrier
+    p = Partition.from_blocks(4, [[0, 1]])
+    for indices in ([-1, 0], [7]):
+        with pytest.raises(UnknownLabel, match="out of range"):
+            p.restrict(indices)
+
+
 def test_blocks_convex():
     n5 = named("N5")
     assert not are_blocks_convex(n5, eq_from_blocks(n5, [{"0", "z"}]))

@@ -284,7 +284,7 @@ def _dropping_the_last_on_sums(real):
     horizontal sum, and kept on every other lattice, so on the summands."""
     def mutant(self):
         members = real(self)
-        return members[:-1] if self.base.name.startswith("hsum(") else members
+        return members[:-1] if self.name.startswith("hsum(") else members
     return mutant
 
 
