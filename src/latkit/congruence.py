@@ -110,8 +110,7 @@ def _dependency(lat):
     """(jbelow, closure) of lat, as described in the module docstring.
 
     Computed once per Lattice and kept in its __dict__ beside the tables
-    that `cached_property` keeps there, so a `renamed` copy shares it and
-    a `dual` computes its own."""
+    that `cached_property` keeps there; a `dual` computes its own."""
     got = lat.__dict__.get("_dependency")
     if got is None:
         got = lat.__dict__["_dependency"] = _closures(lat)
@@ -341,7 +340,11 @@ class ConLattice:
         return {m: i for i, m in enumerate(self.block_maps)}
 
     def index_of(self, p: Partition) -> int:
-        return self._map_index[p.block_of]
+        try:
+            return self._map_index[p.block_of]
+        except KeyError:
+            raise NotACongruence(
+                f"{p!r} is not a member of this listing") from None
 
     @cached_property
     def _mask_index(self):
@@ -408,7 +411,7 @@ def all_congruences(lat) -> ConLattice:
     Refuses a lattice above DEFAULT_CON_CAP elements, or one with more
     than DEFAULT_MEMBER_CAP congruences, before it lists any. The listing
     is memoised on lat, as `_dependency` is, and a refusal is not; a
-    `renamed` copy lists afresh, under its own name, and so does a `dual`.
+    `dual` lists afresh.
     """
     got = lat.__dict__.get("_congruences")
     if got is not None:

@@ -20,7 +20,7 @@ The horizontal sum shares only its bounds and needs no glue.
 
 from __future__ import annotations
 
-from .core import Lattice, _check_indices, _check_size, bits, named
+from .core import Lattice, _check_indices, _check_size, _quote, bits, named
 from .equiv import Partition, _join_pairs
 from .errors import (
     CarrierMismatch,
@@ -207,8 +207,8 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
     labels = _extended(lat.labels, [f"1.{lab}" for x, lab in
                                     enumerate(insert.labels) if e1[x] >= lat.n])
     up, down = _union_up(len(labels), ((lat, e0), (insert, e1)), (a, b))
-    name = (f"ihsum({_display(lat)},{lat.labels[a]},{lat.labels[b]},"
-            f"{_display(insert)})")
+    name = (f"ihsum({_display(lat)},{_quote(lat.labels[a])},"
+            f"{_quote(lat.labels[b])},{_display(insert)})")
     return (Lattice._unchecked(labels, up, down, lat.bottom, lat.top, name),
             (e0, e1))
 

@@ -82,10 +82,10 @@ def _check_labels(labels):
         raise DuplicateLabel(f"duplicate labels: {dup}")
 
 
-# What a lattice caches that bears its name, and so what a `renamed` copy
-# does not take over: its dual, and its Con listing
-# (`congruence.all_congruences`), which `dot.con_dot` titles by the name.
-_NAMED_CACHES = ("_dual", "_congruences")
+def _quote(text: str) -> str:
+    """`text` as a quoted string, as the expression grammar and DOT read
+    one: only backslash and quote are escaped, backslash first."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _op_table(masks):
@@ -258,19 +258,8 @@ class Lattice:
 
     def __getstate__(self):
         """Pickled without its dual, whose weak link back to it pickle
-        cannot carry, and, like a `renamed` copy, without its Con listing;
-        the copy builds its own."""
-        return {k: v for k, v in self.__dict__.items()
-                if k not in _NAMED_CACHES}
-
-    def renamed(self, name: str) -> "Lattice":
-        """Copy sharing all tables but carrying a different display name;
-        it builds its own dual and Con listing, which bear the name."""
-        out = object.__new__(Lattice)
-        out.__dict__.update((k, v) for k, v in self.__dict__.items()
-                            if k not in _NAMED_CACHES)
-        out.name = name
-        return out
+        cannot carry; the copy builds its own."""
+        return {k: v for k, v in self.__dict__.items() if k != "_dual"}
 
     def dual(self) -> "Lattice":
         """The same carrier under the reversed order, unvalidated since the

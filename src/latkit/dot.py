@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-
-def _esc(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+from .core import _quote
 
 
 def hasse_dot(labels, cover_pairs, title: str = "L") -> str:
     """Hasse diagram as DOT text: edges point upward along covers."""
-    lines = [f'digraph "{_esc(title)}" {{', "  rankdir=BT;", "  node [shape=box];"]
+    lines = [f"digraph {_quote(title)} {{", "  rankdir=BT;", "  node [shape=box];"]
     for lab in labels:
-        lines.append(f'  "{_esc(lab)}";')
+        lines.append(f"  {_quote(lab)};")
     for a, b in sorted(cover_pairs):
-        lines.append(f'  "{_esc(a)}" -> "{_esc(b)}";')
+        lines.append(f"  {_quote(a)} -> {_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

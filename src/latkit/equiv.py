@@ -9,11 +9,11 @@ operations that need meets and joins take the lattice explicitly.
 
 from __future__ import annotations
 
+from .core import _check_indices
 from .errors import (
     CarrierMismatch,
     EmptySubset,
     OverlappingBlocks,
-    UnknownLabel,
 )
 
 
@@ -101,9 +101,8 @@ class Partition:
         seen = set()
         for block in blocks:
             block = sorted(block)
+            _check_indices(n, block)
             for i in block:
-                if not 0 <= i < n:
-                    raise UnknownLabel(f"element index {i} out of range")
                 if i in seen:
                     raise OverlappingBlocks(f"element index {i} listed twice")
                 seen.add(i)
@@ -113,6 +112,7 @@ class Partition:
     # -- queries ----------------------------------------------------------
 
     def same(self, i: int, j: int) -> bool:
+        _check_indices(self.n, (i, j))
         return self.block_of[i] == self.block_of[j]
 
     @property
@@ -129,10 +129,12 @@ class Partition:
         return list(groups.values())
 
     def block(self, i: int):
+        _check_indices(self.n, (i,))
         b = self.block_of[i]
         return tuple(j for j, bj in enumerate(self.block_of) if bj == b)
 
     def singleton(self, i: int) -> bool:
+        _check_indices(self.n, (i,))
         b = self.block_of[i]
         return all(bj != b for j, bj in enumerate(self.block_of) if j != i)
 
@@ -171,10 +173,7 @@ class Partition:
         indices = list(indices)
         if not indices:
             raise EmptySubset("cannot restrict to an empty subset")
-        low, high = min(indices), max(indices)
-        if low < 0 or high >= self.n:
-            bad = low if low < 0 else high
-            raise UnknownLabel(f"element index {bad} out of range")
+        _check_indices(self.n, indices)
         return Partition(self.block_of[i] for i in indices)
 
     # -- value semantics ----------------------------------------------------

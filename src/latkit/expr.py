@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .core import Lattice, named
+from .core import Lattice, _quote, named
 from .errors import ArityError, BadInput, ExprSyntaxError, SizeCapExceeded
 from . import construct
 
@@ -34,11 +34,6 @@ MAX_DEPTH = 100
 # osum(chain(250),chain(251)) is 28,328 bytes, of the 414-element dilation
 # of seven stacked B2s 61,223 bytes.
 MAX_FILE_BYTES = 1 << 20
-
-
-def _quote(text: str) -> str:
-    """`text` as a string token: only backslash and quote are escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # -- AST --------------------------------------------------------------------
@@ -229,36 +224,36 @@ def parse(text: str):
 # -- evaluation -----------------------------------------------------------------
 
 def evaluate(node) -> Lattice:
-    """Evaluate a parsed expression to a lattice."""
-    def ev(nd):
-        if isinstance(nd, NamedAtom):
-            if nd.arg is None:
-                return named(nd.kind)
-            return named(nd.kind, nd.arg)
-        if isinstance(nd, FileAtom):
-            try:
-                with Path(nd.path).open("rb") as fh:
-                    data = fh.read(MAX_FILE_BYTES + 1)
-                if len(data) > MAX_FILE_BYTES:
-                    raise SizeCapExceeded(
-                        f"{nd.path}: more than {MAX_FILE_BYTES} bytes")
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise BadInput(f"{nd.path}: not UTF-8 text ({e.reason})") from None
-            except ValueError as e:  # a NUL in the path
-                raise BadInput(f"{nd.path!r}: {e}") from None
-            return Lattice.from_json(text, name=nd.render())
-        if isinstance(nd, OSum):
-            return construct.ordinal_sum(ev(nd.lower), ev(nd.upper))[0]
-        if isinstance(nd, HSum):
-            return construct.horizontal_sum([ev(a) for a in nd.args])[0]
-        if isinstance(nd, IHSum):
-            base = ev(nd.base)
-            return construct.interval_hsum(
-                base, base.index(nd.low), base.index(nd.high), ev(nd.insert)
-            )[0]
-        if isinstance(nd, Dilation):
-            return construct.dilate(ev(nd.arg))[0]
-        raise TypeError(f"not an expression node: {nd!r}")
-
-    return ev(node).renamed(render(node))
+    """Evaluate a parsed expression to a lattice. Each construction names
+    its result by the expression that builds it, so the lattice is named
+    `render(node)`."""
+    if isinstance(node, NamedAtom):
+        if node.arg is None:
+            return named(node.kind)
+        return named(node.kind, node.arg)
+    if isinstance(node, FileAtom):
+        try:
+            with Path(node.path).open("rb") as fh:
+                data = fh.read(MAX_FILE_BYTES + 1)
+            if len(data) > MAX_FILE_BYTES:
+                raise SizeCapExceeded(
+                    f"{node.path}: more than {MAX_FILE_BYTES} bytes")
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise BadInput(f"{node.path}: not UTF-8 text ({e.reason})") from None
+        except ValueError as e:  # a NUL in the path
+            raise BadInput(f"{node.path!r}: {e}") from None
+        return Lattice.from_json(text, name=node.render())
+    if isinstance(node, OSum):
+        return construct.ordinal_sum(evaluate(node.lower),
+                                     evaluate(node.upper))[0]
+    if isinstance(node, HSum):
+        return construct.horizontal_sum([evaluate(a) for a in node.args])[0]
+    if isinstance(node, IHSum):
+        base = evaluate(node.base)
+        return construct.interval_hsum(base, base.index(node.low),
+                                       base.index(node.high),
+                                       evaluate(node.insert))[0]
+    if isinstance(node, Dilation):
+        return construct.dilate(evaluate(node.arg))[0]
+    raise TypeError(f"not an expression node: {node!r}")

@@ -828,7 +828,8 @@ SUITES = ("prime", "irred", "counts", "spechsum", "cghsum", "multi",
 
 def _corrupted_pentagon() -> Lattice:
     """Pentagon with a tampered meet table, for harness self-tests."""
-    lat = named("N5").renamed("N5-corrupted")
+    n5 = named("N5")
+    lat = Lattice(n5.labels, n5.up, name="N5-corrupted")
     rows = [list(r) for r in lat.meet_t]
     x, top = lat.index("x"), lat.top
     rows[x][top] = rows[top][x] = lat.bottom

@@ -434,7 +434,8 @@ def census_by_pairwise_iso(max_n):
             if any(_isomorphism(lat, seen, inv, seen_inv) is not None
                    for seen, seen_inv in bucket):
                 continue
-            lat = lat.renamed(f"census({n})#{len(found)}")
+            lat = Lattice(lat.labels, lat.up,
+                          name=f"census({n})#{len(found)}")
             bucket.append((lat, inv))
             found.append(lat)
         out.extend(found)

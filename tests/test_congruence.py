@@ -534,16 +534,28 @@ def test_members_are_built_on_first_use():
     assert con.index_of(con.members[7]) == 7
 
 
+def test_index_of_refuses_a_partition_that_is_no_member():
+    con = all_congruences(named("N5"))
+    for p in (Partition.from_blocks(5, [[0, 1]]), Partition.delta(4)):
+        with pytest.raises(NotACongruence, match="not a member"):
+            con.index_of(p)
+    assert con.index_of(Partition.delta(5)) == 0
+
+
+def _fresh(lat, name):
+    """A new lattice with the order of lat, under this name."""
+    return Lattice(lat.labels, lat.up, name=name)
+
+
 def _both_ways(monkeypatch, lat):
     """Con(lat) keyed and rendered one member at a time (no listing
     reaches DEFAULT_MEMBER_CAP members per element), then lane-wise: the
-    rows, lines and DOT of each. Each is listed from a fresh copy of lat,
+    rows, lines and DOT of each. Each is listed from a fresh lattice,
     since a lattice keeps its listing."""
     out, cons = [], []
     for per_element in (DEFAULT_MEMBER_CAP, 0):
         monkeypatch.setattr(congruence, "_LANES_PER_ELEMENT", per_element)
-        copy = lat.renamed(lat.name)
-        con = all_congruences(copy)
+        con = all_congruences(_fresh(lat, lat.name))
         lines = [line for chunk in con.line_chunks() for line in chunk]
         out.append((con.rows, lines, con_dot(con)))
         cons.append(con)
@@ -672,9 +684,8 @@ def test_the_dependency_is_computed_once_per_lattice(monkeypatch):
     for read in (all_congruences, con_summary, is_simple, prime_congruences,
                  mu_con01, is_subdirectly_irreducible):
         read(lat)
-    assert seen == [lat]
-    # a renamed copy shares it; the dual, under the reversed order, does not
-    assert congruence._dependency(lat.renamed("P")) is dep
+    assert seen == [lat] and congruence._dependency(lat) is dep
+    # the dual, under the reversed order, computes its own
     dual = lat.dual()
     assert congruence._dependency(dual) == closures(Lattice(lat.labels, lat.down))
     assert seen == [lat, dual]
@@ -686,6 +697,7 @@ def test_a_lattice_keeps_its_listing():
     assert all_congruences(lat) is con
     assert (con.labels, con.name) == (lat.labels, lat.name)
     assert all_congruences(lat.dual()) is not con
+    assert con_dot(all_congruences(named("N5"))).startswith('digraph "Con(N5)"')
 
 
 def test_a_refusal_is_not_kept(monkeypatch):
@@ -695,15 +707,6 @@ def test_a_refusal_is_not_kept(monkeypatch):
         all_congruences(lat)
     monkeypatch.undo()
     assert len(all_congruences(lat)) == 128
-
-
-def test_a_renamed_copy_lists_under_its_own_name():
-    lat = named("N5")
-    assert con_dot(all_congruences(lat)).startswith('digraph "Con(N5)"')
-    copy = lat.renamed("X")
-    assert con_dot(all_congruences(copy)).startswith('digraph "Con(X)"')
-    assert all_congruences(copy) is not all_congruences(lat)
-    assert all_congruences(lat).name == "N5"
 
 
 def _outliving(lat):
@@ -716,8 +719,8 @@ def _outliving(lat):
 
 
 def test_a_listing_outliving_its_lattice_reads_as_a_fresh_one():
-    con = _outliving(named("N5").renamed("P"))
-    fresh = all_congruences(named("N5").renamed("P"))
+    con = _outliving(_fresh(named("N5"), "P"))
+    fresh = all_congruences(_fresh(named("N5"), "P"))
     assert con is not fresh
     assert (con.labels, con.name) == (fresh.labels, "P")
     assert con.members == fresh.members
@@ -737,8 +740,8 @@ def test_no_attribute_of_a_listing_is_a_lattice():
 
 def test_a_listing_whose_lattice_is_gone_pickles():
     for lat, keyed in ((named("N5"), False), (named("chain", 6), True)):
-        fresh = all_congruences(lat.renamed("Q"))
-        con = _outliving(lat.renamed("Q"))
+        fresh = all_congruences(_fresh(lat, "Q"))
+        con = _outliving(_fresh(lat, "Q"))
         if keyed:  # pickled with its rows, not its closed sets
             con.rows
         copy = pickle.loads(pickle.dumps(con))

@@ -247,6 +247,17 @@ def test_interval_hsum_diamond():
     assert isomorphic(out, named("M3")) is not None
 
 
+def test_interval_hsum_is_named_by_its_expression():
+    # the labels are quoted as the grammar writes them
+    n5 = named("N5")
+    out, _ = interval_hsum(n5, n5.index("y"), n5.index("1"), named("B2"))
+    assert out.name == 'ihsum(N5,"y","1",B2)'
+    labels = ["0", 'a"b', "m", "c\\d", "1"]
+    lat = Lattice.from_covers(labels, zip(labels, labels[1:]), name="P")
+    out, _ = interval_hsum(lat, 1, 3, named("M3"))
+    assert out.name == r'ihsum(P,"a\"b","c\\d",M3)'
+
+
 def test_interval_hsum_filter_count():
     n5 = named("N5")
     out, _ = interval_hsum(n5, n5.index("y"), n5.top, named("B2"))

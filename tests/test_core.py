@@ -225,7 +225,7 @@ def test_validation_builds_no_operation_table():
 
 def test_equality_is_by_value_and_ignores_the_name():
     n5 = named("N5")
-    other = n5.renamed("other")
+    other = Lattice(n5.labels, n5.up, name="other")
     assert n5 == other and hash(n5) == hash(other)
     assert n5 != named("M3")
     assert (n5 == 3) is False
@@ -254,14 +254,6 @@ def test_the_dual_is_built_once_and_links_back(monkeypatch):
         assert lat.dual() is dual
 
 
-def test_a_renamed_copy_builds_its_own_dual():
-    lat = named("N5")
-    lat.dual()
-    copy = lat.renamed("X")
-    assert copy.dual().name == "X" and lat.dual().name == "N5"
-    assert copy.dual() is not lat.dual() and copy.dual().dual() is copy
-
-
 def test_a_dual_outliving_its_lattice_builds_an_equal_one():
     dual = named("N5").dual()
     gc.collect()
@@ -276,6 +268,7 @@ def test_a_lattice_with_its_dual_and_listing_pickles():
     lat.meet_t, all_congruences(lat), all_congruences(dual)
     for x in (lat, dual):
         copy = pickle.loads(pickle.dumps(x))
+        assert vars(copy).keys() == vars(x).keys() - {"_dual"}
         assert copy == x and copy.name == x.name
         assert copy.meet_t == x.meet_t and copy.dual().dual() is copy
     con = pickle.loads(pickle.dumps(all_congruences(lat)))

@@ -96,12 +96,17 @@ def test_restrict():
         h.restrict([])
 
 
-def test_restrict_refuses_an_index_outside_the_carrier():
-    # -1 would read element 3 from the end, and 7 lies past the carrier
+@pytest.mark.parametrize("query, args", [
+    ("restrict", ([-1, 0],)), ("restrict", ([7],)), ("same", (-1, 3)),
+    ("same", (7, 0)), ("block", (-4,)), ("singleton", (-1,)),
+    ("singleton", (9,)),
+])
+def test_restrict_refuses_an_index_outside_the_carrier(query, args):
+    # -1 would read element 3 from the end, and 7 lies past the carrier;
+    # restrict, same, block and singleton share one range check
     p = Partition.from_blocks(4, [[0, 1]])
-    for indices in ([-1, 0], [7]):
-        with pytest.raises(UnknownLabel, match="out of range"):
-            p.restrict(indices)
+    with pytest.raises(UnknownLabel, match="out of range"):
+        getattr(p, query)(*args)
 
 
 def test_blocks_convex():

@@ -1,13 +1,13 @@
 """Property tests of the expression language, the CLI's exit codes, the
 JSON input and `Lattice()` validation.
 
-Atoms stay small (chains of up to 8 elements and the named lattices) and
-no expression that is evaluated reads a file, so every example runs in
-milliseconds. Parsing is held to the eager tokenizer and parser of
-`oracles`, and to `render` over trees nested up to `MAX_DEPTH` whose
-labels and paths are any text. JSON documents, arbitrary or shaped like
-a lattice file, either load or raise a `LatticeError`, whether given as
-text or read through `file(...)`.
+Atoms stay small (chains of up to 8 elements, the named lattices and a
+5-element lattice file), so every example runs in milliseconds. Each
+evaluated lattice is named by its expression. Parsing is held to the
+eager tokenizer and parser of `oracles`, and to `render` over trees
+nested up to `MAX_DEPTH` whose labels and paths are any text. JSON
+documents, arbitrary or shaped like a lattice file, either load or raise
+a `LatticeError`, whether given as text or read through `file(...)`.
 """
 
 import contextlib
@@ -20,12 +20,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from latkit import Lattice, cli, evaluate, parse, render
+from latkit import Lattice, cli, evaluate, fat_intervals, parse, render
 from latkit.errors import ArityError, ExprSyntaxError, LatticeError
 from latkit.expr import (MAX_DEPTH, Dilation, FileAtom, HSum, IHSum,
                          NamedAtom, OSum)
+from latkit.verify import _ATOM_POOL
 
 from oracles import parse_eagerly, tokenize_eagerly, validated_eagerly
 
@@ -131,6 +132,49 @@ def test_analyze_exits_with_a_documented_code(text):
         except SystemExit as e:
             code = e.code
     assert code in (0, 1, 2, 3)
+
+
+@st.composite
+def evaluable_trees(draw, file_atom, depth=3):
+    """Trees that evaluate: the shapes `verify._random_expr` draws (its
+    atoms, ordinal sums, horizontal sums of two or three), `file_atom`,
+    dilations of lattices of up to 6 elements, and interval sums on a fat
+    interval of their base."""
+    kinds = ("atom", "osum", "hsum", "ihsum", "D") if depth else ("atom",)
+    kind = draw(st.sampled_from(kinds))
+    sub = evaluable_trees(file_atom, depth - 1)
+    if kind == "atom":
+        return draw(st.sampled_from([NamedAtom(*a) for a in _ATOM_POOL])
+                    | st.just(file_atom))
+    if kind == "osum":
+        return OSum(draw(sub), draw(sub))
+    if kind == "hsum":
+        return HSum(tuple(draw(st.lists(sub, min_size=2, max_size=3))))
+    arg = draw(sub)
+    lat = evaluate(arg)
+    if kind == "D":
+        return Dilation(arg) if lat.n <= 6 else arg
+    fats, insert = fat_intervals(lat), draw(sub)
+    if not fats or evaluate(insert).n <= 2:
+        return arg
+    a, b = draw(st.sampled_from(fats))
+    return IHSum(arg, lat.labels[a], lat.labels[b], insert)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_lattice_is_named_by_its_expression(tmp_path, data):
+    # the file's labels hold a quote, a backslash, a comma and a ")"
+    labels = ["0", 'a"b', "c\\d", "e,)f", "1"]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"elements": labels, "covers": [
+        ["0", 'a"b'], ['a"b', "c\\d"], ["c\\d", "1"], ["0", "e,)f"],
+        ["e,)f", "1"]]}))
+    tree = data.draw(evaluable_trees(FileAtom(str(path))))
+    lat = evaluate(tree)
+    assert lat.name == render(tree)
+    assert parse(lat.name) == tree
 
 
 # Grammar words, punctuation, quotes, backslashes, whitespace (a no-break
