@@ -6,12 +6,13 @@ from .core import _quote
 
 
 def hasse_dot(labels, cover_pairs, title: str = "L") -> str:
-    """Hasse diagram as DOT text: edges point upward along covers."""
+    """Hasse diagram as DOT text: edges point upward along covers. Each
+    label is quoted once, though a Con diagram's edges name each of its
+    long block-notation labels several times."""
+    quoted = {lab: _quote(lab) for lab in labels}
     lines = [f"digraph {_quote(title)} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for lab in labels:
-        lines.append(f"  {_quote(lab)};")
-    for a, b in sorted(cover_pairs):
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+    lines += [f"  {quoted[lab]};" for lab in labels]
+    lines += [f"  {quoted[a]} -> {quoted[b]};" for a, b in sorted(cover_pairs)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
