@@ -67,9 +67,11 @@ reads, not the lattice.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
 carries into the next. A ConLattice keys its rows, and reads the masks,
 the block maps and the Partitions off them, only when first asked for.
-It answers what needs the members or their order (con01, covers,
-coatoms); |Con|, μ, the monolith, simplicity and the primes have one
-reader each among the functions below, which read the closures.
+It answers what needs the members or their order as member indices:
+`con01` is the one reader of Con01 in a listing (`con01_members` wraps
+its indices as Partitions), and `covers` and `coatoms` read the order;
+|Con|, μ, the monolith, simplicity and the primes have one reader each
+among the functions below, which read the closures.
 """
 
 from __future__ import annotations
@@ -251,11 +253,14 @@ class ConLattice:
     join-irreducible. The rows are keyed from the closed sets on first
     read, and `masks`, `block_maps` (the least-member block maps) and
     `members` (the members as Partitions) are read off them on first use;
-    `line_chunks()` renders the rows without any of them.
+    `line_chunks()` renders the rows without any of them. `con01()`,
+    `coatoms()` and `covers()` answer with member indices, so a reader of
+    the masks or block maps builds no Partition; `con01()` is the one
+    reader of the members below μ.
 
     A listing keeps what it reads of its lattice, not the lattice: its
     `labels` and `name`, which the rendered lines and `dot.con_dot` bear,
-    and its up masks and top, from which `con01_members` reads μ. So the
+    and its up masks and top, from which `con01` reads μ. So the
     lattice, which keeps its listing (`all_congruences`), is in no
     reference cycle with it, and a listing pickles as a plain value.
     """
@@ -374,10 +379,15 @@ class ConLattice:
     def leq(self, i: int, j: int) -> bool:
         return not self.masks[i] & ~self.masks[j]
 
-    def con01_members(self):
-        """Members whose 0- and 1-classes are singletons: those below μ."""
+    def con01(self):
+        """Indices, ascending, of the members whose 0- and 1-classes are
+        singletons: those below μ. The one reader of Con01 in a listing."""
         mu = _mu(self._up, self._top, self._jbelow, self.closure)
-        return [m for m, s in zip(self.members, self.masks) if not s & ~mu]
+        return [i for i, s in enumerate(self.masks) if not s & ~mu]
+
+    def con01_members(self):
+        """The members `con01` indexes, as Partitions."""
+        return [self.members[i] for i in self.con01()]
 
     def covers(self):
         """Pairs (i, j) where members[j] covers members[i].

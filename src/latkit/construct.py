@@ -20,6 +20,8 @@ The horizontal sum shares only its bounds and needs no glue.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .core import Lattice, _check_indices, _check_size, _quote, bits, named
 from .equiv import Partition, _join_pairs
 from .errors import (
@@ -81,11 +83,12 @@ def _union_up(n: int, parts, glue=()):
     return up, down
 
 
-def _embedding(lat, glued, fresh: int):
-    """The embedding of `lat` that sends each x in `glued` to glued[x] and
-    the other elements, in index order, to fresh, fresh + 1, ..."""
-    rest = iter(range(fresh, fresh + lat.n))
-    return tuple(glued[x] if x in glued else next(rest) for x in range(lat.n))
+def _embedding(n: int, glued, fresh: int):
+    """The embedding of an n-element summand that sends each x in `glued`
+    to glued[x] and the other elements, in index order, to fresh,
+    fresh + 1, ..."""
+    rest = iter(range(fresh, fresh + n))
+    return tuple(glued[x] if x in glued else next(rest) for x in range(n))
 
 
 def ordinal_sum(lower: Lattice, upper: Lattice):
@@ -95,7 +98,7 @@ def ordinal_sum(lower: Lattice, upper: Lattice):
     """
     _check_size(lower.n + upper.n - 1)
     e0 = tuple(range(lower.n))
-    e1 = _embedding(upper, {upper.bottom: lower.top}, lower.n)
+    e1 = _embedding(upper.n, {upper.bottom: lower.top}, lower.n)
     labels = [f"0.{x}" for x in lower.labels] + [
         f"1.{lab}" for y, lab in enumerate(upper.labels) if y != upper.bottom]
     up, down = _union_up(len(labels), ((lower, e0), (upper, e1)),
@@ -113,12 +116,20 @@ def _hsum_embeddings(family):
         raise EmptyFamily("horizontal sum needs at least one summand")
     if any(lat.trivial for lat in family):
         raise TrivialSummand("summands must have at least two elements")
-    top = 1 + sum(lat.n - 2 for lat in family)
+    return _hsum_layout(tuple((lat.n, lat.bottom, lat.top) for lat in family))
+
+
+@lru_cache(maxsize=1024)
+def _hsum_layout(shapes):
+    """`_hsum_embeddings` of summands with these (n, bottom, top). The
+    layout reads nothing else of a summand, so it is computed once per
+    tuple of shapes, though `hsum_congruences` asks for it on every call."""
+    top = 1 + sum(n - 2 for n, _, _ in shapes)
     _check_size(top + 1)
     embeddings, fresh = [], 1
-    for lat in family:
-        embeddings.append(_embedding(lat, {lat.bottom: 0, lat.top: top}, fresh))
-        fresh += lat.n - 2
+    for n, bottom, summand_top in shapes:
+        embeddings.append(_embedding(n, {bottom: 0, summand_top: top}, fresh))
+        fresh += n - 2
     return tuple(embeddings)
 
 
@@ -203,7 +214,7 @@ def interval_hsum(lat: Lattice, a: int, b: int, insert: Lattice):
         raise SummandTooSmall("the inserted lattice must have more than two elements")
     _check_size(lat.n + insert.n - 2)
     e0 = tuple(range(lat.n))
-    e1 = _embedding(insert, {insert.bottom: a, insert.top: b}, lat.n)
+    e1 = _embedding(insert.n, {insert.bottom: a, insert.top: b}, lat.n)
     labels = _extended(lat.labels, [f"1.{lab}" for x, lab in
                                     enumerate(insert.labels) if e1[x] >= lat.n])
     up, down = _union_up(len(labels), ((lat, e0), (insert, e1)), (a, b))

@@ -49,6 +49,16 @@ def _join_pairs(n: int, pairs) -> "Partition":
     return Partition._of_canonical(tuple(find(i) for i in range(n)))
 
 
+def _refines(p, q) -> bool:
+    """Whether the least-member block map p refines the block map q on the
+    same carrier: each element shares q's block with its p-block's least
+    member."""
+    for i, b in enumerate(p):
+        if q[i] != q[b]:
+            return False
+    return True
+
+
 def block_renderer(labels):
     """The block notation of a least-member block map over these labels.
 
@@ -151,11 +161,7 @@ class Partition:
     def leq(self, other: "Partition") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
         self._check(other)
-        ob = other.block_of
-        for i, b in enumerate(self.block_of):
-            if ob[i] != ob[b]:
-                return False
-        return True
+        return _refines(self.block_of, other.block_of)
 
     def join(self, other: "Partition") -> "Partition":
         """Least common coarsening (transitive closure of the union)."""
@@ -216,19 +222,24 @@ def is_congruence(lat, p: Partition) -> bool:
     """Compatibility with meet and join, checked by substitution.
 
     Only consecutive pairs inside each block are tested: compatibility for
-    the remaining pairs follows by transitivity.
+    the remaining pairs follows by transitivity. One walk of the block map
+    finds them, pairing each element with the last one seen in its block.
     """
     if p.n != lat.n:
         raise CarrierMismatch(f"partition on {p.n} elements, lattice has {lat.n}")
     mt, jt = lat.meet_t, lat.join_t
     b = p.block_of
     rng = range(lat.n)
-    for block in p.blocks():
-        for x, y in zip(block, block[1:]):
-            mx, my, jx, jy = mt[x], mt[y], jt[x], jt[y]
-            for z in rng:
-                if b[mx[z]] != b[my[z]] or b[jx[z]] != b[jy[z]]:
-                    return False
+    last = {}
+    for y, block in enumerate(b):
+        x = last.get(block)
+        last[block] = y
+        if x is None:
+            continue
+        mx, my, jx, jy = mt[x], mt[y], jt[x], jt[y]
+        for z in rng:
+            if b[mx[z]] != b[my[z]] or b[jx[z]] != b[jy[z]]:
+                return False
     return True
 
 

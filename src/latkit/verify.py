@@ -22,7 +22,7 @@ import random
 from .core import Lattice, bits, mask_of, named
 from .congruence import DEFAULT_MEMBER_CAP, all_congruences, is_simple
 from .construct import dilate, fat_intervals, horizontal_sum, hsum_congruences
-from .equiv import Partition, is_congruence
+from .equiv import Partition, _canon, _refines, block_renderer, is_congruence
 from .errors import BadConfig, LatticeError, SizeCapExceeded
 from .filters import all_filters, all_ideals, is_filter, is_ideal, \
     is_prime_filter, is_prime_ideal, prime_filters, prime_ideals
@@ -33,6 +33,8 @@ DEFAULT_SUMMAND_CAP = 10
 CENSUS_CAP = 10
 COUNT_CAP = 10_000
 ISO_NODE_CAP = 1_000_000  # a few seconds of search
+
+_B2 = named("B2")  # the second summand of `check_b2_hsum_simple`
 
 
 class CheckReport:
@@ -536,52 +538,63 @@ def _product_problems(lats, H, embeddings, conH, taus):
     product, so assembly is a bijection onto Con01(H), and an order
     isomorphism when (1) restriction to each summand gives back the
     members assembled and (2) each summand's `ConLattice.leq` agrees with
-    refinement on its Con01. No class of a member of Con01(H) meets two
-    summands' interiors: x and y from two of them have x ∧ y = 0, so
-    x ≡ y would give x = x ∧ x ≡ x ∧ y = 0, while the class of 0 is {0}.
-    So a member is the union of its restrictions, θ refines φ iff each
-    restriction of θ refines that of φ, and by (1) and (2) that is the
-    product order. Refinement is the arbiter."""
+    refinement on its Con01, compared for every pair of its members. No
+    class of a member of Con01(H) meets two summands' interiors: x and y
+    from two of them have x ∧ y = 0, so x ≡ y would give
+    x = x ∧ x ≡ x ∧ y = 0, while the class of 0 is {0}. So a member is
+    the union of its restrictions, θ refines φ iff each restriction of θ
+    refines that of φ, and by (1) and (2) that is the product order.
+    Refinement is the arbiter.
+
+    The pass compares block maps: Con(H), its two-class members and
+    Con01(H) (`ConLattice.con01`) as the listing's `block_maps`, against
+    those of the Partitions `hsum_congruences` assembles, and each
+    restriction as the canonical block map of the assembled one's indexed
+    entries. Partitions are built only for the summands' Con01 members,
+    which `hsum_congruences` assembles and `Partition.leq` orders."""
     cons = [all_congruences(lat) for lat in lats]
-    con01s = [con.con01_members() for con in cons]
+    indices = [con.con01() for con in cons]
+    con01s = [[Partition._of_canonical(con.block_maps[i]) for i in ix]
+              for con, ix in zip(cons, indices)]
     size = math.prod(map(len, con01s))
     if size > DEFAULT_MEMBER_CAP:
         raise _Skip("predicted congruence product too large")
     assembled = {key: hsum_congruences(zip(lats, [c[k] for c, k in
-                                                  zip(con01s, key)]))
+                                                  zip(con01s, key)])).block_of
                  for key in itertools.product(*map(range, map(len, con01s)))}
     predicted01 = set(assembled.values())
-    predicted = predicted01 | set(taus) | {Partition.nabla(H.n)}
-    computed, problems = set(conH.members), []
+    two_class = {tau.block_of for tau in taus}
+    predicted = predicted01 | two_class | {(0,) * H.n}
+    computed, problems = set(conH.block_maps), []
+    render = block_renderer(H.labels)
 
-    def rendered(parts):
-        return [p.render(H.labels) for p in sorted(parts,
-                                                   key=lambda p: p.block_of)]
+    def rendered(maps):
+        return [render(m) for m in sorted(maps)]
 
     if computed != predicted:
         problems.append({"extra": rendered(computed - predicted),
                          "missing": rendered(predicted - computed)})
-    two_class = {m for m in conH.members if m.num_blocks == 2}
-    if two_class != set(taus):
+    found = {m for m in conH.block_maps if len(set(m)) == 2}
+    if found != two_class:
         problems.append({"case_index": len(taus),
-                         "two_class_found": rendered(two_class)})
-    con01H = conH.con01_members()
-    if set(con01H) != predicted01 or len(con01H) != size:
+                         "two_class_found": rendered(found)})
+    con01H = conH.con01()
+    if {conH.block_maps[i] for i in con01H} != predicted01 \
+            or len(con01H) != size:
         problems.append({"con01": len(con01H), "expected": size})
-    for lat, con, con01 in zip(lats, cons, con01s):
+    for lat, con, ix, con01 in zip(lats, cons, indices, con01s):
         if len(con01) == 1:
             continue  # delta alone, with nothing to order
-        indices = [con.index_of(m) for m in con01]
-        mismatch = next(([p, q] for a, p in zip(indices, con01)
-                         for b, q in zip(indices, con01)
+        mismatch = next(([p, q] for a, p in zip(ix, con01)
+                         for b, q in zip(ix, con01)
                          if con.leq(a, b) != p.leq(q)), None)
         if mismatch:
             problems.append({"order_mismatch": [
                 p.render(lat.labels) for p in mismatch]})
     for key, theta in assembled.items():
-        if any(theta.restrict(e) != con01[k]
+        if any(_canon([theta[x] for x in e]) != con01[k].block_of
                for e, con01, k in zip(embeddings, con01s, key)):
-            problems.append({"restriction_differs": theta.render(H.labels)})
+            problems.append({"restriction_differs": render(theta)})
     return problems
 
 
@@ -602,7 +615,7 @@ def _partition_of(n, *masks):
 def check_prime_equivalences(lat: Lattice) -> CheckReport:
     """Five-way prime-filter equivalence and the two-class characterization."""
     con = all_congruences(lat)
-    coatoms = {con.members[i] for i in con.coatoms()}
+    coatoms = {con.block_maps[i] for i in con.coatoms()}
     full = (1 << lat.n) - 1
     problems = []
     fam = all_filters(lat)
@@ -617,31 +630,34 @@ def check_prime_equivalences(lat: Lattice) -> CheckReport:
         flags.append(bool(flags[1] and is_prime_ideal(lat, comp)))
         part = _partition_of(lat.n, fmask, full ^ fmask)
         flags.append(is_congruence(lat, part))
-        flags.append(part in coatoms)
+        flags.append(part.block_of in coatoms)
         if len(set(flags)) != 1:
             problems.append({
                 "filter": [lat.labels[i] for i in bits(fmask)],
                 "flags": flags,
             })
-    pf_sets = set(prime_filters(lat).prime_sets())
-    pid_sets = set(prime_ideals(lat).prime_sets())
-    nab = Partition.nabla(lat.n)
-    for m in con.members:
-        two = m.num_blocks == 2
-        zero_class = m.block(lat.bottom)
-        one_class = m.block(lat.top)
+    pf_masks = set(prime_filters(lat).masks)
+    pid_masks = set(prime_ideals(lat).masks)
+    n, bottom, top = lat.n, lat.bottom, lat.top
+    nab = (0,) * n
+    render = block_renderer(lat.labels)
+    for m in con.block_maps:
+        classes = {}  # block id -> the mask of its block
+        for x, b in enumerate(m):
+            classes[b] = classes.get(b, 0) | 1 << x
+        two = len(classes) == 2
+        zero_class, one_class = classes[m[bottom]], classes[m[top]]
         alt = (
             m != nab
-            and len(zero_class) + len(one_class) == lat.n
-            and m == _partition_of(lat.n, mask_of(zero_class),
-                                   mask_of(one_class))
+            and zero_class.bit_count() + one_class.bit_count() == n
+            and m == _partition_of(n, zero_class, one_class).block_of
         )
         if two != alt:
-            problems.append({"congruence": m.render(lat.labels),
+            problems.append({"congruence": render(m),
                              "two_blocks": two, "bound_cover": alt})
-        if two and (frozenset(one_class) not in pf_sets
-                    or frozenset(zero_class) not in pid_sets):
-            problems.append({"congruence": m.render(lat.labels),
+        if two and (one_class not in pf_masks
+                    or zero_class not in pid_masks):
+            problems.append({"congruence": render(m),
                              "reason": "classes not prime filter/ideal"})
     return lat, problems, {"filters": len(fam), "congruences": len(con)}
 
@@ -652,7 +668,7 @@ def check_irreducibility(lat: Lattice) -> CheckReport:
     if lat.trivial:
         raise _Skip("needs a non-trivial lattice")
     con = all_congruences(lat)
-    coatoms = {con.members[i] for i in con.coatoms()}
+    coatoms = {con.block_maps[i] for i in con.coatoms()}
     n = lat.n
     full = (1 << n) - 1
     problems = []
@@ -667,7 +683,7 @@ def check_irreducibility(lat: Lattice) -> CheckReport:
         flags.append(is_prime_ideal(side, [b]))
         part = _partition_of(n, 1 << b, rest)
         flags.append(is_congruence(side, part))
-        flags.append(part in coatoms)
+        flags.append(part.block_of in coatoms)
         if len(set(flags)) != 1:
             problems.append({"bound": bound, "flags": flags})
 
@@ -719,11 +735,11 @@ def check_spechsum(A: Lattice, B: Lattice) -> CheckReport:
             problems.append({key: sorted(sorted(H.labels[x] for x in s)
                                          for s in found - candidates)})
     con = all_congruences(H)
-    coatoms = {con.members[i] for i in con.coatoms()}
+    coatoms = {con.block_maps[i] for i in con.coatoms()}
     for side, allowed, f, i in sides:
         part = _partition_of(H.n, mask_of(f), mask_of(i))
         flags = [allowed, f in pf, i in pid, is_congruence(H, part),
-                 part in coatoms]
+                 part.block_of in coatoms]
         if len(set(flags)) != 1:
             problems.append({"side": side, "flags": flags})
     return H, problems, {"prime_filters": len(pf), "prime_ideals": len(pid)}
@@ -741,9 +757,9 @@ def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
             for _, allowed, f, i in _sides(A, B, embeddings) if allowed]
     problems = _product_problems([A, B], H, embeddings, conH, taus)
     # the two-class members sit above all of con01, pairwise incomparable
-    con01H = conH.con01_members()
+    con01H = [conH.block_maps[i] for i in conH.con01()]
     for tau in taus:
-        if not all(th.leq(tau) for th in con01H):
+        if not all(_refines(th, tau.block_of) for th in con01H):
             problems.append({"tau_not_above_con01": tau.render(H.labels)})
     if len(taus) == 2 and (taus[0].leq(taus[1]) or taus[1].leq(taus[0])):
         problems.append({"taus_comparable": True})
@@ -802,8 +818,8 @@ def check_b2_hsum_simple(S: Lattice) -> CheckReport:
     if S.n <= 2:
         raise _Skip("needs more than two elements")
     conS = all_congruences(S)
-    con01S = conS.con01_members()
-    H, _ = horizontal_sum([S, named("B2")])
+    con01S = conS.con01()
+    H, _ = horizontal_sum([S, _B2])
     conH = all_congruences(H)
     problems = []
     if len(conH) != len(con01S) + 1:

@@ -40,8 +40,9 @@ every input, and the same tables for every lattice.
 `congruence._closures`, which builds only the join rows it reads, is
 checked against `closures_by_join_table`, its reading of the whole join
 table. The product pass of the horizontal-sum checks, which checks the
-Con01 order isomorphism along covers, is checked against
-`con01_order_problems_by_pairs`, the comparison of every pair of Con01
+Con01 order isomorphism on each summand, comparing every pair of the
+summand's Con01 members through `ConLattice.leq`, is checked against
+`con01_order_problems_by_pairs`, the comparison of every pair of Con01(H)
 members that it replaced.
 
 `cover_pairs`, which drops the upset of each element it tests, is checked

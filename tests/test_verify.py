@@ -280,11 +280,11 @@ def _swapping_two_choices(real):
 
 
 def _dropping_the_last_on_sums(real):
-    """`ConLattice.con01_members` with its last member dropped on a
-    horizontal sum, and kept on every other lattice, so on the summands."""
+    """`ConLattice.con01` with its last index dropped on a horizontal sum,
+    and kept on every other lattice, so on the summands."""
     def mutant(self):
-        members = real(self)
-        return members[:-1] if self.name.startswith("hsum(") else members
+        indices = real(self)
+        return indices[:-1] if self.name.startswith("hsum(") else indices
     return mutant
 
 
@@ -295,9 +295,9 @@ PRODUCT_MUTANTS = {
         "restriction_differs"),
     "ConLattice.leq holds everywhere": (
         ConLattice, "leq", lambda self, i, j: True, "order_mismatch"),
-    "ConLattice.con01_members drops its last member on the sum": (
-        ConLattice, "con01_members",
-        _dropping_the_last_on_sums(ConLattice.con01_members), "con01"),
+    "ConLattice.con01 drops its last index on the sum": (
+        ConLattice, "con01",
+        _dropping_the_last_on_sums(ConLattice.con01), "con01"),
 }
 
 
@@ -311,6 +311,47 @@ def test_a_product_pass_mutant_fails_both_sum_checks(monkeypatch, mutant):
     for r in (check_cghsum(c4, c4), check_multi_hsum([c4] * 3)):
         assert r.status == "FAIL"
         assert any(key in p for p in r.details["witness"])
+
+
+# Each mutant sets one flag of the five-way prime equivalence to False,
+# so on a prime filter the flags read as given.
+PRIME_FLAG_MUTANTS = {
+    "verify.is_ideal": (verify, "is_ideal", lambda lat, subset: False,
+                        [True, False, False, True, True]),
+    "verify.is_prime_ideal": (verify, "is_prime_ideal",
+                              lambda lat, subset: False,
+                              [True, True, False, True, True]),
+    "verify.is_congruence": (verify, "is_congruence", lambda lat, p: False,
+                             [True, True, True, False, True]),
+    "ConLattice.coatoms": (ConLattice, "coatoms", lambda self: [],
+                           [True, True, True, True, False]),
+}
+
+
+@pytest.mark.parametrize("mutant", PRIME_FLAG_MUTANTS)
+def test_a_prime_flag_mutant_fails_the_prime_check(monkeypatch, mutant):
+    owner, name, value, flags = PRIME_FLAG_MUTANTS[mutant]
+    census = enumerate_lattices(6)
+    assert all(check_prime_equivalences(lat).passed for lat in census)
+    monkeypatch.setattr(owner, name, value)
+    failed = [r for r in map(check_prime_equivalences, census)
+              if r.status == "FAIL"]
+    assert failed
+    assert any(p.get("flags") == flags
+               for r in failed for p in r.details["witness"])
+
+
+def test_the_checks_read_no_con_member_as_a_partition(monkeypatch):
+    # The checks read Con(L) off the listing's block maps and masks; only
+    # a failed report renders its witness, and that from block maps too.
+    def no_members(self):
+        raise AssertionError("a check read ConLattice.members")
+
+    monkeypatch.setattr(ConLattice, "members", property(no_members))
+    reports = run_suite(seed=7, count=100, max_size=12, inject_fault=True)
+    assert {r.check_name for r in reports} == set(CHECK_NAMES.values())
+    assert [r.instance_descr for r in reports if r.status == "FAIL"] == \
+        ["N5-corrupted"]
 
 
 def test_check_dilate():
