@@ -11,13 +11,15 @@ collapses with j₋; the sets that arise are exactly those closed under D
 `_dependency` indexes the join-irreducibles 0..|J|-1 and returns two
 lists of J-indexed bitmasks: `jbelow[x]`, the join-irreducibles below
 x, and `closure[t]`, the D*-closure of {t}, which is the set that
-con(t₋, t) collapses. A closed set S is a union of closures, and its
-congruence identifies x and y exactly when `jbelow[x] & ~S` equals
-`jbelow[y] & ~S`. Joins and meets in Con(L) are ORs and ANDs of these
-masks. The closed sets are the downsets of the preorder "t lies in
-closure[u]", so a cover adds one D*-class (the join-irreducibles that
-force each other), and a coatom drops one class that nothing outside it
-forces. Con(L) is distributive, so its prime members are its
+con(t₋, t) collapses. D is read off the arrow relations, not the join
+table: j D k or j = k iff some meet-irreducible m, with upper cover m*,
+lies above k₋ but not above k, and j lies below m* but not below m. A
+closed set S is a union of closures, and its congruence identifies x
+and y exactly when `jbelow[x] & ~S` equals `jbelow[y] & ~S`. Joins and
+meets in Con(L) are ORs and ANDs of these masks. The closed sets are
+the downsets of the preorder "t lies in closure[u]", so a cover adds
+one D*-class (the join-irreducibles that force each other), and a
+coatom drops one class that nothing outside it forces. Con(L) is distributive, so its prime members are its
 meet-irreducibles: one per class, J(L) without the join-irreducibles
 that force the class. `prime_congruences` reads them off the closures,
 so it lists no other member.
@@ -38,9 +40,10 @@ Con(L) (`con_summary`):
   the AND of the closures, non-empty exactly when L is subdirectly
   irreducible; L is simple exactly when every closure is all of J(L).
 
-The closure readers take no size cap: they cost O(|J|·n) joins, read
-off the up masks, and O(|J|²) mask operations, so they answer on any
-lattice that can be built, and build no operation table.
+The closure readers take no size cap: they cost O(|J|·|M|) mask
+operations for D, over the meet-irreducibles M, and O(|J|²) for its
+transitive closure, so they answer on any lattice that can be built,
+and build no operation table.
 
 Listing Con(L) is `all_congruences`'s job alone, and its caps bind only
 the listings. It refuses a lattice above DEFAULT_CON_CAP elements before
@@ -120,27 +123,33 @@ def _dependency(lat):
 
 
 def _closures(lat):
-    """(jbelow, closure) of lat, computed afresh."""
+    """(jbelow, closure) of lat, computed afresh, with D read off the
+    arrow relations (module docstring): before the Warshall pass, the
+    closure of the t-th join-irreducible k is the OR of
+    jbelow[m*] & ~jbelow[m] over the meet-irreducibles m above k₋ but
+    not above k."""
     n, up, down = lat.n, lat.up, lat.down
     down_id = {d: x for x, d in enumerate(down)}
+    up_id = {u: x for x, u in enumerate(up)}
     # k is join-irreducible iff what lies strictly below k is a principal
-    # down-set, that of k's one lower cover k₋ (never so for the bottom)
+    # down-set, that of k's one lower cover k₋ (never so for the bottom);
+    # dually, m is meet-irreducible iff ↑m - {m} is ↑m*
     joins = [k for k in range(n) if down[k] ^ (1 << k) in down_id]
-    lower = [down_id[down[k] ^ (1 << k)] for k in joins]
     jbelow = [0] * n
     for t, j in enumerate(joins):
         for x in bits(up[j]):
             jbelow[x] |= 1 << t
-    # the join rows of the join-irreducibles and their lower covers, each
-    # built once, and no others
-    up_id = {u: x for x, u in enumerate(up)}
-    rows = {x: [up_id[up[x] & u] for u in up] for x in {*joins, *lower}}
+    arrow, meets = [0] * n, 0  # arrow[m]: the j with j <= m* but not j <= m
+    for m in range(n):
+        star = up_id.get(up[m] ^ (1 << m))
+        if star is not None:
+            arrow[m] = jbelow[star] & ~jbelow[m]
+            meets |= 1 << m
     closure = []
-    for k, k_minus in zip(joins, lower):
-        row, row_minus = rows[k], rows[k_minus]
-        dep = 0  # x = bottom puts k itself in, making the closure reflexive
-        for x in range(n):
-            dep |= jbelow[row[x]] & ~jbelow[row_minus[x]]
+    for k in joins:
+        dep = 0  # a greatest m above k₋ but not k has k <= m*, putting k in
+        for m in bits(up[down_id[down[k] ^ (1 << k)]] & ~up[k] & meets):
+            dep |= arrow[m]
         closure.append(dep)
     for t, ct in enumerate(closure):  # Warshall: close under D transitively
         bit = 1 << t

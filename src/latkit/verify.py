@@ -321,7 +321,7 @@ def corpus(seed: int, count: int, max_size: int):
 
 
 def _coatom_extensions(lat, keep=None):
-    """(up, down) masks of each lattice that is `lat` plus a new coatom.
+    """Each down-set D of `lat` above which a new coatom makes a lattice.
 
     `lat` is labelled along a linear extension with its top last. For
     each down-closed set D holding the bottom but not the top, the new
@@ -336,7 +336,7 @@ def _coatom_extensions(lat, keep=None):
     the mask of its pairwise joins; a set is dropped once one of those
     joins is decided outside it, since a later element never lies below
     an earlier one. `keep`, if given, is a test on D that the child must
-    pass before its masks are built.
+    pass to be yielded.
     """
     m = lat.n
     downsets = [(1, 1)]  # (D, the mask of the joins of pairs in D)
@@ -349,46 +349,82 @@ def _coatom_extensions(lat, keep=None):
                     joins |= 1 << row[y]
                 grown.append((d | bit, joins | bit))
         downsets = [e for e in downsets if not e[1] & bit] + grown
-    c, below_c = 1 << (m - 1), (1 << (m - 1)) - 1
-    top = c << 1
     for d, _ in downsets:
-        if keep is not None and not keep(d):
-            continue
-        up = tuple((u & below_c) | (c if (d >> i) & 1 else 0) | top
-                   for i, u in enumerate(lat.up[:-1])) + (c | top, top)
-        yield up, lat.down[:-1] + (d | c, (top << 1) - 1)
+        if keep is None or keep(d):
+            yield d
 
 
-def _least_lows(up, down):
-    """The least (lows[0], ..., lows[n-1]) over linear extensions of an order.
-
-    The order is a lattice given by its up and down masks. lows[j] is
-    the mask of the positions strictly below the element placed at
-    position j. The tuple fixes the lattice up to isomorphism.
-    Backtracking fills positions in order. Each element x keeps its
-    code, the mask of the positions of its placed lower elements, and
-    its wait, the count of its lower elements not yet placed; placing x
-    at position j adds bit j to the code of each element strictly above
-    x and takes one from its wait, and the elements whose wait reaches
-    0 join the mask of candidates handed down (undone on return). Only
-    the candidates of least code are followed. A frame is tight while
-    its prefix equals the best tuple's prefix; otherwise the prefix is
-    below it (or there is no best yet), and nothing is pruned. A tight
-    frame whose least code exceeds the best's at its position is
-    dropped, and one whose least code is below it is no longer tight.
-    Each frame returns whether it replaced the best; the new best shares
-    the frame's prefix, so the frame is tight again for its later
-    children. Of the candidates with the same strict upset and downset
-    (swapped by an automorphism), only the one of least index is tried.
-    """
+def _tables(up, down):
+    """(above, wait, twins), the tables `_search` reads, of the order with
+    these up and down masks: above[x], the elements strictly above x in
+    ascending order; wait[x], the number strictly below x; twins[x], the
+    mask of the elements of smaller index with x's strict upset and
+    strict downset (swapped with x by an automorphism)."""
     n = len(up)
     above = [tuple(bits(up[x] & ~(1 << x))) for x in range(n)]
     wait = [(down[x] & ~(1 << x)).bit_count() for x in range(n)]
-    seen, earlier_twins = {}, []  # the mask of x's twins of smaller index
+    seen, twins = {}, []
     for x in range(n):
         twin = (down[x] & ~(1 << x), up[x] & ~(1 << x))
-        earlier_twins.append(seen.get(twin, 0))
-        seen[twin] = earlier_twins[x] | 1 << x
+        twins.append(seen.get(twin, 0))
+        seen[twin] = twins[x] | 1 << x
+    return above, wait, twins
+
+
+def _child_tables(lat, downsets):
+    """The `_tables` of `lat` plus a new coatom above each D in
+    `downsets`, handed down from those of `lat`, with no child mask built.
+
+    In the child (see `_coatom_extensions`) c = m - 1 takes the old
+    top's index and the top is m. An element x below the old top keeps
+    its strict downset, and its strict upset gains c if x is in D and
+    the top in any case, so above[x] is `lat`'s, whose last entry is the
+    old top, with that entry kept as c or not and the top appended. c
+    waits for |D| elements and the top for m. Two elements below the
+    old top are twins in the child iff they are in `lat` and both lie in
+    D or both outside it. c's twins are the coatoms of `lat` whose strict
+    downset is D, and the top has none.
+    """
+    m = lat.n
+    above, wait, twins = _tables(lat.up, lat.down)
+    pairs = [(a[:-1] + (m,), a + (m,)) for a in above[:-1]]
+    wait, twins, top = wait[:-1], twins[:-1], (m,)
+    coatoms = {}
+    for y in range(m - 1):
+        if len(above[y]) == 1:  # only the old top above y
+            strict = lat.down[y] & ~(1 << y)
+            coatoms[strict] = coatoms.get(strict, 0) | 1 << y
+    for d in downsets:
+        inside = [d >> x & 1 for x in range(m - 1)]
+        yield ([p[i] for p, i in zip(pairs, inside)] + [top, ()],
+               wait + [d.bit_count(), m],
+               [t & d if i else t & ~d for t, i in zip(twins, inside)]
+               + [coatoms.get(d, 0), 0])
+
+
+def _search(above, wait, twins):
+    """The least (lows[0], ..., lows[n-1]) over linear extensions of a
+    lattice given by its `_tables`; `wait` is used as scratch and left as
+    it was.
+
+    lows[j] is the mask of the positions strictly below the element
+    placed at position j. Backtracking fills positions in order. Each
+    element x keeps its code, the mask of the positions of its placed
+    lower elements, and its wait, the count of its lower elements not
+    yet placed; placing x at position j adds bit j to the code of each
+    element strictly above x and takes one from its wait, and the
+    elements whose wait reaches 0 join the mask of candidates handed
+    down (undone on return). Only the candidates of least code are
+    followed. A frame is tight while its prefix equals the best tuple's
+    prefix; otherwise the prefix is below it (or there is no best yet),
+    and nothing is pruned. A tight frame whose least code exceeds the
+    best's at its position is dropped, and one whose least code is below
+    it is no longer tight. Each frame returns whether it replaced the
+    best; the new best shares the frame's prefix, so the frame is tight
+    again for its later children. Of the candidates with the same strict
+    upset and downset (twins), only the one of least index is tried.
+    """
+    n = len(above)
     code = [0] * n
     lows = [0] * n
     best = None
@@ -414,7 +450,7 @@ def _least_lows(up, down):
         lows[j] = least
         bit, replaced = 1 << j, False
         for x in group:
-            if avail & earlier_twins[x]:
+            if avail & twins[x]:
                 continue
             rest = avail ^ 1 << x
             for y in above[x]:
@@ -429,8 +465,16 @@ def _least_lows(up, down):
                 wait[y] += 1
         return replaced
 
-    rec(0, mask_of(x for x in range(n) if not wait[x]), False)
+    rec(0, 1 << wait.index(0), False)  # a lattice's one minimal element
     return tuple(best)
+
+
+def _least_lows(up, down):
+    """The least lows tuple (`_search`) of the lattice with these up and
+    down masks, from tables built afresh. The tuple fixes the lattice up
+    to isomorphism; the census keys its children by it, with tables
+    handed down from their parents (`_child_tables`)."""
+    return _search(*_tables(up, down))
 
 
 def _coatom_invariants(lat):
@@ -482,16 +526,18 @@ def enumerate_lattices(max_n: int):
     with a coatom added (McKay, "Isomorph-free exhaustive generation",
     1998; Heitzig and Reinhold, "Counting finite lattices", 2002).
     `_coatom_extensions` tests each such child on its parent's join
-    table, as order masks. A child is kept only if its new coatom has
+    table, as the down-set D below its new coatom. A child is kept only if its new coatom has
     the greatest invariant among its coatoms (`_greatest_new_coatom`,
-    read off the parent before the child's masks are built). No class
+    read off the parent and D). No class
     is lost: take any class L of size n and a coatom c of L with the
     greatest invariant; L - c is isomorphic to a class P of size n - 1,
     and P plus a coatom above the image of ↓c - {c} is isomorphic to L,
     with c as its new coatom, so it passes. Each kept child is keyed by
-    its least lows tuple over linear extensions (`_least_lows`), which
-    is equal for two children exactly when they are isomorphic, and the
+    its least lows tuple over linear extensions (`_search`), which is
+    equal for two children exactly when they are isomorphic, and the
     keys in a set drop the duplicates (ties and isomorphic siblings).
+    The search reads tables that each parent builds once and hands down
+    to its children (`_child_tables`), so no child's masks are built.
     Each class is built unvalidated on e0..e{n-1} from that tuple, as a
     lattice by construction; the classes of each size are listed by it.
     """
@@ -504,9 +550,9 @@ def enumerate_lattices(max_n: int):
     level = out[1:]
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
-        found = {_least_lows(up, down) for parent in level
-                 for up, down in _coatom_extensions(
-                     parent, _greatest_new_coatom(parent))}
+        found = {_search(*tables) for parent in level
+                 for tables in _child_tables(parent, _coatom_extensions(
+                     parent, _greatest_new_coatom(parent)))}
         level = [Lattice._unchecked(
                      labels, _up_of_lows(lows),
                      tuple(low | 1 << j for j, low in enumerate(lows)),
@@ -600,12 +646,14 @@ def _product_problems(lats, H, embeddings, conH, taus):
 
 def _partition_of(n, *masks):
     """The partition of 0..n-1 into these blocks, given as disjoint
-    non-empty masks that cover it, built as its least-member block map."""
+    non-empty masks that cover it, built as its least-member block map
+    by one test per index in each mask's span."""
     block_of = [0] * n
     for m in masks:
         least = (m & -m).bit_length() - 1
-        for x in bits(m):
-            block_of[x] = least
+        for x in range(least, m.bit_length()):
+            if m >> x & 1:
+                block_of[x] = least
     return Partition._of_canonical(tuple(block_of))
 
 

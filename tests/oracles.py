@@ -13,8 +13,10 @@ the generator it replaced, which keys every child and validates every
 class. Its keying is `least_lows_by_rebuilt_codes`, the search that
 `_least_lows` replaced, which rebuilds each candidate's code at every
 node, and its up masks come from `up_of_lows`, which gathers each
-element's upper positions in turn. Exponential, so callers keep carriers
-small.
+element's upper positions in turn. Each child's order masks come from
+`child_masks`, the build the census replaced when it began to hand each
+parent's search tables down to its children. Exponential, so callers
+keep carriers small.
 
 The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
@@ -37,7 +39,7 @@ and builds the meet and join tables on first read, is checked against
 `validated_eagerly`, the eager build it replaced: the same exception for
 every input, and the same tables for every lattice.
 
-`congruence._closures`, which builds only the join rows it reads, is
+`congruence._closures`, which reads D off the arrow relations, is
 checked against `closures_by_join_table`, its reading of the whole join
 table. The product pass of the horizontal-sum checks, which checks the
 Con01 order isomorphism on each summand, comparing every pair of the
@@ -491,6 +493,18 @@ def up_of_lows(lows):
                  for i in range(n))
 
 
+def child_masks(lat, d):
+    """(up, down) masks of `lat` plus a new coatom above the down-set d,
+    labelled as `_coatom_extensions` describes: the coatom takes the old
+    top's index and the top moves one up."""
+    m = lat.n
+    c, below_c = 1 << (m - 1), (1 << (m - 1)) - 1
+    top = c << 1
+    up = tuple((u & below_c) | (c if (d >> i) & 1 else 0) | top
+               for i, u in enumerate(lat.up[:-1])) + (c | top, top)
+    return up, lat.down[:-1] + (d | c, (top << 1) - 1)
+
+
 def census_keying_every_child(max_n):
     """The census from every coatom extension of the classes one size down:
     each child is keyed by `least_lows_by_rebuilt_codes`, and each class is
@@ -500,8 +514,8 @@ def census_keying_every_child(max_n):
     level = out[1:]
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
-        found = {least_lows_by_rebuilt_codes(up, down) for parent in level
-                 for up, down in _coatom_extensions(parent)}
+        found = {least_lows_by_rebuilt_codes(*child_masks(parent, d))
+                 for parent in level for d in _coatom_extensions(parent)}
         level = [Lattice(labels, up_of_lows(lows), name=f"census({n})#{k}")
                  for k, lows in enumerate(sorted(found))]
         out += level
@@ -585,8 +599,8 @@ def con_lattice_by_partitions(lat):
 
 def closures_by_join_table(lat):
     """(jbelow, closure) of `congruence._closures`, computed as it was
-    before it built only the join rows it reads: D read off the whole
-    join table, `lat.join_t`."""
+    before it read D off the arrow relations: D read off the whole join
+    table, `lat.join_t`."""
     n, up, down, jt = lat.n, lat.up, lat.down, lat.join_t
     down_id = {d: x for x, d in enumerate(down)}
     joins = [k for k in range(n) if down[k] ^ (1 << k) in down_id]

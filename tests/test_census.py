@@ -5,12 +5,14 @@ import pytest
 
 from latkit import Lattice, corpus, enumerate_lattices, isomorphic, verify
 from latkit.core import bits
-from latkit.verify import (_coatom_extensions, _coatom_invariants,
-                           _greatest_new_coatom, _invariants, _least_lows,
+from latkit.verify import (_child_tables, _coatom_extensions,
+                           _coatom_invariants, _greatest_new_coatom,
+                           _invariants, _least_lows, _search,
                            _up_of_lows)
 
 from oracles import (_certificate, census_by_pairwise_iso,
-                     census_keying_every_child, coatom_children_by_validation,
+                     census_keying_every_child, child_masks,
+                     coatom_children_by_validation,
                      least_lows_by_rebuilt_codes, relabelled, up_of_lows)
 
 # Lattices with 1..10 elements up to isomorphism, OEIS A006966.
@@ -44,6 +46,10 @@ def _fingerprint(lats):
 def _tables(lats):
     return [(lat.name, lat.labels, lat.up, lat.down, lat.bottom, lat.top)
             for lat in lats]
+
+
+def _children(lat, keep=None):
+    return [child_masks(lat, d) for d in _coatom_extensions(lat, keep)]
 
 
 def _new_coatom_rank(up, down):
@@ -112,7 +118,7 @@ def test_least_lows_gives_the_census_representative():
 def test_least_lows_matches_the_search_rebuilding_every_code(census8):
     keyed = 0
     for lat in census8[1:]:
-        for up, down in _coatom_extensions(lat):
+        for up, down in _children(lat):
             lows = _least_lows(up, down)
             assert lows == least_lows_by_rebuilt_codes(up, down)
             assert _up_of_lows(lows) == up_of_lows(lows)
@@ -129,13 +135,38 @@ def test_least_lows_matches_the_search_rebuilding_every_code(census8):
 def test_coatom_extensions_are_the_children_lattice_accepts(census8):
     tried = 0
     for lat in census8[1:]:
-        got = list(_coatom_extensions(lat))
+        got = _children(lat)
         want, count = coatom_children_by_validation(lat)
         tried += count
         assert sorted(up for up, _ in got) == sorted(want)
         for up, down in got:
             assert down == Lattice([f"e{i}" for i in range(len(up))], up).down
     assert tried == 4809
+
+
+def test_handed_down_tables_match_the_tables_built_afresh(census8):
+    kept = 0
+    for lat in census8[1:]:
+        ds = list(_coatom_extensions(lat, _greatest_new_coatom(lat)))
+        afresh = [verify._tables(*child_masks(lat, d)) for d in ds]
+        assert list(_child_tables(lat, ds)) == afresh
+        kept += len(ds)
+    assert kept == 2039  # every kept child with 3 to 9 elements
+
+
+def test_a_new_coatom_twin_to_an_old_one_is_handed_down():
+    # chain(3) plus a coatom above {e0} is B2: the new coatom (index 2)
+    # has e1's strict upset and downset, so e1 is its earlier twin
+    chain3 = enumerate_lattices(3)[-1]
+    assert chain3.up == (0b111, 0b110, 0b100)
+    assert 1 in _coatom_extensions(chain3, _greatest_new_coatom(chain3))
+    tables = next(_child_tables(chain3, [1]))
+    assert tables == verify._tables(*child_masks(chain3, 1)) == (
+        [(1, 2, 3), (3,), (3,), ()], [0, 1, 1, 3], [0, 0, 0b10, 0])
+    lows = _search(*tables)
+    assert lows == (0, 0b1, 0b1, 0b111)
+    assert tables[1] == [0, 1, 1, 3]  # the search leaves wait as it was
+    assert _up_of_lows(lows) == (0b1111, 0b1010, 0b1100, 0b1000)  # B2
 
 
 @pytest.mark.parametrize("max_n", range(1, 9))
@@ -188,8 +219,8 @@ def test_greatest_new_coatom_keeps_the_children_the_child_side_rule_keeps(
         census8):
     kept = 0
     for lat in census8[1:]:
-        got = list(_coatom_extensions(lat, _greatest_new_coatom(lat)))
-        assert got == [child for child in _coatom_extensions(lat)
+        got = _children(lat, _greatest_new_coatom(lat))
+        assert got == [child for child in _children(lat)
                        if _new_coatom_rank(*child) >= 0]
         kept += len(got)
     assert kept == 2039  # of 3,555 children with 3 to 9 elements
@@ -198,8 +229,7 @@ def test_greatest_new_coatom_keeps_the_children_the_child_side_rule_keeps(
 def test_a_census_keeping_only_a_unique_greatest_new_coatom_loses_classes(
         monkeypatch):
     def unique_greatest(lat):
-        return lambda d: _new_coatom_rank(
-            *next(_coatom_extensions(lat, lambda e: e == d))) > 0
+        return lambda d: _new_coatom_rank(*child_masks(lat, d)) > 0
 
     monkeypatch.setattr(verify, "_greatest_new_coatom", unique_greatest)
     # B2's two coatoms tie, so it is never kept, and a chain's children

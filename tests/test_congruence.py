@@ -3,6 +3,7 @@ import pickle
 import random
 import weakref
 from functools import reduce
+from math import prod
 
 import pytest
 
@@ -666,8 +667,36 @@ def test_the_closure_readers_build_no_operation_table(monkeypatch):
 
 
 def test_the_closures_match_the_join_table_reading():
-    for lat in enumerate_lattices(8):
-        assert congruence._closures(lat) == closures_by_join_table(lat)
+    pool = corpus(7, 100, 20)
+    built = [horizontal_sum([a, b])[0] for a, b in zip(pool, pool[1:])]
+    built += [dilate(lat)[0] for lat in pool]
+    big = [lat for lat in built if lat.n <= 60]
+    assert len(big) > 150 and max(lat.n for lat in big) > 50
+    for lat in [*enumerate_lattices(8), *pool, *big]:
+        for side in (lat, lat.dual()):
+            assert congruence._closures(side) == closures_by_join_table(side)
+
+
+@pytest.mark.parametrize("k", [720720, 2**11 * 3**7, 12252240,
+                               2**17 * 3**8 * 5**2, 2**39])
+def test_con_of_a_divisor_lattice_past_the_brute_force_range(k):
+    # div(k) is distributive, so Con is Boolean on J, the prime powers
+    # dividing k. μ drops each prime p, an atom, and each p^e exactly
+    # dividing k, which alone is missing below the coatom k/p
+    exponents, p, rest = [], 2, k
+    while rest > 1:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            exponents.append(e)
+        p += 1
+    lat = named("div", k)
+    summary = con_summary(lat)
+    assert lat.n == prod(e + 1 for e in exponents) <= core.SIZE_CAP
+    assert summary.size == 2 ** sum(exponents)
+    assert summary.size01 == 2 ** sum(max(e - 2, 0) for e in exponents)
 
 
 def test_the_dependency_is_computed_once_per_lattice(monkeypatch):
