@@ -87,6 +87,7 @@ from math import prod
 from operator import and_, or_
 from typing import NamedTuple, Optional
 
+from .construct import _extended
 from .core import Lattice, _check_indices, bits, mask_of
 from .equiv import Partition, block_renderer, is_congruence
 from .errors import NotACongruence, SizeCapExceeded
@@ -310,9 +311,9 @@ class ConLattice:
         order, as lists of lines. From _LANES_PER_ELEMENT members per
         element on, each list holds the next _CHUNK members, rendered
         lane-wise (`_render_codes`) as one text that is split at a
-        character no label holds. A smaller listing, of fewer than
-        _LANES_PER_ELEMENT * DEFAULT_CON_CAP members, comes as one list
-        from `block_renderer`.
+        character in no label and none of `,{}`. A smaller listing, of
+        fewer than _LANES_PER_ELEMENT * DEFAULT_CON_CAP members, comes
+        as one list from `block_renderer`.
 
         The lane-wise text is built by byte planes. Each code's piece is
         encoded as UTF-8 with `surrogatepass`, so that a label holding a
@@ -325,7 +326,7 @@ class ConLattice:
         if not _by_lanes(len(self.rows), n):
             yield list(map(block_renderer(labels), self.block_maps))
             return
-        used = set("".join(labels))
+        used = set(",{}" + "".join(labels))
         sep = next(c for c in map(chr, count(10)) if c not in used)
         # the pieces of codes 0..n-1, 128..127+n and 255, in that order;
         # element 0 opens the first block of every member
@@ -609,9 +610,13 @@ def quotient(lat, p: Partition):
     blocks = p.blocks()
     pos = {block[0]: k for k, block in enumerate(blocks)}
     projection = tuple(pos[b] for b in p.block_of)
-    labels = [lat.labels[block[0]] if len(block) == 1 else
-              "{" + ",".join(lat.labels[i] for i in block) + "}"
-              for block in blocks]
+    # a singleton keeps its label; a brace label is primed until fresh
+    singles = [lat.labels[b[0]] for b in blocks if len(b) == 1]
+    braced = iter(_extended(singles, [
+        "{" + ",".join(lat.labels[i] for i in b) + "}"
+        for b in blocks if len(b) > 1])[len(singles):])
+    labels = [lat.labels[b[0]] if len(b) == 1 else next(braced)
+              for b in blocks]
     up = []
     for block in blocks:  # below block y iff some member is below one of y
         above = reduce(or_, (lat.up[i] for i in block))

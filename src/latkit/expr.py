@@ -43,18 +43,10 @@ class NamedAtom:
     kind: str
     arg: Optional[int] = None
 
-    def render(self) -> str:
-        if self.arg is None:
-            return self.kind
-        return f"{self.kind}({self.arg})"
-
 
 @dataclass(frozen=True)
 class FileAtom:
     path: str
-
-    def render(self) -> str:
-        return f"file({_quote(self.path)})"
 
 
 @dataclass(frozen=True)
@@ -62,16 +54,10 @@ class OSum:
     lower: object
     upper: object
 
-    def render(self) -> str:
-        return f"osum({self.lower.render()},{self.upper.render()})"
-
 
 @dataclass(frozen=True)
 class HSum:
     args: Tuple[object, ...]
-
-    def render(self) -> str:
-        return f"hsum({','.join(a.render() for a in self.args)})"
 
 
 @dataclass(frozen=True)
@@ -81,21 +67,28 @@ class IHSum:
     high: str
     insert: object
 
-    def render(self) -> str:
-        return (f"ihsum({self.base.render()},{_quote(self.low)},"
-                f"{_quote(self.high)},{self.insert.render()})")
-
 
 @dataclass(frozen=True)
 class Dilation:
     arg: object
 
-    def render(self) -> str:
-        return f"D({self.arg.render()})"
-
 
 def render(node) -> str:
-    return node.render()
+    """The canonical text of a parsed expression."""
+    if isinstance(node, NamedAtom):
+        return node.kind if node.arg is None else f"{node.kind}({node.arg})"
+    if isinstance(node, FileAtom):
+        return f"file({_quote(node.path)})"
+    if isinstance(node, OSum):
+        return f"osum({render(node.lower)},{render(node.upper)})"
+    if isinstance(node, HSum):
+        return f"hsum({','.join(map(render, node.args))})"
+    if isinstance(node, IHSum):
+        return (f"ihsum({render(node.base)},{_quote(node.low)},"
+                f"{_quote(node.high)},{render(node.insert)})")
+    if isinstance(node, Dilation):
+        return f"D({render(node.arg)})"
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- parser --------------------------------------------------------------------
@@ -243,7 +236,7 @@ def evaluate(node) -> Lattice:
             raise BadInput(f"{node.path}: not UTF-8 text ({e.reason})") from None
         except ValueError as e:  # a NUL in the path
             raise BadInput(f"{node.path!r}: {e}") from None
-        return Lattice.from_json(text, name=node.render())
+        return Lattice.from_json(text, name=render(node))
     if isinstance(node, OSum):
         return construct.ordinal_sum(evaluate(node.lower),
                                      evaluate(node.upper))[0]

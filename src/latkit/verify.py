@@ -119,27 +119,18 @@ def _check(name, arity):
 
 # -- isomorphism ---------------------------------------------------------------
 
-def _heights(lat, covers_down):
-    """Longest chain down from each element, given its lower covers."""
-    order = sorted(range(lat.n), key=lambda i: bin(lat.down[i]).count("1"))
-    h = [0] * lat.n
-    for i in order:
-        below = covers_down[i]
-        h[i] = 1 + max((h[j] for j in below), default=-1)
-    return h
-
-
 def _invariants(lat):
-    """Per-element isomorphism-invariant colors, stabilized by refinement."""
+    """Per-element isomorphism-invariant colours: (upper covers, lower
+    covers, |↓x|, |↑x|), refined by the covers' colours until stable
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014)."""
     n = lat.n
     ups = [[] for _ in range(n)]
     downs = [[] for _ in range(n)]
     for i, j in lat.cover_pairs:
         ups[i].append(j)
         downs[j].append(i)
-    height = _heights(lat, downs)
-    depth = _heights(lat.dual(), ups)
-    inv = [(len(ups[i]), len(downs[i]), height[i], depth[i]) for i in range(n)]
+    inv = [(len(ups[i]), len(downs[i]), lat.down[i].bit_count(),
+            lat.up[i].bit_count()) for i in range(n)]
     classes = len(set(inv))
     while True:
         keys = [
@@ -158,13 +149,13 @@ def _invariants(lat):
 def isomorphic(a: Lattice, b: Lattice):
     """An order isomorphism a -> b as an index list, or None.
 
-    Backtracking over invariant-compatible candidates, trying elements in
-    index order and candidates ascending, so the witness returned is the
-    lexicographically least isomorphism. Colour refinement cannot tell
-    some pairs apart (a crown whose atom-coatom covers form one cycle
-    against one whose covers form two), and their search grows
-    exponentially, so it raises SizeCapExceeded past ISO_NODE_CAP
-    partial maps.
+    Backtracking over same-coloured candidates (`_invariants`, which
+    every isomorphism keeps), trying elements in index order and
+    candidates ascending, so the witness returned is the
+    lexicographically least isomorphism. The colours cannot tell some
+    pairs apart (a crown whose atom-coatom covers form one cycle against
+    one whose covers form two), and their search grows exponentially,
+    so it raises SizeCapExceeded past ISO_NODE_CAP partial maps.
     """
     if a.n != b.n:
         return None
@@ -222,10 +213,9 @@ _ATOM_POOL = (
 
 
 def _named_baseline():
-    out = [named("chain", k) for k in (2, 3, 4, 5)]
-    out += [named("B2"), named("M3"), named("N5"), named("K")]
-    out += [named("div", k) for k in (4, 6, 8, 12, 16, 24, 30, 36)]
-    return out
+    pool = _ATOM_POOL + [("div", k) for k in (16, 24, 30, 36)]
+    return [named(kind) if arg is None else named(kind, arg)
+            for kind, arg in pool]
 
 
 def _random_expr(rng, depth):
@@ -320,7 +310,7 @@ def corpus(seed: int, count: int, max_size: int):
     return out
 
 
-def _coatom_extensions(lat, keep=None):
+def _coatom_extensions(lat):
     """Each down-set D of `lat` above which a new coatom makes a lattice.
 
     `lat` is labelled along a linear extension with its top last. For
@@ -335,8 +325,7 @@ def _coatom_extensions(lat, keep=None):
     principal ideal). The sets D are grown in index order, each with
     the mask of its pairwise joins; a set is dropped once one of those
     joins is decided outside it, since a later element never lies below
-    an earlier one. `keep`, if given, is a test on D that the child must
-    pass to be yielded.
+    an earlier one. The census keeps the D that `_greatest_new_coatom` passes.
     """
     m = lat.n
     downsets = [(1, 1)]  # (D, the mask of the joins of pairs in D)
@@ -349,9 +338,7 @@ def _coatom_extensions(lat, keep=None):
                     joins |= 1 << row[y]
                 grown.append((d | bit, joins | bit))
         downsets = [e for e in downsets if not e[1] & bit] + grown
-    for d, _ in downsets:
-        if keep is None or keep(d):
-            yield d
+    return [d for d, _ in downsets]
 
 
 def _tables(up, down):
@@ -469,14 +456,6 @@ def _search(above, wait, twins):
     return tuple(best)
 
 
-def _least_lows(up, down):
-    """The least lows tuple (`_search`) of the lattice with these up and
-    down masks, from tables built afresh. The tuple fixes the lattice up
-    to isomorphism; the census keys its children by it, with tables
-    handed down from their parents (`_child_tables`)."""
-    return _search(*_tables(up, down))
-
-
 def _coatom_invariants(lat):
     """(invariant, bit) of each coatom y of `lat`, greatest first.
 
@@ -526,20 +505,21 @@ def enumerate_lattices(max_n: int):
     with a coatom added (McKay, "Isomorph-free exhaustive generation",
     1998; Heitzig and Reinhold, "Counting finite lattices", 2002).
     `_coatom_extensions` tests each such child on its parent's join
-    table, as the down-set D below its new coatom. A child is kept only if its new coatom has
-    the greatest invariant among its coatoms (`_greatest_new_coatom`,
-    read off the parent and D). No class
-    is lost: take any class L of size n and a coatom c of L with the
-    greatest invariant; L - c is isomorphic to a class P of size n - 1,
-    and P plus a coatom above the image of ↓c - {c} is isomorphic to L,
-    with c as its new coatom, so it passes. Each kept child is keyed by
-    its least lows tuple over linear extensions (`_search`), which is
-    equal for two children exactly when they are isomorphic, and the
-    keys in a set drop the duplicates (ties and isomorphic siblings).
-    The search reads tables that each parent builds once and hands down
-    to its children (`_child_tables`), so no child's masks are built.
-    Each class is built unvalidated on e0..e{n-1} from that tuple, as a
-    lattice by construction; the classes of each size are listed by it.
+    table, as the down-set D below its new coatom, and the census keeps
+    the D that pass `_greatest_new_coatom`: those whose child's new
+    coatom has the greatest invariant among its coatoms, read off the
+    parent and D. No class is lost: take any class L of size n and a
+    coatom c of L with the greatest invariant; L - c is isomorphic to a
+    class P of size n - 1, and P plus a coatom above the image of
+    ↓c - {c} is isomorphic to L, with c as its new coatom, so it passes.
+    Each kept child is keyed by its least lows tuple over linear
+    extensions (`_search`), which is equal for two children exactly when
+    they are isomorphic, and the keys in a set drop the duplicates (ties
+    and isomorphic siblings). The search reads tables that each parent
+    builds once and hands down to its children (`_child_tables`), so no
+    child's masks are built. Each class is built unvalidated on
+    e0..e{n-1} from that tuple, as a lattice by construction; the
+    classes of each size are listed by it.
     """
     if max_n < 1:
         raise BadConfig("max_n must be at least 1")
@@ -551,8 +531,9 @@ def enumerate_lattices(max_n: int):
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
         found = {_search(*tables) for parent in level
-                 for tables in _child_tables(parent, _coatom_extensions(
-                     parent, _greatest_new_coatom(parent)))}
+                 for tables in _child_tables(parent, filter(
+                     _greatest_new_coatom(parent),
+                     _coatom_extensions(parent)))}
         level = [Lattice._unchecked(
                      labels, _up_of_lows(lows),
                      tuple(low | 1 << j for j, low in enumerate(lows)),
@@ -565,15 +546,15 @@ def enumerate_lattices(max_n: int):
 # -- shared helpers for the horizontal-sum checks --------------------------------
 
 def _sides(A, B, embeddings):
-    """(side, allowed, filter, ideal) per side of the sum of A and B: on
-    "A0", A's image less the bottom and B's less the top, the classes of a
-    congruence iff A's bottom is meet- and B's top join-irreducible."""
+    """(side, allowed, filter mask, ideal mask) per side of the sum of A
+    and B: on "A0", A's image less 0 and B's less the top, the classes
+    of a congruence iff A's bottom is meet- and B's top join-irreducible."""
     top = embeddings[0][A.top]
     pairs = list(zip((A, B), embeddings))
     for side, (X, eX), (Y, eY) in (("A0", *pairs), ("B0", *pairs[::-1])):
         yield (side, X.is_meet_irreducible(X.bottom)
                and Y.is_join_irreducible(Y.top),
-               frozenset(eX) - {0}, frozenset(eY) - {top})
+               mask_of(eX) & ~1, mask_of(eY) & ~(1 << top))
 
 
 def _product_problems(lats, H, embeddings, conH, taus):
@@ -773,19 +754,19 @@ def check_spechsum(A: Lattice, B: Lattice) -> CheckReport:
         raise _Skip("summands must have more than two elements")
     H, embeddings = horizontal_sum([A, B])
     sides = list(_sides(A, B, embeddings))
-    pf = set(prime_filters(H).prime_sets())
-    pid = set(prime_ideals(H).prime_sets())
+    pf = set(prime_filters(H).masks)
+    pid = set(prime_ideals(H).masks)
     problems = []
     for key, found, candidates in (
             ("unexpected_prime_filters", pf, {f for _, _, f, _ in sides}),
             ("unexpected_prime_ideals", pid, {i for _, _, _, i in sides})):
         if not found <= candidates:
-            problems.append({key: sorted(sorted(H.labels[x] for x in s)
+            problems.append({key: sorted(sorted(H.labels[x] for x in bits(s))
                                          for s in found - candidates)})
     con = all_congruences(H)
     coatoms = {con.block_maps[i] for i in con.coatoms()}
     for side, allowed, f, i in sides:
-        part = _partition_of(H.n, mask_of(f), mask_of(i))
+        part = _partition_of(H.n, f, i)
         flags = [allowed, f in pf, i in pid, is_congruence(H, part),
                  part.block_of in coatoms]
         if len(set(flags)) != 1:
@@ -801,7 +782,7 @@ def check_cghsum(A: Lattice, B: Lattice) -> CheckReport:
         raise _Skip("summands must have more than two elements")
     H, embeddings = horizontal_sum([A, B])
     conH = all_congruences(H)
-    taus = [_partition_of(H.n, mask_of(f), mask_of(i))
+    taus = [_partition_of(H.n, f, i)
             for _, allowed, f, i in _sides(A, B, embeddings) if allowed]
     problems = _product_problems([A, B], H, embeddings, conH, taus)
     # the two-class members sit above all of con01, pairwise incomparable
@@ -824,7 +805,7 @@ def check_multi_hsum(lats) -> CheckReport:
     H, embeddings = horizontal_sum(lats)
     conH = all_congruences(H)
     problems = _product_problems(lats, H, embeddings, conH, [])
-    if prime_filters(H).prime_sets() or prime_ideals(H).prime_sets():
+    if len(prime_filters(H)) or len(prime_ideals(H)):
         problems.append({"spectra_not_empty": True})
     return H, problems, {"con": len(conH)}
 

@@ -11,12 +11,18 @@ of its own. The census that keeps only the children whose new coatom
 has the greatest invariant is checked against `census_keying_every_child`,
 the generator it replaced, which keys every child and validates every
 class. Its keying is `least_lows_by_rebuilt_codes`, the search that
-`_least_lows` replaced, which rebuilds each candidate's code at every
+`_search` replaced, which rebuilds each candidate's code at every
 node, and its up masks come from `up_of_lows`, which gathers each
 element's upper positions in turn. Each child's order masks come from
 `child_masks`, the build the census replaced when it began to hand each
 parent's search tables down to its children. Exponential, so callers
 keep carriers small.
+
+`isomorphic`, whose colours start from cover counts and the sizes of
+each element's up- and downset, is checked against `_isomorphism` under
+`invariants_by_heights`, the colours it replaced, which start from
+heights and depths; and its promise of the lexicographically least
+isomorphism against `least_isomorphism_by_permutations`.
 
 The congruence engine has its own oracles, the algorithms it replaced:
 principal congruences by worklist closure over a union-find, Con(L) as
@@ -66,6 +72,7 @@ list.
 """
 
 from functools import reduce
+from itertools import permutations
 from math import isqrt
 
 from latkit import Lattice, Partition, all_congruences, is_congruence
@@ -520,6 +527,47 @@ def census_keying_every_child(max_n):
                  for k, lows in enumerate(sorted(found))]
         out += level
     return out
+
+
+def invariants_by_heights(lat):
+    """The colours `_invariants` replaced: (upper covers, lower covers,
+    height, depth), each height the longest chain down to the bottom and
+    each depth the longest chain up to the top, refined by the covers'
+    colours until the number of colours is stable."""
+    n = lat.n
+    ups = [[] for _ in range(n)]
+    downs = [[] for _ in range(n)]
+    for i, j in lat.cover_pairs:
+        ups[i].append(j)
+        downs[j].append(i)
+
+    def heights(order, below):
+        h = [0] * n
+        for i in sorted(range(n), key=lambda i: order[i].bit_count()):
+            h[i] = 1 + max((h[j] for j in below[i]), default=-1)
+        return h
+
+    inv = list(zip(map(len, ups), map(len, downs), heights(lat.down, downs),
+                   heights(lat.up, ups)))
+    classes = len(set(inv))
+    while True:
+        keys = [(inv[i], tuple(sorted(inv[j] for j in ups[i])),
+                 tuple(sorted(inv[j] for j in downs[i]))) for i in range(n)]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        inv = [rank[k] for k in keys]
+        if len(rank) == classes:
+            return inv
+        classes = len(rank)
+
+
+def least_isomorphism_by_permutations(a, b):
+    """The lexicographically least order isomorphism a -> b, of equal
+    size, as a list, or None, by trying every permutation in order."""
+    for f in permutations(range(a.n)):
+        if all(b.up[f[x]] == mask_of(f[y] for y in bits(a.up[x]))
+               for x in range(a.n)):
+            return list(f)
+    return None
 
 
 # -- congruences ------------------------------------------------------------

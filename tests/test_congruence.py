@@ -278,6 +278,23 @@ def test_quotient_projection_preserves_operations():
                     assert proj[lat.join(x, y)] == q.join(proj[x], proj[y])
 
 
+def test_quotient_primes_a_block_label_that_another_label_holds():
+    # a brace label that a singleton's label holds, and two brace labels
+    # that are the same text
+    lat = Lattice.from_covers(["0", "x", "{0,x}"],
+                              [("0", "x"), ("x", "{0,x}")])
+    q, proj = quotient(lat, eq_from_blocks(lat, [{"0", "x"}]))
+    assert q.labels == ("{0,x}'", "{0,x}") and proj == (0, 0, 1)
+    lat = Lattice.from_covers(["a", "b,c", "a,b", "c"],
+                              [("a", "b,c"), ("b,c", "a,b"), ("a,b", "c")])
+    q, _ = quotient(lat, eq_from_blocks(lat, [{"a", "b,c"}, {"a,b", "c"}]))
+    assert q.labels == ("{a,b,c}", "{a,b,c}'")
+    # labels without a collision are kept
+    n5 = named("N5")
+    q, _ = quotient(n5, eq_from_blocks(n5, [{"y", "z"}]))
+    assert q.labels == ("0", "x", "{y,z}", "1")
+
+
 def test_quotient_rejects_non_congruence():
     n5 = named("N5")
     with pytest.raises(NotACongruence):
@@ -602,6 +619,19 @@ def test_a_listing_is_rendered_a_chunk_at_a_time():
     assert [len(c) for c in chunks] == [congruence._CHUNK] * 2
     # below the lane threshold, the whole listing is one list
     assert [len(c) for c in all_congruences(named("N5")).line_chunks()] == [5]
+
+
+def test_lines_split_at_none_of_the_notation_characters():
+    # a label holding U+000A to U+002B leaves ",", the first character
+    # past them, as the first one in no label
+    chain = named("chain", 6)
+    labels = (chain.labels[0], "".join(map(chr, range(10, 44))),
+              *chain.labels[2:])
+    con = all_congruences(Lattice(labels, chain.up))
+    assert congruence._by_lanes(len(con), chain.n)
+    lines = [line for chunk in con.line_chunks() for line in chunk]
+    assert lines == list(map(block_renderer(labels), con.block_maps))
+    assert len(lines) == 32
 
 
 def test_lines_keep_labels_that_hold_braces_commas_and_newlines(monkeypatch):

@@ -62,6 +62,13 @@ def test_render_round_trip():
     assert parse(r'file("a\\b\"c\d")') == FileAtom('a\\b"cd')
 
 
+def test_render_and_evaluate_refuse_a_non_node():
+    for fn in (render, evaluate):
+        for bad in ("chain(3)", None, [expr.NamedAtom("B2")]):
+            with pytest.raises(TypeError, match="not an expression node"):
+                fn(bad)
+
+
 def test_evaluate_constructions():
     assert isomorphic(evaluate(parse("hsum(chain(3),chain(3),chain(3))")),
                       named("M3")) is not None

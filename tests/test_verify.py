@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -33,7 +34,8 @@ from latkit.verify import (
 )
 import latkit.verify as verify
 
-from oracles import con01_order_problems_by_pairs
+from oracles import (con01_order_problems_by_pairs, invariants_by_heights,
+                     least_isomorphism_by_permutations, relabelled)
 
 
 def test_isomorphic_finds_known_isomorphisms():
@@ -73,6 +75,39 @@ def test_isomorphic_behaves_like_an_equivalence():
     assert f is not None and g is not None
     for x in range(a.n):
         assert g[f[x]] == x
+
+
+def _by_heights(a, b):
+    return verify._isomorphism(a, b, invariants_by_heights(a),
+                               invariants_by_heights(b))
+
+
+def test_isomorphic_matches_the_search_under_height_colours():
+    census = enumerate_lattices(8)
+    small = [lat for lat in census if lat.n <= 7]
+    compared = 0
+    for a, b in itertools.product(small, repeat=2):
+        if a.n == b.n:
+            assert isomorphic(a, b) == _by_heights(a, b), (a.name, b.name)
+            compared += 1
+    assert compared == 3066  # 53² + 15² + 5² + 2² + 3
+    rng = random.Random(8)
+    for a in [lat for lat in census if lat.n == 8]:
+        b = relabelled(a, rng.sample(range(8), 8))
+        assert isomorphic(a, b) == _by_heights(a, b) is not None
+        assert isomorphic(b, a) == _by_heights(b, a) is not None
+
+
+def test_isomorphic_gives_the_lexicographically_least_isomorphism():
+    rng = random.Random(6)
+    classes = enumerate_lattices(6)
+    for a, b in itertools.product(classes, repeat=2):
+        if a.n == b.n:
+            assert isomorphic(a, b) == least_isomorphism_by_permutations(a, b)
+    for a in classes:
+        moved = [relabelled(a, rng.sample(range(a.n), a.n)) for _ in range(3)]
+        for x, y in itertools.product([a, *moved], repeat=2):
+            assert isomorphic(x, y) == least_isomorphism_by_permutations(x, y)
 
 
 def test_corpus_deterministic_and_valid():
