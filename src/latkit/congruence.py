@@ -65,8 +65,8 @@ width W, and byte k of every piece is one `bytes.translate` of the
 codes, written to every W-th byte from k; deleting the pad and decoding
 gives the text. Smaller listings are keyed and rendered one member at a
 time. A lattice keeps its listing, as it keeps its closures, so it is
-listed once; the listing keeps the labels, name, up masks and top it
-reads, not the lattice.
+listed once; the listing keeps the labels and name it reads, and the
+μ it computes once, not the lattice.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
 carries into the next. A ConLattice keys its rows, and reads the masks,
 the block maps and the Partitions off them, only when first asked for.
@@ -270,15 +270,15 @@ class ConLattice:
 
     A listing keeps what it reads of its lattice, not the lattice: its
     `labels` and `name`, which the rendered lines and `dot.con_dot` bear,
-    and its up masks and top, from which `con01` reads μ. So the
+    and the closed set of μ, computed once, which `con01` reads. So the
     lattice, which keeps its listing (`all_congruences`), is in no
     reference cycle with it, and a listing pickles as a plain value.
     """
 
     def __init__(self, base: Lattice, jbelow, closure, closed):
         self.labels, self.name = base.labels, base.name
-        self._up, self._top = base.up, base.top
         self.closure = tuple(closure)
+        self._mu = _mu(base.up, base.top, jbelow, closure)
         self._jbelow = jbelow
         self._closed, self._size = closed, len(closed)
 
@@ -392,8 +392,7 @@ class ConLattice:
     def con01(self):
         """Indices, ascending, of the members whose 0- and 1-classes are
         singletons: those below μ. The one reader of Con01 in a listing."""
-        mu = _mu(self._up, self._top, self._jbelow, self.closure)
-        return [i for i, s in enumerate(self.masks) if not s & ~mu]
+        return [i for i, s in enumerate(self.masks) if not s & ~self._mu]
 
     def con01_members(self):
         """The members `con01` indexes, as Partitions."""

@@ -36,7 +36,7 @@ from .errors import (
 )
 
 
-_SQUARE = named("B2")  # the summand of each pair that `dilate` inserts
+_B2 = named("B2")  # the summand of each pair that `dilate` inserts
 
 
 def _display(lat: Lattice) -> str:
@@ -246,7 +246,7 @@ def dilate(lat: Lattice):
     # interval, whose pair sits at n0 + 2k and n0 + 2k + 1
     squares = tuple((a, n0 + 2 * k, n0 + 2 * k + 1, b)
                     for k, (a, b) in enumerate(fats))
-    parts = ((lat, e0), *((_SQUARE, s) for s in squares))
+    parts = ((lat, e0), *((_B2, s) for s in squares))
     up, down = _union_up(len(labels), parts, {g for fat in fats for g in fat})
     return (Lattice._unchecked(labels, up, down, lat.bottom, lat.top, name),
             (e0,) + squares)

@@ -6,12 +6,14 @@ integer bit operations. `Lattice()` and `from_covers` validate the
 lattice axioms (a partial order with a unique bottom and top, and a
 unique lub for every pair, which in a bounded order gives every glb too),
 so downstream code may assume a genuine bounded lattice. They see what
-comes from outside the program, the named small lattices, quotients and
-the corpus generators. Chains, `div(n)`, duals, the census classes and
-every sum construction are lattices by construction (a sum is the union
-of its summands' orders, closed through its glue points): they are built
-by `Lattice._unchecked` from both order tables, unvalidated, and a
-differential test checks their tables against `Lattice()`'s.
+comes from outside the program, quotients and the corpus generators.
+The named small lattices (B2, M3, N5, K) are validated once, at import,
+and `named` copies them unvalidated. Chains, `div(n)`, duals, the census
+classes and every sum construction are lattices by construction (a sum
+is the union of its summands' orders, closed through its glue points):
+they are built by `Lattice._unchecked` from both order tables,
+unvalidated, and a differential test checks their tables against
+`Lattice()`'s.
 
 Validation builds no table: one pass over the comparable pairs checks
 antisymmetry and transitivity and collects the downsets, and the join of
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import weakref
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from math import isqrt
 
 from .errors import (
@@ -331,49 +334,45 @@ class Lattice:
     def from_covers(cls, labels, covers, name: str = "") -> "Lattice":
         """Lattice whose order is the reflexive-transitive closure of `covers`.
 
-        `covers` is an iterable of (low, high) label pairs. Fails with
-        CycleDetected on a cyclic declaration and NotALattice / NoBounds when
-        the closed order is not a bounded lattice.
+        `covers` is an iterable of (low, high) label pairs. The order is
+        closed along a `graphlib` topological order, highest first, each
+        up mask the union of its upper covers'. Fails with CycleDetected
+        on a cyclic declaration and NotALattice / NoBounds when the closed
+        order is not a bounded lattice.
         """
         labels = tuple(labels)
         _check_labels(labels)
         ix = {x: i for i, x in enumerate(labels)}
         n = len(labels)
         adj = [[] for _ in range(n)]
+        graph = TopologicalSorter()
+        for i in range(n):
+            graph.add(i)
         for a, b in covers:
             if a not in ix:
                 raise UnknownLabel(f"cover endpoint {a!r} is not an element")
             if b not in ix:
                 raise UnknownLabel(f"cover endpoint {b!r} is not an element")
             adj[ix[a]].append(ix[b])
+            graph.add(ix[b], ix[a])
+        # graphlib's cycle search (the same code in Python 3.10 to 3.13)
+        # runs depth first from the nodes in the order they were added,
+        # along edges in the order they were added: the declared order.
+        # So the cycle it reports starts at the first back-edge target of
+        # a depth-first search in that order.
+        try:
+            order = list(graph.static_order())
+        except CycleError as e:
+            raise CycleDetected(
+                f"declared covers cycle through {labels[e.args[1][0]]!r}"
+            ) from None
         up = [0] * n
-        state = [0] * n  # 0 unseen, 1 on stack, 2 closed
-        for root in range(n):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack = [(root, 0)]
-            while stack:
-                node, k = stack[-1]
-                if k < len(adj[node]):
-                    stack[-1] = (node, k + 1)
-                    nxt = adj[node][k]
-                    if state[nxt] == 1:
-                        raise CycleDetected(
-                            f"declared covers cycle through {labels[nxt]!r}"
-                        )
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, 0))
-                else:
-                    m = 1 << node
-                    for s in adj[node]:
-                        m |= up[s]
-                    up[node] = m
-                    state[node] = 2
-                    stack.pop()
+        for x in reversed(order):
+            m = 1 << x
+            for s in adj[x]:
+                m |= up[s]
+            up[x] = m
         return cls(labels, up, name=name)
-
 
 def _divisor_lattice(k, divisors):
     """div(k) from its ascending divisors, unvalidated: divisibility is a
@@ -410,16 +409,17 @@ def _chain_labels(k: int):
     return ("0",) + tuple(f"m{i}" for i in range(1, k - 1)) + ("1",)
 
 
-# The parameterless named lattices: labels, and covers as two-letter
-# strings, low label then high.
-_SMALL = {
-    "B2": (("0", "a", "b", "1"), ("0a", "0b", "a1", "b1")),
-    "M3": (("0", "u", "v", "w", "1"), ("0u", "0v", "0w", "u1", "v1", "w1")),
-    "N5": (("0", "x", "y", "z", "1"), ("0x", "x1", "0y", "yz", "z1")),
-    "K": (("0", "m", "n", "p", "q", "1"),
-          ("0m", "m1", "0n", "np", "0q", "qp", "p1")),
-}
-
+# The parameterless named lattices, validated once, at import: labels,
+# and covers as two-letter strings, low label then high. `named` hands
+# out unvalidated copies, so no table a caller builds lands on these.
+_SMALL = {name: Lattice.from_covers(labels, covers, name=name)
+          for name, labels, covers in (
+    ("B2", ("0", "a", "b", "1"), ("0a", "0b", "a1", "b1")),
+    ("M3", ("0", "u", "v", "w", "1"), ("0u", "0v", "0w", "u1", "v1", "w1")),
+    ("N5", ("0", "x", "y", "z", "1"), ("0x", "x1", "0y", "yz", "z1")),
+    ("K", ("0", "m", "n", "p", "q", "1"),
+     ("0m", "m1", "0n", "np", "0q", "qp", "p1")),
+)}
 
 def named(name: str, *params: int) -> Lattice:
     """Canonical small lattices used throughout the test corpus.
@@ -435,8 +435,9 @@ def named(name: str, *params: int) -> Lattice:
 
     if name in _SMALL:
         want(0)
-        labels, covers = _SMALL[name]
-        return Lattice.from_covers(labels, covers, name=name)
+        t = _SMALL[name]
+        return Lattice._unchecked(t.labels, t.up, t.down, t.bottom, t.top,
+                                  name)
     if name == "chain":
         want(1)
         k = params[0]

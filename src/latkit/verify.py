@@ -21,7 +21,8 @@ import random
 
 from .core import Lattice, bits, mask_of, named
 from .congruence import DEFAULT_MEMBER_CAP, all_congruences, is_simple
-from .construct import dilate, fat_intervals, horizontal_sum, hsum_congruences
+from .construct import _B2, dilate, fat_intervals, horizontal_sum, \
+    hsum_congruences
 from .equiv import Partition, _canon, _refines, block_renderer, is_congruence
 from .errors import BadConfig, LatticeError, SizeCapExceeded
 from .filters import all_filters, all_ideals, is_filter, is_ideal, \
@@ -33,8 +34,6 @@ DEFAULT_SUMMAND_CAP = 10
 CENSUS_CAP = 10
 COUNT_CAP = 10_000
 ISO_NODE_CAP = 1_000_000  # a few seconds of search
-
-_B2 = named("B2")  # the second summand of `check_b2_hsum_simple`
 
 
 class CheckReport:
@@ -237,26 +236,13 @@ def _subset_closure(rng) -> Lattice:
     fam = {0, full}
     for _ in range(rng.randint(2, 4)):
         fam.add(rng.randrange(1 << k))
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(fam)
-        for i, s in enumerate(items):
-            for t in items[i + 1:]:
-                for c in (s & t, s | t):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
+    while (grown := {s & t for s in fam for t in fam}  # holds s & s = s
+            | {s | t for s in fam for t in fam}) != fam:
+        fam = grown
     items = sorted(fam)
     letters = "abcd"
     labels = ["{" + ",".join(letters[i] for i in bits(s)) + "}" for s in items]
-    up = []
-    for s in items:
-        row = 0
-        for j, t in enumerate(items):
-            if s | t == t:
-                row |= 1 << j
-        up.append(row)
+    up = [mask_of(j for j, t in enumerate(items) if s | t == t) for s in items]
     name = f"closure({k};{','.join(map(str, items))})"
     return Lattice(labels, up, name=name)
 
@@ -277,19 +263,15 @@ def _chain_product_top(rng) -> Lattice:
     return Lattice.from_covers(labels, covers, name=f"chainprodtop({p},{q})")
 
 
-def _check_count(count: int) -> None:
-    if count < 0:
-        raise BadConfig("count must be non-negative")
-    if count > COUNT_CAP:
-        raise BadConfig(f"count capped at {COUNT_CAP}")
-
-
 def corpus(seed: int, count: int, max_size: int):
     """Deterministic-by-seed mix of named and random lattices, size-capped;
     `count` may not exceed COUNT_CAP."""
     if max_size < 2:
         raise BadConfig("max_size must be at least 2")
-    _check_count(count)
+    if count < 0:
+        raise BadConfig("count must be non-negative")
+    if count > COUNT_CAP:
+        raise BadConfig(f"count capped at {COUNT_CAP}")
     out = [lat for lat in _named_baseline() if lat.n <= max_size]
     rng = random.Random(seed)
     for _ in range(count):
@@ -903,9 +885,6 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
             raise BadConfig(
                 f"unknown suite {s!r}; valid: all, {', '.join(SUITES)}"
             )
-    _check_count(count)
-    if max_size < 2:
-        raise BadConfig("max_size must be at least 2")
     if census < 0 or census > CENSUS_CAP:
         raise BadConfig(f"census must lie between 0 and {CENSUS_CAP}")
     pool = corpus(seed, count, max_size)

@@ -65,6 +65,11 @@ and horizontal sums, whose old builds name every summand element by its
 result label and close the label covers the same way. They return the
 provenance as the raw label -> sources dict.
 
+`Lattice.from_covers`, which closes the declared order along a
+`graphlib` topological order, is checked against `from_covers_by_dfs`,
+the iterative depth-first search it replaced: the same order tables, or
+the same exception and message, for every declaration.
+
 `parse`, which scans one token at a time as the parser asks for it, is
 checked against `parse_eagerly`, the parser it replaced, which tokenizes
 the whole text first (`tokenize_eagerly`) and then descends the token
@@ -91,8 +96,53 @@ from latkit.errors import (
     NoBounds,
     NotALattice,
     TrivialSummand,
+    UnknownLabel,
 )
 from latkit.verify import _coatom_extensions, _invariants, _isomorphism
+
+
+def from_covers_by_dfs(labels, covers, name=""):
+    """`Lattice.from_covers` by an iterative depth-first search from each
+    element in index order, along the covers in declared order, that
+    names the first element it meets again on its own stack as the cycle."""
+    labels = tuple(labels)
+    _check_labels(labels)
+    ix = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    adj = [[] for _ in range(n)]
+    for a, b in covers:
+        if a not in ix:
+            raise UnknownLabel(f"cover endpoint {a!r} is not an element")
+        if b not in ix:
+            raise UnknownLabel(f"cover endpoint {b!r} is not an element")
+        adj[ix[a]].append(ix[b])
+    up = [0] * n
+    state = [0] * n  # 0 unseen, 1 on stack, 2 closed
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, 0)]
+        while stack:
+            node, k = stack[-1]
+            if k < len(adj[node]):
+                stack[-1] = (node, k + 1)
+                nxt = adj[node][k]
+                if state[nxt] == 1:
+                    raise CycleDetected(
+                        f"declared covers cycle through {labels[nxt]!r}"
+                    )
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, 0))
+            else:
+                m = 1 << node
+                for s in adj[node]:
+                    m |= up[s]
+                up[node] = m
+                state[node] = 2
+                stack.pop()
+    return Lattice(labels, up, name=name)
 
 
 def validated_eagerly(labels, up):

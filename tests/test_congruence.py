@@ -795,6 +795,21 @@ def test_no_attribute_of_a_listing_is_a_lattice():
         con.index_of(con.members[0]), list(con.line_chunks()), con_dot(con)
         held = {k: type(v) for k, v in vars(con).items()}
         assert Lattice not in held.values(), held
+        assert not {"_up", "_top"} & held.keys(), held
+
+
+def test_a_listing_reads_mu_once(monkeypatch):
+    for args in (("N5",), ("chain", 6), ("K",)):
+        lat = named(*args)
+        con = all_congruences(lat)
+
+        def mu_again(*_):
+            raise AssertionError("mu computed again")
+
+        monkeypatch.setattr(congruence, "_mu", mu_again)
+        got = con.con01()
+        monkeypatch.undo()
+        assert got == all_congruences(_fresh(lat, "Q")).con01()
 
 
 def test_a_listing_whose_lattice_is_gone_pickles():

@@ -330,6 +330,34 @@ def test_named_shapes():
     assert d12.join(d12.index("4"), d12.index("6")) == d12.index("12")
 
 
+# The parameterless named lattices as declared covers, low label then high.
+SMALL_DECLARATIONS = {
+    "B2": ("0ab1", ("0a", "0b", "a1", "b1")),
+    "M3": ("0uvw1", ("0u", "0v", "0w", "u1", "v1", "w1")),
+    "N5": ("0xyz1", ("0x", "x1", "0y", "yz", "z1")),
+    "K": ("0mnpq1", ("0m", "m1", "0n", "np", "0q", "qp", "p1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DECLARATIONS))
+def test_named_small_lattices_are_fresh_copies_of_one_build(name, monkeypatch):
+    labels, covers = SMALL_DECLARATIONS[name]
+    want = Lattice.from_covers(labels, covers, name=name)
+    used = named(name)  # a copy whose tables, dual and listing are built
+    used.join_t, used.dual().join_t, all_congruences(used)
+    lat = named(name)
+    assert lat is not named(name)
+    assert (lat.labels, lat.up, lat.down, lat.bottom, lat.top, lat.name) \
+        == (want.labels, want.up, want.down, want.bottom, want.top, name)
+    assert set(vars(lat)) == {"labels", "up", "down", "bottom", "top", "name"}
+
+    def validate(*args, **kwargs):
+        raise AssertionError(f"{name} validated again")
+
+    monkeypatch.setattr(Lattice, "__init__", validate)
+    assert named(name) == want
+
+
 def test_named_errors():
     with pytest.raises(UnknownName):
         named("pentagon")

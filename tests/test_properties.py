@@ -8,6 +8,9 @@ eager tokenizer and parser of `oracles`, and to `render` over trees
 nested up to `MAX_DEPTH` whose labels and paths are any text. JSON
 documents, arbitrary or shaped like a lattice file, either load or raise
 a `LatticeError`, whether given as text or read through `file(...)`.
+`Lattice.from_covers` is held to the depth-first search it replaced on
+declarations of up to 10 labels, cyclic, repeated or naming unknown
+labels among them.
 """
 
 import contextlib
@@ -28,7 +31,8 @@ from latkit.expr import (MAX_DEPTH, Dilation, FileAtom, HSum, IHSum,
                          NamedAtom, OSum)
 from latkit.verify import _ATOM_POOL
 
-from oracles import parse_eagerly, tokenize_eagerly, validated_eagerly
+from oracles import (from_covers_by_dfs, parse_eagerly, tokenize_eagerly,
+                     validated_eagerly)
 
 LABELS = ("0", "1", "a", "x", "e3")
 
@@ -343,3 +347,51 @@ def test_validation_raises_what_the_eager_build_raises(up):
     lat = Lattice(labels, up)
     for table, value in want.items():
         assert getattr(lat, table) == value, table
+
+
+@st.composite
+def declarations(draw):
+    """Labels e0.. and (low, high) covers: any pairs, unknown endpoints,
+    self-loops and cycles among them; or rising pairs between a bottom e0
+    and a top, which often close to a lattice. Some covers repeat."""
+    n = draw(st.integers(0, 10))
+    labels = [f"e{i}" for i in range(n)]
+    if n and draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+            sorted).filter(lambda p: p[0] < p[1])
+        covers = [(labels[a], labels[b])
+                  for a, b in draw(st.lists(pairs, max_size=16))]
+        covers += [(labels[0], x) for x in labels[1:-1]]
+        covers += [(x, labels[-1]) for x in labels[1:-1]]
+    else:
+        unknown = ["nowhere"] if draw(st.integers(0, 3)) == 0 else []
+        ends = st.sampled_from(labels + unknown) if n else st.just("e0")
+        covers = draw(st.lists(st.tuples(ends, ends), max_size=16))
+    covers += draw(st.lists(st.sampled_from(covers), max_size=3)) \
+        if covers else []
+    return labels, draw(st.permutations(covers))
+
+
+@settings(max_examples=500, deadline=None)
+@given(declarations())
+@example((["a", "b"], [("a", "b"), ("b", "a")]))
+@example((["a"], [("a", "a")]))
+@example((["0", "a", "b", "1"],
+          [("0", "a"), ("a", "b"), ("b", "a"), ("b", "1")]))
+@example((["0", "a", "b", "1"],
+          [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"), ("0", "a")]))
+@example((["0", "a", "b", "c", "d", "1"],
+          [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("a", "d"),
+           ("b", "d"), ("c", "1"), ("d", "1")]))
+def test_from_covers_closes_as_the_depth_first_search_did(decl):
+    labels, covers = decl
+    try:
+        want = from_covers_by_dfs(labels, covers)
+    except LatticeError as e:
+        with pytest.raises(LatticeError) as got:
+            Lattice.from_covers(labels, covers)
+        assert type(got.value) is type(e)
+        assert str(got.value) == str(e)
+        return
+    lat = Lattice.from_covers(labels, covers)
+    assert (lat.up, lat.down) == (want.up, want.down)
