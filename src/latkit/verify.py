@@ -263,9 +263,17 @@ def _chain_product_top(rng) -> Lattice:
     return Lattice.from_covers(labels, covers, name=f"chainprodtop({p},{q})")
 
 
+def _need_int(name, value):
+    """Refuse a `value` that is not an int (a bool included)."""
+    if type(value) is not int:
+        raise BadConfig(f"{name} must be an int, not {type(value).__name__}")
+
+
 def corpus(seed: int, count: int, max_size: int):
     """Deterministic-by-seed mix of named and random lattices, size-capped;
     `count` may not exceed COUNT_CAP."""
+    _need_int("count", count)
+    _need_int("max_size", max_size)
     if max_size < 2:
         raise BadConfig("max_size must be at least 2")
     if count < 0:
@@ -292,27 +300,34 @@ def corpus(seed: int, count: int, max_size: int):
     return out
 
 
-def _coatom_extensions(lat):
-    """Each down-set D of `lat` above which a new coatom makes a lattice.
+def _coatom_extensions(lat, twins):
+    """Each down-set D of `lat` above which a new coatom makes a lattice,
+    one per orbit of the permutations of `lat`'s twins.
 
-    `lat` is labelled along a linear extension with its top last. For
-    each down-closed set D holding the bottom but not the top, the new
-    coatom c goes above exactly D; c takes the old top's index and the
-    top moves one up, so the labelling stays a linear extension. The
-    result is a lattice iff the join in `lat` of any two members of D
-    lies in D or is the top. If so, c is the join of each such pair
-    whose old join is the top, every other pair keeps its join, and a
-    finite bounded poset with all joins is a lattice, so no meet needs
-    a test of its own (D meets each principal ideal outside D in a
-    principal ideal). The sets D are grown in index order, each with
-    the mask of its pairwise joins; a set is dropped once one of those
-    joins is decided outside it, since a later element never lies below
-    an earlier one. The census keeps the D that `_greatest_new_coatom` passes.
+    `lat` is labelled along a linear extension with its top last, and
+    `twins` are its earlier-twin masks (see `_tables`). For each
+    down-closed set D holding the bottom but not the top, the new coatom
+    c goes above exactly D; c takes the old top's index and the top
+    moves one up, so the labelling stays a linear extension. The result
+    is a lattice iff the join in `lat` of any two members of D lies in D
+    or is the top. If so, c is the join of each such pair whose old join
+    is the top, every other pair keeps its join, and a finite bounded
+    poset with all joins is a lattice, so no meet needs a test of its
+    own (D meets each principal ideal outside D in a principal ideal).
+    An element joins D only when D holds its earlier twins, so of the
+    down-sets that a permutation of twins carries onto each other (an
+    automorphism of `lat`, which gives isomorphic children, all lattices
+    or none) only the one holding a prefix of each twin class is grown.
+    The sets D are grown in index order, each with the mask of its
+    pairwise joins; a set is dropped once one of those joins is decided
+    outside it, since a later element never lies below an earlier one.
+    The census keeps the D that `_greatest_new_coatom` passes.
     """
     m = lat.n
     downsets = [(1, 1)]  # (D, the mask of the joins of pairs in D)
     for i in range(1, m - 1):
-        below, bit, row = lat.down[i] & ~(1 << i), 1 << i, lat.join_t[i]
+        bit, row = 1 << i, lat.join_t[i]
+        below = lat.down[i] & ~bit | twins[i]
         grown = []
         for d, joins in downsets:
             if not below & ~d:
@@ -340,9 +355,10 @@ def _tables(up, down):
     return above, wait, twins
 
 
-def _child_tables(lat, downsets):
+def _child_tables(lat, tables, downsets):
     """The `_tables` of `lat` plus a new coatom above each D in
-    `downsets`, handed down from those of `lat`, with no child mask built.
+    `downsets`, handed down from `tables`, those of `lat`, which the
+    census builds once per parent; no child mask is built.
 
     In the child (see `_coatom_extensions`) c = m - 1 takes the old
     top's index and the top is m. An element x below the old top keeps
@@ -355,7 +371,7 @@ def _child_tables(lat, downsets):
     downset is D, and the top has none.
     """
     m = lat.n
-    above, wait, twins = _tables(lat.up, lat.down)
+    above, wait, twins = tables
     pairs = [(a[:-1] + (m,), a + (m,)) for a in above[:-1]]
     wait, twins, top = wait[:-1], twins[:-1], (m,)
     coatoms = {}
@@ -486,23 +502,28 @@ def enumerate_lattices(max_n: int):
     leaves a lattice, so every class of size n is a class of size n - 1
     with a coatom added (McKay, "Isomorph-free exhaustive generation",
     1998; Heitzig and Reinhold, "Counting finite lattices", 2002).
-    `_coatom_extensions` tests each such child on its parent's join
-    table, as the down-set D below its new coatom, and the census keeps
-    the D that pass `_greatest_new_coatom`: those whose child's new
-    coatom has the greatest invariant among its coatoms, read off the
-    parent and D. No class is lost: take any class L of size n and a
-    coatom c of L with the greatest invariant; L - c is isomorphic to a
-    class P of size n - 1, and P plus a coatom above the image of
-    ↓c - {c} is isomorphic to L, with c as its new coatom, so it passes.
-    Each kept child is keyed by its least lows tuple over linear
-    extensions (`_search`), which is equal for two children exactly when
-    they are isomorphic, and the keys in a set drop the duplicates (ties
-    and isomorphic siblings). The search reads tables that each parent
-    builds once and hands down to its children (`_child_tables`), so no
-    child's masks are built. Each class is built unvalidated on
-    e0..e{n-1} from that tuple, as a lattice by construction; the
-    classes of each size are listed by it.
+    Each parent's `_tables` are built once. `_coatom_extensions` tests
+    each child on its parent's join table, as the down-set D below its
+    new coatom, growing one D per orbit of the permutations of the
+    parent's twins, and the census keeps the D that pass
+    `_greatest_new_coatom`: those whose child's new coatom has the
+    greatest invariant among its coatoms, read off the parent and D.
+    No class is lost: take any class L of size n and a coatom c of L
+    with the greatest invariant; L - c is isomorphic to a class P of
+    size n - 1, and P plus a coatom above the image of ↓c - {c} is
+    isomorphic to L, with c as its new coatom, so it passes. A
+    permutation of P's twins, an automorphism of P, carries that image
+    onto the D grown for its orbit, so the child above D is isomorphic
+    to L with c's image as its new coatom, and passes too. Each kept
+    child is keyed by its least lows tuple over linear extensions
+    (`_search`), which is equal for two children exactly when they are
+    isomorphic, and the keys in a set drop the duplicates (ties and
+    isomorphic siblings). The search reads the parent's tables handed
+    down to each child (`_child_tables`), so no child's masks are built.
+    Each class is built unvalidated on e0..e{n-1} from that tuple, as a
+    lattice by construction; the classes of each size are listed by it.
     """
+    _need_int("max_n", max_n)
     if max_n < 1:
         raise BadConfig("max_n must be at least 1")
     if max_n > CENSUS_CAP:
@@ -512,10 +533,13 @@ def enumerate_lattices(max_n: int):
     level = out[1:]
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
-        found = {_search(*tables) for parent in level
-                 for tables in _child_tables(parent, filter(
-                     _greatest_new_coatom(parent),
-                     _coatom_extensions(parent)))}
+        found = set()
+        for parent in level:
+            tables = _tables(parent.up, parent.down)
+            kept = filter(_greatest_new_coatom(parent),
+                          _coatom_extensions(parent, tables[2]))
+            found.update(_search(*child)
+                         for child in _child_tables(parent, tables, kept))
         level = [Lattice._unchecked(
                      labels, _up_of_lows(lows),
                      tuple(low | 1 << j for j, low in enumerate(lows)),
@@ -885,6 +909,7 @@ def run_suite(suites=("all",), seed: int = 7, count: int = 25,
             raise BadConfig(
                 f"unknown suite {s!r}; valid: all, {', '.join(SUITES)}"
             )
+    _need_int("census", census)
     if census < 0 or census > CENSUS_CAP:
         raise BadConfig(f"census must lie between 0 and {CENSUS_CAP}")
     pool = corpus(seed, count, max_size)

@@ -8,12 +8,15 @@ every labelled lattice on n points, deduplicated by pairwise isomorphism
 tests. The census's coatom extensions are checked against `Lattice()`
 acceptance, and its classes against `_certificate`, an isomorphism key
 of its own. The census that keeps only the children whose new coatom
-has the greatest invariant is checked against `census_keying_every_child`,
-the generator it replaced, which keys every child and validates every
-class. Its keying is `least_lows_by_rebuilt_codes`, the search that
-`_search` replaced, which rebuilds each candidate's code at every
-node, and its up masks come from `up_of_lows`, which gathers each
-element's upper positions in turn. Each child's order masks come from
+has the greatest invariant, and grows one child per orbit of the
+permutations of its parent's twins, is checked against
+`census_keying_every_child`, the generator it replaced, which keys every
+child of every down-set (`coatom_extensions_every_downset`, the
+extensions with no twin rule) and validates every class. Its keying is
+`least_lows_by_rebuilt_codes`, the search that `_search` replaced,
+which rebuilds each candidate's code at every node, and its up masks
+come from `up_of_lows`, which gathers each element's upper positions in
+turn. Each child's order masks come from
 `child_masks`, the build the census replaced when it began to hand each
 parent's search tables down to its children. Exponential, so callers
 keep carriers small.
@@ -98,7 +101,7 @@ from latkit.errors import (
     TrivialSummand,
     UnknownLabel,
 )
-from latkit.verify import _coatom_extensions, _invariants, _isomorphism
+from latkit.verify import _invariants, _isomorphism
 
 
 def from_covers_by_dfs(labels, covers, name=""):
@@ -562,17 +565,39 @@ def child_masks(lat, d):
     return up, lat.down[:-1] + (d | c, (top << 1) - 1)
 
 
+def coatom_extensions_every_downset(lat):
+    """Each down-set D of `lat` above which a new coatom makes a lattice,
+    with no rule on twins: the generator `_coatom_extensions` replaced,
+    which grows every such D, in index order with the mask of its
+    pairwise joins, rather than one per orbit of the permutations of
+    `lat`'s twins."""
+    m = lat.n
+    downsets = [(1, 1)]  # (D, the mask of the joins of pairs in D)
+    for i in range(1, m - 1):
+        below, bit, row = lat.down[i] & ~(1 << i), 1 << i, lat.join_t[i]
+        grown = []
+        for d, joins in downsets:
+            if not below & ~d:
+                for y in bits(d):
+                    joins |= 1 << row[y]
+                grown.append((d | bit, joins | bit))
+        downsets = [e for e in downsets if not e[1] & bit] + grown
+    return [d for d, _ in downsets]
+
+
 def census_keying_every_child(max_n):
-    """The census from every coatom extension of the classes one size down:
-    each child is keyed by `least_lows_by_rebuilt_codes`, and each class is
-    built, with full validation, as a `Lattice` from that tuple."""
+    """The census from every coatom extension of the classes one size down
+    (`coatom_extensions_every_downset`): each child is keyed by
+    `least_lows_by_rebuilt_codes`, and each class is built, with full
+    validation, as a `Lattice` from that tuple."""
     out = [Lattice(("e0",), (1,), name="census(1)#0"),
            Lattice(("e0", "e1"), (3, 2), name="census(2)#0")][:max_n]
     level = out[1:]
     for n in range(3, max_n + 1):
         labels = tuple(f"e{i}" for i in range(n))
         found = {least_lows_by_rebuilt_codes(*child_masks(parent, d))
-                 for parent in level for d in _coatom_extensions(parent)}
+                 for parent in level
+                 for d in coatom_extensions_every_downset(parent)}
         level = [Lattice(labels, up_of_lows(lows), name=f"census({n})#{k}")
                  for k, lows in enumerate(sorted(found))]
         out += level

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from latkit import Lattice, corpus, enumerate_lattices, isomorphic, verify
-from latkit.core import bits
+from latkit.core import bits, mask_of
 from latkit.verify import (_child_tables, _coatom_extensions,
                            _coatom_invariants, _greatest_new_coatom,
                            _invariants, _search, _up_of_lows)
@@ -12,6 +13,7 @@ from latkit.verify import (_child_tables, _coatom_extensions,
 from oracles import (_certificate, census_by_pairwise_iso,
                      census_keying_every_child, child_masks,
                      coatom_children_by_validation,
+                     coatom_extensions_every_downset,
                      least_lows_by_rebuilt_codes, relabelled, up_of_lows)
 
 # Lattices with 1..10 elements up to isomorphism, OEIS A006966.
@@ -47,8 +49,38 @@ def _tables(lats):
             for lat in lats]
 
 
+def _twins(lat):
+    return verify._tables(lat.up, lat.down)[2]
+
+
+def _extensions(lat):
+    return _coatom_extensions(lat, _twins(lat))
+
+
 def _children(lat, keep=lambda d: True):
-    return [child_masks(lat, d) for d in filter(keep, _coatom_extensions(lat))]
+    return [child_masks(lat, d) for d in filter(keep, _extensions(lat))]
+
+
+def _twin_classes(lat):
+    """The classes of elements of `lat` with equal strict upsets and
+    downsets, each in index order."""
+    classes = {}
+    for x in range(lat.n):
+        strict = ~(1 << x)
+        classes.setdefault((lat.up[x] & strict, lat.down[x] & strict),
+                           []).append(x)
+    return list(classes.values())
+
+
+def _orbit(classes, d):
+    """How many members of each twin class D holds: two down-sets agree
+    on it iff a permutation of the twins carries one onto the other."""
+    return tuple(sum(d >> x & 1 for x in c) for c in classes)
+
+
+def _downset_below_new_coatom(up):
+    c = len(up) - 2
+    return mask_of(i for i in range(c) if up[i] >> c & 1)
 
 
 def _least_lows(up, down):
@@ -128,7 +160,7 @@ def test_least_lows_matches_the_search_rebuilding_every_code(census8):
             assert lows == least_lows_by_rebuilt_codes(up, down)
             assert _up_of_lows(lows) == up_of_lows(lows)
             keyed += 1
-    assert keyed == 3555  # every child with 3 to 9 elements
+    assert keyed == 2797  # one child per twin orbit, with 3 to 9 elements
     rng = random.Random(24)
     for lat in census8:
         for _ in range(3):
@@ -138,12 +170,18 @@ def test_least_lows_matches_the_search_rebuilding_every_code(census8):
 
 
 def test_coatom_extensions_are_the_children_lattice_accepts(census8):
+    # up to a permutation of the parent's twins: one child per orbit
     tried = 0
     for lat in census8[1:]:
+        classes = _twin_classes(lat)
         got = _children(lat)
         want, count = coatom_children_by_validation(lat)
         tried += count
-        assert sorted(up for up, _ in got) == sorted(want)
+        assert {up for up, _ in got} <= set(want)
+        orbits = [_orbit(classes, _downset_below_new_coatom(up))
+                  for up, _ in got]
+        assert sorted(orbits) == sorted({
+            _orbit(classes, _downset_below_new_coatom(up)) for up in want})
         for up, down in got:
             assert down == Lattice([f"e{i}" for i in range(len(up))], up).down
     assert tried == 4809
@@ -152,11 +190,12 @@ def test_coatom_extensions_are_the_children_lattice_accepts(census8):
 def test_handed_down_tables_match_the_tables_built_afresh(census8):
     kept = 0
     for lat in census8[1:]:
-        ds = list(filter(_greatest_new_coatom(lat), _coatom_extensions(lat)))
+        ds = list(filter(_greatest_new_coatom(lat), _extensions(lat)))
         afresh = [verify._tables(*child_masks(lat, d)) for d in ds]
-        assert list(_child_tables(lat, ds)) == afresh
+        tables = verify._tables(lat.up, lat.down)
+        assert list(_child_tables(lat, tables, ds)) == afresh
         kept += len(ds)
-    assert kept == 2039  # every kept child with 3 to 9 elements
+    assert kept == 1489  # every kept child with 3 to 9 elements
 
 
 def test_a_new_coatom_twin_to_an_old_one_is_handed_down():
@@ -164,9 +203,9 @@ def test_a_new_coatom_twin_to_an_old_one_is_handed_down():
     # has e1's strict upset and downset, so e1 is its earlier twin
     chain3 = enumerate_lattices(3)[-1]
     assert chain3.up == (0b111, 0b110, 0b100)
-    assert 1 in filter(_greatest_new_coatom(chain3),
-                       _coatom_extensions(chain3))
-    tables = next(_child_tables(chain3, [1]))
+    assert 1 in filter(_greatest_new_coatom(chain3), _extensions(chain3))
+    tables = next(_child_tables(chain3, verify._tables(chain3.up, chain3.down),
+                                [1]))
     assert tables == verify._tables(*child_masks(chain3, 1)) == (
         [(1, 2, 3), (3,), (3,), ()], [0, 1, 1, 3], [0, 0, 0b10, 0])
     lows = _search(*tables)
@@ -229,7 +268,27 @@ def test_greatest_new_coatom_keeps_the_children_the_child_side_rule_keeps(
         assert got == [child for child in _children(lat)
                        if _new_coatom_rank(*child) >= 0]
         kept += len(got)
-    assert kept == 2039  # of 3,555 children with 3 to 9 elements
+    assert kept == 1489  # of 2,797 children with 3 to 9 elements
+
+
+def test_coatom_extensions_grow_one_twin_prefix_per_orbit_of_every_downset(
+        census8):
+    pruned_total = every_total = 0
+    for lat in census8[1:]:
+        classes = _twin_classes(lat)
+        pruned = _extensions(lat)
+        every = coatom_extensions_every_downset(lat)
+        assert set(pruned) <= set(every)
+        for d in pruned:  # each twin class meets D in a prefix
+            for c in classes:
+                k = _orbit([c], d)[0]
+                assert mask_of(c[:k]) & d == mask_of(c[:k])
+        # a permutation of the twins carries each D onto exactly one
+        orbits = Counter(_orbit(classes, d) for d in pruned)
+        assert all(orbits[_orbit(classes, d)] == 1 for d in every)
+        pruned_total += len(pruned)
+        every_total += len(every)
+    assert (pruned_total, every_total) == (2797, 3555)
 
 
 def test_a_census_keeping_only_a_unique_greatest_new_coatom_loses_classes(
@@ -241,6 +300,20 @@ def test_a_census_keeping_only_a_unique_greatest_new_coatom_loses_classes(
     # B2's two coatoms tie, so it is never kept, and a chain's children
     # other than the longer chain tie or lose: only the chains are left
     assert _counts(enumerate_lattices(7), 7) == (1,) * 7 != A006966[:7]
+
+
+def test_a_census_growing_no_element_past_an_earlier_twin_loses_orbits(
+        monkeypatch):
+    def no_two_twins(lat, twins):
+        return [d for d in coatom_extensions_every_downset(lat)
+                if not any(twins[x] & d for x in bits(d))]
+
+    monkeypatch.setattr(verify, "_coatom_extensions", no_two_twins)
+    # B2 under a new top is B2 with a coatom above both of its twin atoms,
+    # its only parent and down-set, so it is lost, and with it every class
+    # reached only through such a down-set
+    assert _counts(enumerate_lattices(7), 7) == \
+        (1, 1, 1, 2, 4, 11, 35) != A006966[:7]
 
 
 def test_coatom_invariants_survive_linear_extension_relabelling():

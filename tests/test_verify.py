@@ -586,6 +586,28 @@ def test_count_is_capped_before_any_lattice_is_built(monkeypatch):
             draw(verify.COUNT_CAP)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_lattices(2.0),
+    lambda: enumerate_lattices("3"),
+    lambda: enumerate_lattices(True),
+    lambda: run_suite(census=2.5, count=0),
+    lambda: run_suite(census="3", count=0),
+    lambda: run_suite(count=2.5),
+    lambda: run_suite(census=5, max_size=8.0),
+    lambda: corpus(7, 2.5, 9),
+    lambda: corpus(7, 25, "9"),
+])
+def test_a_size_that_is_not_an_int_is_refused_before_any_work(call,
+                                                              monkeypatch):
+    def no_work(*args):
+        raise AssertionError("started building")
+
+    monkeypatch.setattr(verify, "_named_baseline", no_work)
+    monkeypatch.setattr(verify, "_tables", no_work)
+    with pytest.raises(BadConfig, match="must be an int"):
+        call()
+
+
 def test_run_suite_builds_the_census_only_up_to_max_size(monkeypatch):
     import latkit.verify as verify
     sizes = []
