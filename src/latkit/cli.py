@@ -88,8 +88,8 @@ def _cmd_congruences(args) -> int:
         print(con_dot(con), end="")
         return 0
     print(f"|Con|={len(con)}")
-    for chunk in con.line_chunks():  # one print a line costs more
-        print("\n".join(chunk))
+    for text in con.line_chunks():  # one print a line costs more
+        sys.stdout.write(text)
     return 0
 
 

@@ -56,17 +56,21 @@ block map), so that listings and goldens are deterministic. From three
 members per element of L on, the rows are built for all members at
 once, bit-sliced: each big int holds one 8-bit lane per member, and x's
 block id is the least y whose jbelow[y] ^ jbelow[x] the member holds,
-an AND of lanes over a few join-irreducibles. `ConLattice.line_chunks()`
-renders the rows in block notation in the same way, a chunk of members
-at a time, as one byte code per printed piece. It writes the text by
-byte planes: each piece is encoded as UTF-8 with `surrogatepass` and
-padded with 0xFF, which UTF-8 never produces, to the widest piece's
-width W, and byte k of every piece is one `bytes.translate` of the
-codes, written to every W-th byte from k; deleting the pad and decoding
-gives the text. Smaller listings are keyed and rendered one member at a
-time. A lattice keeps its listing, as it keeps its closures, so it is
-listed once; the listing keeps the labels and name it reads, and the
-μ it computes once, not the lattice.
+an AND of lanes over a few join-irreducibles, shared among the y of one
+x. `ConLattice.line_chunks()` renders the rows in block notation in the
+same way, a chunk of members at a time, as one byte code per printed
+piece, and yields each chunk as one text, every member's line ended by
+"\n". It writes the text by byte planes: each piece is encoded as UTF-8
+with `surrogatepass` and padded with 0xFF, which UTF-8 never produces,
+to the widest piece's width W, and byte k of every piece is one
+`bytes.translate` of the codes, written to every W-th byte from k;
+deleting the pad and decoding gives the text. `latkit congruences`
+writes the texts as they come; `dot.con_dot`, which needs one name a
+member though a label may hold "\n", has the lines ended by a character
+in no label instead, and splits there. Smaller listings are keyed and
+rendered one member at a time. A lattice keeps its listing, as it keeps
+its closures, so it is listed once; the listing keeps the labels and
+name it reads, and the μ it computes once, not the lattice.
 DEFAULT_CON_CAP keeps every value in a lane below 128, so no lane
 carries into the next. A ConLattice keys its rows, and reads the masks,
 the block maps and the Partitions off them, only when first asked for.
@@ -82,9 +86,9 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cached_property, reduce
-from itertools import count
 from math import prod
 from operator import and_, or_
+from struct import iter_unpack
 from typing import NamedTuple, Optional
 
 from .construct import _extended
@@ -102,12 +106,13 @@ DEFAULT_MEMBER_CAP = 200_000
 _WIDTH = 8
 # A listing keys and renders its members lane-wise from this many members
 # per element of the lattice on; below it, one member at a time costs less.
-# Keying plus byte-plane render, member-wise vs lane-wise (best of 15 x
-# 1,000 calls, Python 3.11.7): 36 vs 46 us at 2 members per element
-# (chain(4)), 92 vs 88 at 2.5 (osum(N5,B2)), 140 vs 112 at 2.86
-# (osum(N5,chain(3))), 62 vs 48 at 3.2 (chain(5)), 168 vs 104 at 3.56
-# (osum(M3,chain(5))); at 25 elements the two tie near 2.6. Keying and
-# render each cross between 2 and 2.6, a little below this threshold.
+# Keying plus render to text, member-wise vs lane-wise (best of 15 x 1,000
+# calls, Python 3.11.7, 2 vCPUs): 28 vs 40 us at 2 members per element
+# (chain(4)), 79 vs 90 at 2.5 (osum(N5,B2)), 72 vs 76 at 2.86
+# (osum(N5,chain(3))), 55 vs 52 at 3.2 (chain(5)), 123 vs 90 at 3.56
+# (osum(M3,chain(5))); at 25 elements, an ordinal sum of six M3 (2.56),
+# 467 vs 443. The small listings cross between 2.86 and 3.2, and no
+# listing of the perfbench `cli` batch lies between 2.5 and 3.
 _LANES_PER_ELEMENT = 3
 _CHUNK = 4096  # members rendered per pass of `ConLattice.line_chunks`
 
@@ -306,14 +311,15 @@ class ConLattice:
     def members(self):
         return tuple(map(Partition._of_canonical, self.block_maps))
 
-    def line_chunks(self):
+    def line_chunks(self, _end="\n"):
         """Each member in block notation (`equiv.block_renderer`), in
-        order, as lists of lines. From _LANES_PER_ELEMENT members per
-        element on, each list holds the next _CHUNK members, rendered
-        lane-wise (`_render_codes`) as one text that is split at a
-        character in no label and none of `,{}`. A smaller listing, of
-        fewer than _LANES_PER_ELEMENT * DEFAULT_CON_CAP members, comes
-        as one list from `block_renderer`.
+        order, one line a member, as texts. From _LANES_PER_ELEMENT
+        members per element on, each text holds the next _CHUNK members,
+        rendered lane-wise (`_render_codes`); a smaller listing, of fewer
+        than _LANES_PER_ELEMENT * DEFAULT_CON_CAP members, comes as one
+        text from `block_renderer`. Each line ends in `_end`, "\n" but
+        for `dot.con_dot`, which ends them in a character in no label so
+        that it can split the texts into one name a member.
 
         The lane-wise text is built by byte planes. Each code's piece is
         encoded as UTF-8 with `surrogatepass`, so that a label holding a
@@ -324,14 +330,13 @@ class ConLattice:
         labels = self.labels
         n = len(labels)
         if not _by_lanes(len(self.rows), n):
-            yield list(map(block_renderer(labels), self.block_maps))
+            yield "".join([line + _end for line in
+                           map(block_renderer(labels), self.block_maps)])
             return
-        used = set(",{}" + "".join(labels))
-        sep = next(c for c in map(chr, count(10)) if c not in used)
         # the pieces of codes 0..n-1, 128..127+n and 255, in that order;
         # element 0 opens the first block of every member
         pieces = [*("," + lab for lab in labels), "{" + labels[0],
-                  *("}{" + lab for lab in labels[1:]), "}" + sep]
+                  *("}{" + lab for lab in labels[1:]), "}" + _end]
         pieces = [p.encode("utf-8", "surrogatepass") for p in pieces]
         width = max(map(len, pieces))
         padded = b"".join(p.ljust(width, b"\xff") for p in pieces)
@@ -344,11 +349,9 @@ class ConLattice:
             buf = bytearray(len(codes) * width)
             for k, table in enumerate(tables):
                 buf[k::width] = codes.translate(table)
-            lines = buf.translate(None, b"\xff").decode(
-                "utf-8", "surrogatepass").split(sep)
+            text = buf.translate(None, b"\xff").decode("utf-8", "surrogatepass")
             del codes, buf  # released before the next chunk is rendered
-            lines.pop()  # the empty text after the last separator
-            yield lines
+            yield text
 
     @cached_property
     def _map_index(self):
@@ -476,12 +479,16 @@ def _rows_by_lanes(jbelow, closure, masks):
     Each big int holds one 8-bit lane per member, member i in byte i.
     y and x share a block exactly when the member holds jbelow[x] ^
     jbelow[y], and a member holding t holds closure[t], so the test is an
-    AND of the lanes of a few join-irreducibles. x's block id is the least
-    such y; x opens a block when no y < x qualifies. Every value in a lane
+    AND of the lanes of a few join-irreducibles: those of the least t
+    left in the mask, then of the mask without closure[t]. For one x,
+    the ANDs are memoised by the mask left, so that the pairs (x, y)
+    share their chains. x's block id is the least such y, and x opens a
+    block in the lanes where it is its own id. Every value in a lane
     stays below 256, so no lane carries into the next.
     """
     m, n = len(masks), len(jbelow)
     ones = int.from_bytes(b"\1" * m, "little")
+    high = ones << 7
     packed = array("Q", masks)  # 8 bytes a mask, as in the rows
     if sys.byteorder == "big":
         packed.byteswap()
@@ -494,23 +501,25 @@ def _rows_by_lanes(jbelow, closure, masks):
     row = n + 1 + _WIDTH
     buf = bytearray(m * row)
     blocks = 0
-    for x in range(n):
-        bid, joined = ids[x], 0
+    for x, jx in enumerate(jbelow):
+        bid, same = ids[x], {0: full}  # same[rest]: the AND of rest
         for y in range(x - 1, -1, -1):  # the least such y is set last
-            same, rest = full, jbelow[x] ^ jbelow[y]
-            while rest:
+            rest, chain = jx ^ jbelow[y], []
+            while rest not in same:
                 t = (rest & -rest).bit_length() - 1
-                same &= holds[t]
+                chain.append((rest, t))
                 rest &= ~closure[t]
-            bid ^= (bid ^ ids[y]) & same
-            joined |= same
-        blocks += ones & ~joined
+            got = same[rest]
+            for rest, t in reversed(chain):
+                got = same[rest] = holds[t] & got
+            bid ^= (bid ^ ids[y]) & got
+        # 1 in the lanes where bid is x: (v | 128) - 1 keeps 128 unless v is 0
+        blocks += (((bid ^ ids[x] | high) - ones) & high ^ high) >> 7
         buf[x + 1::row] = bid.to_bytes(m, "little")
-    buf[0::row] = (255 * ones - blocks).to_bytes(m, "little")
+    buf[0::row] = (full - blocks).to_bytes(m, "little")
     for k in range(_WIDTH):
         buf[n + 1 + k::row] = packed[k::_WIDTH]
-    data = bytes(buf)
-    return [data[i:i + row] for i in range(0, len(data), row)]
+    return [r for r, in iter_unpack(f"{row}s", buf)]
 
 
 def _render_codes(rows, n):
@@ -530,13 +539,15 @@ def _render_codes(rows, n):
     high = ones << 7
     ids = [y * ones for y in range(n)]
     bids = [int.from_bytes(data[k::row], "little") for k in range(1, n + 1)]
-    rank, codes = [0] * n, []
+    # z starts behind each of the n - 1 - z later elements, and each one
+    # that comes after it takes one back, so no lane goes below 0
+    rank, codes = ids[::-1], []
     for x, bx in enumerate(bids):
         bx |= high
         for z in range(x):  # z comes first iff its block id is not larger
             first = (bx - bids[z]) >> 7 & ones
             rank[x] += first
-            rank[z] += ones ^ first
+            rank[z] -= first
         # x opens its block iff its block id reaches x, its largest value
         codes.append(ids[x] | ((bx - ids[x]) & high))
     at = [None] * n

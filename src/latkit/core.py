@@ -74,6 +74,8 @@ def _check_size(n: int):
 
 def _check_indices(n: int, indices):
     for x in indices:
+        if type(x) is not int:  # a bool or a float indexes no element
+            raise UnknownLabel(f"element index {x!r} is not an int")
         if not 0 <= x < n:
             raise UnknownLabel(f"element index {x} out of range")
 
@@ -432,6 +434,10 @@ def named(name: str, *params: int) -> Lattice:
     def want(count):
         if len(params) != count:
             raise BadParam(f"{name} takes {count} parameter(s), got {len(params)}")
+        for p in params:
+            if type(p) is not int:
+                raise BadParam(f"{name} parameter must be an int, not "
+                               f"{type(p).__name__}")
 
     if name in _SMALL:
         want(0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 from .core import _quote
 
 
@@ -23,8 +25,15 @@ def lattice_dot(lat) -> str:
 
 
 def con_dot(con) -> str:
-    """Hasse diagram of a ConLattice, nodes labelled by block notation."""
-    names = [line for chunk in con.line_chunks() for line in chunk]
+    """Hasse diagram of a ConLattice, nodes labelled by block notation.
+
+    The listing is rendered with each member ended by a character in no
+    label and none of `,{}`, and split there, so that a label holding
+    "\n" stays inside one name."""
+    used = set(",{}" + "".join(con.labels))
+    end = next(c for c in map(chr, count(10)) if c not in used)
+    names = "".join(con.line_chunks(end)).split(end)
+    names.pop()  # the empty text after the last member
     pairs = [(names[i], names[j]) for i, j in con.covers()]
     title = f"Con({con.name})" if con.name else "Con"
     return hasse_dot(names, pairs, title=title)

@@ -110,8 +110,9 @@ class Partition:
         assign = list(range(n))
         seen = set()
         for block in blocks:
-            block = sorted(block)
-            _check_indices(n, block)
+            block = list(block)
+            _check_indices(n, block)  # before a sort could compare non-ints
+            block.sort()
             for i in block:
                 if i in seen:
                     raise OverlappingBlocks(f"element index {i} listed twice")

@@ -272,6 +272,7 @@ def _need_int(name, value):
 def corpus(seed: int, count: int, max_size: int):
     """Deterministic-by-seed mix of named and random lattices, size-capped;
     `count` may not exceed COUNT_CAP."""
+    _need_int("seed", seed)
     _need_int("count", count)
     _need_int("max_size", max_size)
     if max_size < 2:

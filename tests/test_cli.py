@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from latkit import Lattice, cli, expr, named, verify
+from latkit import Lattice, cli, congruence, expr, named, verify
 from latkit.cli import build_parser, main
 from latkit.verify import SUITES
 
@@ -82,6 +82,34 @@ def test_congruence_listings_are_pinned(capsys, tmp_path, argv):
     assert err == ""
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == \
         LISTING_GOLDEN[argv]
+
+
+# chain(3) labelled "{,}" < "a\nb" < "}", and its four congruences
+ODD_CHAIN = {"elements": ["{,}", "a\nb", "}"],
+             "covers": [["{,}", "a\nb"], ["a\nb", "}"]]}
+ODD_NAMES = ['"{{,}}{a\nb}{}}"', '"{{,},a\nb}{}}"', '"{{,}}{a\nb,}}"',
+             '"{{,},a\nb,}}"']
+
+
+@pytest.mark.parametrize("per_element", [3, 0], ids=["by-member", "by-lanes"])
+def test_listings_keep_labels_that_hold_newlines_commas_and_braces(
+        capsys, tmp_path, monkeypatch, per_element):
+    # The listing writes the rendered text as it is; the DOT names are
+    # split at a character in no label, so "a\nb" stays inside its names.
+    monkeypatch.setattr(congruence, "_LANES_PER_ELEMENT", per_element)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(ODD_CHAIN))
+    code, out, err = run_cli(capsys, "congruences", f'file("{path}")')
+    assert (code, err) == (0, "")
+    assert out == "|Con|=4\n" + "".join(n[1:-1] + "\n" for n in ODD_NAMES)
+    code, out, err = run_cli(capsys, "congruences", "--dot", f'file("{path}")')
+    assert (code, err) == (0, "")
+    d, a, b, t = ODD_NAMES
+    assert out == "".join(line + "\n" for line in [
+        f'digraph "Con(file(\\"{path}\\"))" {{', "  rankdir=BT;",
+        "  node [shape=box];", *(f"  {n};" for n in ODD_NAMES),
+        f"  {a} -> {t};", f"  {b} -> {t};", f"  {d} -> {a};", f"  {d} -> {b};",
+        "}"])
 
 
 def test_congruences_listing(capsys):

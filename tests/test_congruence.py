@@ -30,7 +30,7 @@ from latkit import congruence, core
 from latkit.congruence import DEFAULT_MEMBER_CAP
 from latkit.expr import evaluate, parse
 from latkit.errors import NotACongruence, SizeCapExceeded, UnknownLabel
-from latkit.dot import con_dot
+from latkit.dot import con_dot, hasse_dot
 from latkit.equiv import block_renderer
 from oracles import (
     closed_sets_by_definition,
@@ -60,6 +60,18 @@ def test_a_principal_congruence_of_an_index_out_of_range_is_refused(a, b):
         principal_congruence(n5, a, b)
     with pytest.raises(UnknownLabel, match="out of range"):
         congruence_generated(n5, iter([(0, 4), (a, b)]))
+
+
+@pytest.mark.parametrize("a, b", [(0, 1.0), (1.0, 0), (True, 0), (0, "1"),
+                                  (0, None)])
+def test_a_principal_congruence_of_an_index_that_is_no_int_is_refused(a, b):
+    n5 = named("N5")
+    with pytest.raises(UnknownLabel, match="is not an int"):
+        principal_congruence(n5, a, b)
+    with pytest.raises(UnknownLabel, match="is not an int"):
+        congruence_generated(n5, [(0, 4), (a, b)])
+    with pytest.raises(UnknownLabel, match="is not an int"):
+        Partition.from_blocks(5, [[a, b]])
 
 
 def test_principal_congruence_bounds_collapse_everything():
@@ -568,14 +580,17 @@ def _fresh(lat, name):
 def _both_ways(monkeypatch, lat):
     """Con(lat) keyed and rendered one member at a time (no listing
     reaches DEFAULT_MEMBER_CAP members per element), then lane-wise: the
-    rows, lines and DOT of each. Each is listed from a fresh lattice,
-    since a lattice keeps its listing."""
+    rows, streamed text and DOT of each. Each is listed from a fresh
+    lattice, since a lattice keeps its listing, and each text is the
+    block notation of its members, one line each."""
     out, cons = [], []
     for per_element in (DEFAULT_MEMBER_CAP, 0):
         monkeypatch.setattr(congruence, "_LANES_PER_ELEMENT", per_element)
         con = all_congruences(_fresh(lat, lat.name))
-        lines = [line for chunk in con.line_chunks() for line in chunk]
-        out.append((con.rows, lines, con_dot(con)))
+        text = "".join(con.line_chunks())
+        assert text == "".join(line + "\n" for line in map(
+            block_renderer(lat.labels), con.block_maps)), lat.labels
+        out.append((con.rows, text, con_dot(con)))
         cons.append(con)
     assert cons[0] is not cons[1]
     return out
@@ -585,7 +600,8 @@ def test_the_lane_wise_listing_matches_the_member_wise_one(monkeypatch):
     # Every census class up to 8, as enumerated (the index order is a
     # linear extension) and reindexed so that it is not one, as ihsum, D
     # and file(...) give: there a block's least index need not be its
-    # bottom, and a block need not be a run of indices.
+    # bottom, and a block need not be a run of indices. Both ways stream
+    # the text that `block_renderer` gives line by line (`_both_ways`).
     rng = random.Random(17)
     for lat in enumerate_lattices(8):
         backwards = range(lat.n - 1, -1, -1)
@@ -600,10 +616,11 @@ def test_the_lane_wise_listing_matches_the_member_wise_one(monkeypatch):
 
 def test_the_two_keyings_agree_row_for_row(monkeypatch):
     # On the same members in a shuffled order, and in lines past one
-    # render chunk (chain(14) has 8,192 members).
+    # render chunk (chain(14) has 8,192 members, chain(15) 16,384, whose
+    # keying shares AND chains of up to 14 join-irreducibles).
     rng = random.Random(5)
     for expr in ("hsum(chain(6),N5,chain(5))", 'ihsum(chain(12),"m3","m7",M3)',
-                 "D(hsum(chain(3),chain(4)))", "chain(14)"):
+                 "D(hsum(chain(3),chain(4)))", "chain(14)", "chain(15)"):
         lat = evaluate(parse(expr))
         jbelow, closure = congruence._dependency(lat)
         masks = list(all_congruences(lat).masks)
@@ -616,22 +633,26 @@ def test_the_two_keyings_agree_row_for_row(monkeypatch):
 
 def test_a_listing_is_rendered_a_chunk_at_a_time():
     chunks = list(all_congruences(named("chain", 14)).line_chunks())
-    assert [len(c) for c in chunks] == [congruence._CHUNK] * 2
-    # below the lane threshold, the whole listing is one list
-    assert [len(c) for c in all_congruences(named("N5")).line_chunks()] == [5]
+    assert [c.count("\n") for c in chunks] == [congruence._CHUNK] * 2
+    assert all(c.endswith("}\n") for c in chunks)
+    # below the lane threshold, the whole listing is one text
+    chunks = list(all_congruences(named("N5")).line_chunks())
+    assert [c.count("\n") for c in chunks] == [5]
 
 
 def test_lines_split_at_none_of_the_notation_characters():
     # a label holding U+000A to U+002B leaves ",", the first character
-    # past them, as the first one in no label
+    # past them, as the first one in no label: the DOT names end there
     chain = named("chain", 6)
     labels = (chain.labels[0], "".join(map(chr, range(10, 44))),
               *chain.labels[2:])
     con = all_congruences(Lattice(labels, chain.up))
     assert congruence._by_lanes(len(con), chain.n)
-    lines = [line for chunk in con.line_chunks() for line in chunk]
-    assert lines == list(map(block_renderer(labels), con.block_maps))
-    assert len(lines) == 32
+    names = list(map(block_renderer(labels), con.block_maps))
+    assert "".join(con.line_chunks()) == "".join(n + "\n" for n in names)
+    pairs = [(names[i], names[j]) for i, j in con.covers()]
+    assert con_dot(con) == hasse_dot(names, pairs, title="Con")
+    assert len(names) == 32
 
 
 def test_lines_keep_labels_that_hold_braces_commas_and_newlines(monkeypatch):
@@ -640,7 +661,7 @@ def test_lines_keep_labels_that_hold_braces_commas_and_newlines(monkeypatch):
                                ("{,}", "1\n")])
     by_member, by_lanes = _both_ways(monkeypatch, lat)
     assert by_lanes == by_member
-    assert by_member[1][0] == "{0}{a\nb}{{,}}{1\n}"
+    assert by_member[1].startswith("{0}{a\nb}{{,}}{1\n}\n")
 
 
 # Labels of unequal byte width in UTF-8: an empty one, a NUL, a newline,
@@ -663,10 +684,10 @@ def test_the_lane_wise_listing_keeps_labels_of_any_byte_width(monkeypatch):
         copy = Lattice(_odd_labels(lat.n, shift), lat.up)
         by_member, by_lanes = _both_ways(monkeypatch, copy)
         assert by_lanes == by_member, copy.labels
-    lines = by_member[1]
-    assert len(lines) == 2 * congruence._CHUNK
-    assert lines[0] == "".join("{%s}" % lab for lab in copy.labels)
-    assert lines[-1] == "{" + ",".join(copy.labels) + "}"
+    text = by_member[1]
+    assert text.count("}\n") == 2 * congruence._CHUNK  # no label ends in }
+    assert text.startswith("".join("{%s}" % lab for lab in copy.labels) + "\n")
+    assert text.endswith("{" + ",".join(copy.labels) + "}\n")
 
 
 def test_the_listing_cap_fits_its_lanes():

@@ -369,6 +369,15 @@ def test_named_errors():
         named("M3", 3)
 
 
+@pytest.mark.parametrize("name, param", [
+    ("chain", 2.5), ("chain", 3.0), ("chain", True), ("chain", "3"),
+    ("div", 12.0), ("div", True), ("div", None),
+])
+def test_named_refuses_a_parameter_that_is_not_an_int(name, param):
+    with pytest.raises(BadParam, match="must be an int"):
+        named(name, param)
+
+
 def test_one_element_lattice_is_trivial():
     lat = named("chain", 1)
     assert lat.trivial

@@ -596,6 +596,12 @@ def test_count_is_capped_before_any_lattice_is_built(monkeypatch):
     lambda: run_suite(census=5, max_size=8.0),
     lambda: corpus(7, 2.5, 9),
     lambda: corpus(7, 25, "9"),
+    # a seed too: random.Random takes None, a str or a float, and True as 1
+    lambda: run_suite(seed=None, count=0),
+    lambda: run_suite(seed="a", count=0),
+    lambda: run_suite(seed=2.5, count=0),
+    lambda: run_suite(seed=True, count=0),
+    lambda: corpus(None, 25, 9),
 ])
 def test_a_size_that_is_not_an_int_is_refused_before_any_work(call,
                                                               monkeypatch):
