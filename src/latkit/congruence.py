@@ -54,13 +54,26 @@ blocks, its least-member block map, then its mask. Sorting the rows once
 puts the members in a fixed canonical order (more blocks first, then by
 block map), so that listings and goldens are deterministic. From three
 members per element of L on, the rows are built for all members at
-once, bit-sliced: each big int holds one 8-bit lane per member, and x's
-block id is the least y whose jbelow[y] ^ jbelow[x] the member holds,
-an AND of lanes over a few join-irreducibles, shared among the y of one
-x. `ConLattice.line_chunks()` renders the rows in block notation in the
-same way, a chunk of members at a time, as one byte code per printed
-piece, and yields each chunk as one text, every member's line ended by
-"\n". It writes the text by byte planes: each piece is encoded as UTF-8
+once, bit-sliced: each big int holds one 8-bit lane per member, and y
+and x share a block iff the member holds jbelow[y] ^ jbelow[x], an AND
+of lanes over a few join-irreducibles. The keying follows the covers of
+L, not every pair of elements. A block is a convex sublattice (Grätzer,
+"The Congruences of a Finite Lattice"), so x shares a block with an
+element below it iff it shares one with a lower cover, whose block id
+x then takes; taken in a linear extension, one AND chain per cover
+settles x's block. Otherwise x is the least element of its block, and
+its id, the least index in the block, is x or an "early" element above
+x with a smaller index; only those are tested, and where the index
+order is a linear extension (chains, ordinal and horizontal sums, the
+census) there are none. The covers and the early elements are read
+off jbelow with O(n²) mask operations. `ConLattice.line_chunks()`
+renders the rows in block notation in the same way, a chunk of members
+at a time, as one byte code per printed piece, and yields each chunk
+as one text, every member's line ended by "\n". An element's printed
+position is its index, corrected by the pairs of elements printed out
+of index order, and only an element whose block id lies below a block
+id before it, in some member, is compared pairwise: in a chain, none
+is. It writes the text by byte planes: each piece is encoded as UTF-8
 with `surrogatepass` and padded with 0xFF, which UTF-8 never produces,
 to the widest piece's width W, and byte k of every piece is one
 `bytes.translate` of the codes, written to every W-th byte from k;
@@ -107,12 +120,15 @@ _WIDTH = 8
 # A listing keys and renders its members lane-wise from this many members
 # per element of the lattice on; below it, one member at a time costs less.
 # Keying plus render to text, member-wise vs lane-wise (best of 15 x 1,000
-# calls, Python 3.11.7, 2 vCPUs): 28 vs 40 us at 2 members per element
-# (chain(4)), 79 vs 90 at 2.5 (osum(N5,B2)), 72 vs 76 at 2.86
-# (osum(N5,chain(3))), 55 vs 52 at 3.2 (chain(5)), 123 vs 90 at 3.56
+# calls, Python 3.11.7, 2 vCPUs): 34 vs 50 us at 2 members per element
+# (chain(4)), 85 vs 97 at 2.5 (osum(N5,B2)), 79 vs 82 at 2.86
+# (osum(N5,chain(3))), 59 vs 57 at 3.2 (chain(5)), 129 vs 89 at 3.56
 # (osum(M3,chain(5))); at 25 elements, an ordinal sum of six M3 (2.56),
-# 467 vs 443. The small listings cross between 2.86 and 3.2, and no
-# listing of the perfbench `cli` batch lies between 2.5 and 3.
+# 435 vs 235, as the lane-wise keying follows the covers. The small
+# listings cross between 2.86 and 3.2. The listings of the perfbench
+# `cli` batch (seeds 1-5) lie at 3.2 or above, or at 2.38 (19 members on
+# 8 elements) or below, none of them large, so a lower threshold for a
+# large lattice could not show end to end.
 _LANES_PER_ELEMENT = 3
 _CHUNK = 4096  # members rendered per pass of `ConLattice.line_chunks`
 
@@ -480,15 +496,18 @@ def _rows_by_lanes(jbelow, closure, masks):
     y and x share a block exactly when the member holds jbelow[x] ^
     jbelow[y], and a member holding t holds closure[t], so the test is an
     AND of the lanes of a few join-irreducibles: those of the least t
-    left in the mask, then of the mask without closure[t]. For one x,
-    the ANDs are memoised by the mask left, so that the pairs (x, y)
-    share their chains. x's block id is the least such y, and x opens a
-    block in the lanes where it is its own id. Every value in a lane
-    stays below 256, so no lane carries into the next.
+    left in the mask, then of the mask without closure[t], memoised for
+    one x by the mask left. A block is a convex sublattice, so x shares
+    one with an element below it iff it shares one with a lower cover c,
+    and then it takes c's block id; otherwise x is the least element of
+    its block, and its id is the least index among x and the elements
+    above x with a smaller index (`_order`), tested in those lanes only.
+    The elements go in a linear extension, so c's id is set before x's.
+    Every value in a lane stays below 256, so no lane carries into the
+    next.
     """
     m, n = len(masks), len(jbelow)
     ones = int.from_bytes(b"\1" * m, "little")
-    high = ones << 7
     packed = array("Q", masks)  # 8 bytes a mask, as in the rows
     if sys.byteorder == "big":
         packed.byteswap()
@@ -497,14 +516,16 @@ def _rows_by_lanes(jbelow, closure, masks):
     # lanes of the members that hold t
     byte = [int.from_bytes(packed[k::_WIDTH], "little") for k in range(_WIDTH)]
     holds = [(byte[t >> 3] >> (t & 7) & ones) * 255 for t in range(len(closure))]
-    full, ids = ones * 255, [y * ones for y in range(n)]
+    full = ones * 255
     row = n + 1 + _WIDTH
     buf = bytearray(m * row)
-    blocks = 0
-    for x, jx in enumerate(jbelow):
-        bid, same = ids[x], {0: full}  # same[rest]: the AND of rest
-        for y in range(x - 1, -1, -1):  # the least such y is set last
-            rest, chain = jx ^ jbelow[y], []
+    bids, blocks = [None] * n, 0
+    pairs, above = _order(jbelow)
+    for x, covers in pairs:
+        jx, same = jbelow[x], {0: full}  # same[rest]: the AND of rest
+
+        def both(rest):  # the lanes where x and an element share a block
+            chain = []
             while rest not in same:
                 t = (rest & -rest).bit_length() - 1
                 chain.append((rest, t))
@@ -512,9 +533,17 @@ def _rows_by_lanes(jbelow, closure, masks):
             got = same[rest]
             for rest, t in reversed(chain):
                 got = same[rest] = holds[t] & got
-            bid ^= (bid ^ ids[y]) & got
-        # 1 in the lanes where bid is x: (v | 128) - 1 keeps 128 unless v is 0
-        blocks += (((bid ^ ids[x] | high) - ones) & high ^ high) >> 7
+            return got
+
+        bid, own = x * ones, full
+        for c in covers:
+            got = both(jx & ~jbelow[c])
+            bid ^= (bid ^ bids[c]) & got
+            own &= ~got
+        for y in sorted(above[x], reverse=True):  # the least y is set last
+            bid ^= (bid ^ y * ones) & own & both(jbelow[y] & ~jx)
+        bids[x] = bid
+        blocks += own & ones
         buf[x + 1::row] = bid.to_bytes(m, "little")
     buf[0::row] = (full - blocks).to_bytes(m, "little")
     for k in range(_WIDTH):
@@ -522,16 +551,43 @@ def _rows_by_lanes(jbelow, closure, masks):
     return [r for r, in iter_unpack(f"{row}s", buf)]
 
 
+def _order(jbelow):
+    """(pairs, above): pairs holds (x, the lower covers of x) for each x
+    in a linear extension of the order, read off `jbelow` (y <= x iff
+    jbelow[y] is a subset of jbelow[x]); above[x] holds the elements above
+    x with a smaller index. O(n²) mask operations: going down the linear
+    extension from x, the first y below x that lies below no cover found
+    so far is another cover."""
+    n = len(jbelow)
+    order = sorted(range(n), key=lambda x: jbelow[x].bit_count())
+    below, pairs, above = [0] * n, [], [()] * n
+    for i, x in enumerate(order):
+        jx, under, cx = jbelow[x], 0, []
+        for y in reversed(order[:i]):
+            if not under >> y & 1 and not jbelow[y] & ~jx:
+                cx.append(y)
+                under |= below[y] | 1 << y
+        below[x] = under
+        pairs.append((x, cx))
+        for y in bits(under >> x + 1):  # below x with a larger index
+            above[x + 1 + y] += (x,)
+    return pairs, above
+
+
 def _render_codes(rows, n):
     """For each row, n + 1 bytes: the piece codes of `ConLattice.line_chunks`
     in the order they are printed, then 255 (the closing brace).
 
     An element is printed in its block, blocks by least member and each
-    ascending, so its position is the number of elements whose (block
-    id, index) is smaller. Its code is its index, plus 128 when it opens
-    its block. Both are computed lane-wise, as in `_rows_by_lanes`: with
-    every value below 128, (a | 128) - b has its top bit set exactly when
-    a >= b, so lanes compare without a borrow into the next.
+    ascending, so its position is its index, minus the earlier elements
+    with a larger block id, plus the later ones with a smaller block id.
+    Such a pair needs the later element's block id to lie below the
+    largest block id before it, so the pairs are compared only for an
+    element that does so in some lane; in a chain, none does. Its code is
+    its index, plus 128 when it opens its block. All of it is computed
+    lane-wise, as in `_rows_by_lanes`: with every value below 128,
+    (a | 128) - b has its top bit set exactly when a >= b, so lanes
+    compare without a borrow into the next.
     """
     m, row = len(rows), len(rows[0])
     data = b"".join(rows)
@@ -539,32 +595,35 @@ def _render_codes(rows, n):
     high = ones << 7
     ids = [y * ones for y in range(n)]
     bids = [int.from_bytes(data[k::row], "little") for k in range(1, n + 1)]
-    # z starts behind each of the n - 1 - z later elements, and each one
-    # that comes after it takes one back, so no lane goes below 0
-    rank, codes = ids[::-1], []
+    # x starts at its index and moves ahead of at most the x earlier
+    # elements, so no lane goes below 0
+    rank, codes = ids[:], []
+    top = 0  # the largest block id so far, lane-wise
     for x, bx in enumerate(bids):
-        bx |= high
-        for z in range(x):  # z comes first iff its block id is not larger
-            first = (bx - bids[z]) >> 7 & ones
-            rank[x] += first
-            rank[z] -= first
-        # x opens its block iff its block id reaches x, its largest value
-        codes.append(ids[x] | ((bx - ids[x]) & high))
+        if ((top | high) - bx - ones) & high:  # top > bx in some lane
+            for z in range(x):  # x comes before z iff z's block id is larger
+                before = ((bids[z] | high) - bx - ones) >> 7 & ones
+                rank[x] -= before
+                rank[z] += before
+        # x opens its block iff its block id reaches x, and then raises top
+        opens = ((bx | high) - ids[x]) & high
+        top ^= (top ^ ids[x]) & (opens >> 7) * 255
+        codes.append(ids[x] | opens)
     at = [None] * n
-    moving = []
+    moving = []  # (x, its position in each member, as bytes)
     for x, r in enumerate(rank):
         if r == (r & 255) * ones:  # at the same position in every member
             at[r & 255] = codes[x]
         else:
-            moving.append(x)
+            moving.append((x, r.to_bytes(m, "little")))
     buf = bytearray(m * (n + 1))
     for p in range(n):
         if at[p] is None:
             at[p] = 0
-            for x in moving:
-                v = rank[x] ^ ids[p]
-                hit = ((v | high) - ones) & high ^ high  # 128 where v is 0
-                at[p] |= codes[x] & (hit >> 7) * 255
+            hit = bytes(p) + b"\xff" + bytes(255 - p)  # 255 for p, else 0
+            for x, place in moving:
+                if p in place:
+                    at[p] |= codes[x] & int.from_bytes(place.translate(hit), "little")
         buf[p::n + 1] = at[p].to_bytes(m, "little")
     buf[n::n + 1] = b"\xff" * m
     return bytes(buf)

@@ -111,6 +111,9 @@ class Lattice:
     def __init__(self, labels, up, name: str = ""):
         labels = tuple(labels)
         up = tuple(up)
+        for row in up:
+            if type(row) is not int:  # a bool, a float or a string is no mask
+                raise BadInput(f"up mask {row!r} is not an int")
         n = len(labels)
         if n == 0:
             raise NoBounds("empty carrier")

@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 
 from .core import Lattice, bits, mask_of, named
@@ -25,8 +26,8 @@ from .construct import _B2, dilate, fat_intervals, horizontal_sum, \
     hsum_congruences
 from .equiv import Partition, _canon, _refines, block_renderer, is_congruence
 from .errors import BadConfig, LatticeError, SizeCapExceeded
-from .filters import all_filters, all_ideals, is_filter, is_ideal, \
-    is_prime_filter, is_prime_ideal, prime_filters, prime_ideals
+from .filters import all_filters, all_ideals, is_prime_ideal, prime_filters, \
+    prime_ideals
 from . import expr as expr_mod
 
 DEFAULT_DILATE_INPUT_CAP = 8
@@ -247,10 +248,9 @@ def _subset_closure(rng) -> Lattice:
     return Lattice(labels, up, name=name)
 
 
-def _chain_product_top(rng) -> Lattice:
-    """Product of two chains with one new top adjoined above everything."""
-    p = rng.randint(2, 4)
-    q = rng.randint(2, 4)
+def _chain_product_top(p: int, q: int) -> Lattice:
+    """Product of a p- and a q-chain with one new top adjoined above
+    everything: p*q + 1 elements."""
     labels = [f"({i},{j})" for i in range(p) for j in range(q)] + ["T"]
     covers = []
     for i in range(p):
@@ -291,8 +291,11 @@ def corpus(seed: int, count: int, max_size: int):
                 lat = expr_mod.evaluate(_random_expr(rng, 2))
             elif r < 0.8:
                 lat = _subset_closure(rng)
-            else:
-                lat = _chain_product_top(rng)
+            else:  # the size is known from (p, q), so an oversized one is not built
+                p, q = rng.randint(2, 4), rng.randint(2, 4)
+                if p * q + 1 > max_size:
+                    continue
+                lat = _chain_product_top(p, q)
             if lat.n <= max_size:
                 break
             lat = None
@@ -658,13 +661,14 @@ def check_prime_equivalences(lat: Lattice) -> CheckReport:
     for prime, fmask in zip(fam.prime_flags, fam.masks):
         if fmask == full:
             continue
-        comp = list(bits(full ^ fmask))
+        comp = full ^ fmask
         flags = [
             prime,
-            is_ideal(lat, comp),
+            _is_ideal(lat, comp),
         ]
-        flags.append(bool(flags[1] and is_prime_ideal(lat, comp)))
-        part = _partition_of(lat.n, fmask, full ^ fmask)
+        # a prime ideal: an ideal whose complement is a filter
+        flags.append(flags[1] and _is_filter(lat, fmask))
+        part = _partition_of(lat.n, fmask, comp)
         flags.append(is_congruence(lat, part))
         flags.append(part.block_of in coatoms)
         if len(set(flags)) != 1:
@@ -698,6 +702,19 @@ def check_prime_equivalences(lat: Lattice) -> CheckReport:
     return lat, problems, {"filters": len(fam), "congruences": len(con)}
 
 
+def _is_ideal(lat: Lattice, s: int) -> bool:
+    """Whether the non-empty set `s` is an ideal of lat: the down-set of
+    its join, the element whose up mask is the AND of the up masks of
+    s's members."""
+    ups = functools.reduce(operator.and_, map(lat.up.__getitem__, bits(s)))
+    return lat.down[lat.up.index(ups)] == s
+
+
+def _is_filter(lat: Lattice, s: int) -> bool:
+    """Whether the non-empty set `s` is a filter: an ideal of the dual."""
+    return _is_ideal(lat.dual(), s)
+
+
 @_check("bound-irreducibility", 1)
 def check_irreducibility(lat: Lattice) -> CheckReport:
     """Bound irreducibility against filters, spectra and congruences."""
@@ -714,8 +731,9 @@ def check_irreducibility(lat: Lattice) -> CheckReport:
     for bound, side in (("bottom", lat), ("top", lat.dual())):
         b = side.bottom
         rest = full & ~(1 << b)
-        flags = [side.is_meet_irreducible(b), is_filter(side, bits(rest))]
-        flags.append(bool(flags[1] and is_prime_filter(side, bits(rest))))
+        flags = [side.is_meet_irreducible(b), _is_filter(side, rest)]
+        # a prime filter: a filter whose complement {b} is an ideal
+        flags.append(flags[1] and _is_ideal(side, 1 << b))
         flags.append(is_prime_ideal(side, [b]))
         part = _partition_of(n, 1 << b, rest)
         flags.append(is_congruence(side, part))

@@ -616,12 +616,18 @@ def test_the_lane_wise_listing_matches_the_member_wise_one(monkeypatch):
 
 def test_the_two_keyings_agree_row_for_row(monkeypatch):
     # On the same members in a shuffled order, and in lines past one
-    # render chunk (chain(14) has 8,192 members, chain(15) 16,384, whose
-    # keying shares AND chains of up to 14 join-irreducibles).
+    # render chunk (chain(14) has 8,192 members, chain(15) 16,384). The
+    # lane-wise keying goes along the covers, and tests the elements
+    # above a block's least element that have a smaller index: in
+    # chain(15) indexed backwards, every element below the top has such
+    # elements above it, and in the interval sum, the 14 elements above
+    # the inserted 3-chain come before it.
     rng = random.Random(5)
+    backwards = relabelled(named("chain", 15), range(14, -1, -1))
     for expr in ("hsum(chain(6),N5,chain(5))", 'ihsum(chain(12),"m3","m7",M3)',
-                 "D(hsum(chain(3),chain(4)))", "chain(14)", "chain(15)"):
-        lat = evaluate(parse(expr))
+                 "D(hsum(chain(3),chain(4)))", "chain(14)", "chain(15)",
+                 backwards, 'ihsum(chain(16),"0","m2",chain(3))'):
+        lat = expr if isinstance(expr, core.Lattice) else evaluate(parse(expr))
         jbelow, closure = congruence._dependency(lat)
         masks = list(all_congruences(lat).masks)
         rng.shuffle(masks)
@@ -629,6 +635,41 @@ def test_the_two_keyings_agree_row_for_row(monkeypatch):
             congruence._rows_by_member(jbelow, closure, masks), expr
         by_member, by_lanes = _both_ways(monkeypatch, lat)
         assert by_lanes == by_member, expr
+
+
+def _decoded(codes, labels):
+    """The block notation that the piece codes of one member print."""
+    n = len(labels)
+    assert codes[n] == 255
+    return "".join([("}{" if c & 128 else ",") + labels[c & 127]
+                    for c in codes[:n]])[1:] + "}"
+
+
+def test_the_lane_wise_render_matches_the_block_renderer():
+    # Every census class up to 8, as enumerated, backwards and shuffled,
+    # its rows keyed one member at a time and shuffled, and rendered a
+    # chunk of a few members at a time: where an element's block id lies
+    # below an earlier element's in some member, the pairs are compared.
+    rng = random.Random(23)
+    for lat in enumerate_lattices(8):
+        backwards = range(lat.n - 1, -1, -1)
+        shuffled = rng.sample(range(lat.n), lat.n)
+        for copy in (lat, relabelled(lat, backwards),
+                     relabelled(lat, shuffled)):
+            jbelow, closure = congruence._dependency(copy)
+            masks = list(all_congruences(copy).masks)
+            rows = congruence._rows_by_member(jbelow, closure, masks)
+            rng.shuffle(rows)
+            render = block_renderer(copy.labels)
+            n, start = copy.n, 0
+            while start < len(rows):
+                chunk = rows[start:start + rng.randint(1, 9)]
+                codes = congruence._render_codes(chunk, n)
+                for i, r in enumerate(chunk):
+                    assert _decoded(codes[i * (n + 1):(i + 1) * (n + 1)],
+                                    copy.labels) == render(r[1:n + 1]), \
+                        (copy.labels, r)
+                start += len(chunk)
 
 
 def test_a_listing_is_rendered_a_chunk_at_a_time():

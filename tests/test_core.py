@@ -97,6 +97,14 @@ def test_up_masks_that_misfit_the_labels_are_bad_input(labels, up):
         Lattice(labels, up)
 
 
+@pytest.mark.parametrize("up", [["3", 2], [3.0, 2], [True, 2]])
+def test_an_up_mask_that_is_not_an_int_is_bad_input(up):
+    # a string or a float raised TypeError, and True passed as the mask 1
+    # until the bounds check refused it with a misleading NoBounds
+    with pytest.raises(BadInput, match="is not an int"):
+        Lattice(["a", "b"], up)
+
+
 def test_construction_size_cap():
     labels = [f"e{i}" for i in range(501)]
     covers = [(f"e{i}", f"e{i+1}") for i in range(500)]

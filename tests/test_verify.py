@@ -9,6 +9,7 @@ import pytest
 from latkit import (
     CheckReport,
     ConLattice,
+    Lattice,
     Partition,
     corpus,
     dilate,
@@ -118,6 +119,23 @@ def test_corpus_deterministic_and_valid():
     assert all(lat.n <= 9 for lat in one)
     other = corpus(2, 12, 9)
     assert [lat.name for lat in one] != [lat.name for lat in other]
+
+
+def test_corpus_builds_no_chain_product_past_max_size(monkeypatch):
+    # the size of a chain product with a top, p*q + 1, is known before it
+    # is built, so only those that fit are built, and the draws are the
+    # same, so the corpus is too
+    before = [lat.labels for lat in corpus(7, 100, 12)]
+    built = []
+    real = Lattice.from_covers.__func__
+
+    def counted(cls, labels, covers, name=""):
+        built.append(len(labels))
+        return real(cls, labels, covers, name=name)
+
+    monkeypatch.setattr(Lattice, "from_covers", classmethod(counted))
+    assert [lat.labels for lat in corpus(7, 100, 12)] == before
+    assert built and max(built) <= 12
 
 
 def test_corpus_count_zero_gives_named_only():
@@ -351,11 +369,11 @@ def test_a_product_pass_mutant_fails_both_sum_checks(monkeypatch, mutant):
 # Each mutant sets one flag of the five-way prime equivalence to False,
 # so on a prime filter the flags read as given.
 PRIME_FLAG_MUTANTS = {
-    "verify.is_ideal": (verify, "is_ideal", lambda lat, subset: False,
-                        [True, False, False, True, True]),
-    "verify.is_prime_ideal": (verify, "is_prime_ideal",
-                              lambda lat, subset: False,
-                              [True, True, False, True, True]),
+    "verify._is_ideal": (verify, "_is_ideal", lambda lat, s: False,
+                         [True, False, False, True, True]),
+    # a prime ideal's complement is a filter
+    "verify._is_filter": (verify, "_is_filter", lambda lat, s: False,
+                          [True, True, False, True, True]),
     "verify.is_congruence": (verify, "is_congruence", lambda lat, p: False,
                              [True, True, True, False, True]),
     "ConLattice.coatoms": (ConLattice, "coatoms", lambda self: [],
